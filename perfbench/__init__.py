@@ -1,0 +1,7 @@
+"""Host-performance benchmark for the EPR-distribution simulator.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+runs one workload and prints its metrics as the last line of standard
+output.  See ``perfbench/README.md`` for the workloads, the metrics and what
+each per-layer metric is expected to move.
+"""
