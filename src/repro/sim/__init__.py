@@ -16,8 +16,7 @@ implementations selectable by name:
   generated, chained-teleported hop by hop and queue-purified as discrete
   events, with teleporter-set/storage/purifier queueing shared between
   concurrent channels.  Exact but much slower; ``repro.verify`` uses it to
-  validate the fluid model end to end.  (:mod:`repro.sim.channel_setup`
-  keeps the original single-channel study on the same components.)
+  validate the fluid model end to end.
 
 :class:`repro.sim.simulator.CommunicationSimulator` is the public entry
 point; its ``backend`` argument selects the granularity.

@@ -1,12 +1,10 @@
 """Detailed (per-EPR-pair) transport backend for full instruction streams.
 
-:mod:`repro.sim.channel_setup` simulates *one* channel at individual-pair
-granularity; this module promotes that model to a full
-:class:`~repro.sim.transport.TransportBackend`: every planned communication
-of a workload becomes a channel whose raw pairs are generated on the
-traversed virtual-wire links, chained-teleported through every intermediate
-T' node and queue-purified at both endpoints — with the hardware *shared*
-between concurrent channels:
+A :class:`~repro.sim.transport.TransportBackend` at individual-pair
+granularity: every planned communication of a workload becomes a channel
+whose raw pairs are generated on the traversed virtual-wire links,
+chained-teleported through every intermediate T' node and queue-purified at
+both endpoints — with the hardware *shared* between concurrent channels:
 
 * one :class:`~repro.sim.generator.LinkGenerator` per virtual-wire link,
   so channels crossing the same link drain the same pair buffer;
@@ -32,7 +30,7 @@ and holds makespans to a documented tolerance.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..network.geometry import Coordinate
 from ..network.topology import LinkId
@@ -51,6 +49,15 @@ def _endpoint_dimension(endpoint: Coordinate, neighbour: Coordinate) -> str:
     return "x" if neighbour.y == endpoint.y else "y"
 
 
+class _Swap(NamedTuple):
+    """What the swap at the far end of one hop uses."""
+
+    storage: ResourcePool
+    teleporter: TeleporterNodeSim
+    dimension: str
+    turn: bool
+
+
 class _PairWalk:
     """Drives one raw pair hop-by-hop from its first link to the purifier."""
 
@@ -64,32 +71,30 @@ class _PairWalk:
         self._take_link_pair()
 
     def _take_link_pair(self) -> None:
-        link = self.channel.links[self.hop]
-        self.channel.transport.generator_for(link).take_pair(self._pair_ready)
+        channel = self.channel
+        generator = channel.generators[self.hop]
+        if generator is None:
+            generator = channel.first_use_generator(self.hop)
+        generator.take_pair(self._pair_ready)
 
     def _pair_ready(self) -> None:
         channel = self.channel
-        nodes = channel.nodes
-        if self.hop < len(channel.links) - 1:
-            node = nodes[self.hop + 1]
+        if self.hop < channel.last_hop:
+            swap = channel.swaps[self.hop]
+            if swap is None:
+                swap = channel.first_use_swap(self.hop)
             # The cell is released before the next hop's is requested, so a
             # waiting pair holds no storage anywhere — no hold-and-wait.
-            channel.transport.storage_for(node).acquire(self._swap)
+            swap.storage.acquire(self._swap)
         else:
-            channel.pair_delivered(self)
+            channel.pair_delivered()
 
     def _swap(self) -> None:
-        channel = self.channel
-        nodes = channel.nodes
-        node = nodes[self.hop + 1]
-        dimension, turn = swap_routing(nodes[self.hop], node, nodes[self.hop + 2])
-        channel.transport.teleporter_for(node).teleport_through(
-            dimension, self._swapped, turn=turn
-        )
+        swap = self.channel.swaps[self.hop]
+        swap.teleporter.teleport_through(swap.dimension, self._swapped, turn=swap.turn)
 
     def _swapped(self) -> None:
-        node = self.channel.nodes[self.hop + 1]
-        self.channel.transport.storage_for(node).release()
+        self.channel.swaps[self.hop].storage.release()
         self.hop += 1
         self._take_link_pair()
 
@@ -113,6 +118,13 @@ class _DetailedChannel:
         self.start_us = transport.engine.now
         self.nodes = plan.path.nodes
         self.links: List[LinkId] = list(plan.path.links)
+        self.last_hop = len(self.links) - 1
+        # The shared hardware of each hop, looked up on this channel's first
+        # use of the hop: the transport creates hardware on first use, so the
+        # creation order — and the order utilisation_report sums in — is that
+        # of a lookup per pair-hop.
+        self.generators: List[Optional[LinkGenerator]] = [None] * len(self.links)
+        self.swaps: List[Optional[_Swap]] = [None] * self.last_hop
         machine = transport.machine
         self.good_pairs_needed = machine.good_pairs_per_logical_communication()
         # The threshold-driven level selection can legitimately pick zero
@@ -169,6 +181,22 @@ class _DetailedChannel:
     def begin(self) -> None:
         self._inject()
 
+    # -- per-hop hardware -------------------------------------------------------------
+
+    def first_use_generator(self, hop: int) -> LinkGenerator:
+        generator = self.transport.generator_for(self.links[hop])
+        self.generators[hop] = generator
+        return generator
+
+    def first_use_swap(self, hop: int) -> _Swap:
+        previous, node, nxt = self.nodes[hop : hop + 3]
+        dimension, turn = swap_routing(previous, node, nxt)
+        transport = self.transport
+        storage = transport.storage_for(node)
+        swap = _Swap(storage, transport.teleporter_for(node), dimension, turn)
+        self.swaps[hop] = swap
+        return swap
+
     # -- pair lifecycle ---------------------------------------------------------------
 
     def _inject(self) -> None:
@@ -177,7 +205,7 @@ class _DetailedChannel:
             self._in_flight += 1
             _PairWalk(self).start()
 
-    def pair_delivered(self, walk: _PairWalk) -> None:
+    def pair_delivered(self) -> None:
         self._in_flight -= 1
         if self.purifiers:
             for purifier in self.purifiers:

@@ -1,17 +1,23 @@
 """Minimal discrete-event simulation kernel.
 
-A deliberately small, dependency-free engine: events are (time, priority,
-sequence) ordered callbacks on a binary heap.  Both the detailed per-pair
-simulator and the flow simulator drive their state machines through this
-kernel, so simulated time handling, determinism and stop conditions live in
-one place.
+A deliberately small, dependency-free engine.  The heap holds
+``(time, priority, sequence, event)`` tuples: Python compares tuples in C,
+and because every sequence number is unique no comparison ever reaches the
+:class:`Event` handle in the fourth slot.  Events therefore run in time
+order, ties broken by lower priority first and then by insertion order,
+which makes simulations fully deterministic.  The handle carries the
+callback and the cancellation flag.
+
+Both the detailed per-pair simulator and the flow simulator drive their
+state machines through this kernel, so simulated time handling, determinism
+and stop conditions live in one place.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+import math
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..trace.records import EventDispatched
@@ -25,20 +31,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _COMPACT_MIN_HEAP = 64
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """Handle on one scheduled callback.
 
-    Ordering is by time, then priority (lower first), then insertion sequence,
-    which makes simulations fully deterministic.
+    ``time``, ``priority`` and ``sequence`` repeat the event's heap key.
+    ``owner`` is the engine whose heap holds the event.  It is cleared when
+    the entry leaves the heap by firing or by :meth:`SimulationEngine.drain`,
+    so a late :meth:`cancel` is not counted as a dead heap entry.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    owner: Optional["SimulationEngine"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "priority", "sequence", "callback", "cancelled", "owner")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        sequence: int,
+        callback: Callable[[], None],
+        owner: Optional["SimulationEngine"] = None,
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
+        self.owner = owner
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -66,10 +83,9 @@ class SimulationEngine:
 
     def __init__(self, *, trace: Optional["TraceBus"] = None) -> None:
         self._now = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._processed = 0
-        self._running = False
         self._cancelled_pending = 0
         self.trace = trace
 
@@ -103,7 +119,12 @@ class SimulationEngine:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority=priority)
+        time = self._now + delay
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, self)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], *, priority: int = 0
@@ -113,20 +134,16 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        event = Event(
-            time=time, priority=priority, sequence=self._sequence, callback=callback, owner=self
-        )
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, self)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     # -- cancellation accounting ------------------------------------------------------
 
     def _note_cancellation(self) -> None:
-        # Cancelling an event that already fired (possible through stale
-        # references) must not overcount: cancelled-in-heap never exceeds the
-        # heap size, so clamping keeps the counter sound either way.
-        self._cancelled_pending = min(self._cancelled_pending + 1, len(self._heap))
+        self._cancelled_pending += 1
         if (
             len(self._heap) >= _COMPACT_MIN_HEAP
             and self._cancelled_pending * 2 > len(self._heap)
@@ -136,11 +153,12 @@ class SimulationEngine:
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries.
 
-        Event ordering is total (time, priority, unique sequence), so
-        ``heapify`` reproduces exactly the pop order the thinned heap would
-        have had — compaction is invisible to the simulation.
+        Heap keys are unique, so ``heapify`` reproduces exactly the pop order
+        the thinned heap would have had — compaction is invisible to the
+        simulation.  The list is rebuilt in place: a callback inside
+        :meth:`run` can trigger compaction while the loop holds the list.
         """
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
 
@@ -148,57 +166,46 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_pending = max(self._cancelled_pending - 1, 0)
-                continue
-            self._now = event.time
-            self._processed += 1
-            if self.trace is not None:
-                self._trace_dispatch(event)
-            event.callback()
-            return True
-        return False
-
-    def _trace_dispatch(self, event: Event) -> None:
-        if self.trace.wants(EventDispatched.kind):
-            self.trace.emit(
-                EventDispatched(t_us=event.time, sequence=event.sequence, priority=event.priority)
-            )
+        processed = self._processed
+        self.run(max_events=1)
+        return self._processed > processed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the event heap drains, ``until`` is reached, or ``max_events``.
 
         Returns the simulated time at which the run stopped.
         """
-        self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        trace = self.trace
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        try:
-            while self._heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                next_event = self._peek()
-                if next_event is None:
-                    break
-                if until is not None and next_event.time > until:
-                    self._now = until
-                    break
-                if not self.step():
-                    break
-                executed += 1
-        finally:
-            self._running = False
+        while heap and executed < budget:
+            time, _, _, event = heap[0]
+            if event.cancelled:
+                pop(heap)
+                self._cancelled_pending -= 1
+                continue
+            if time > horizon:
+                self._now = horizon
+                break
+            pop(heap)
+            self._now = time
+            self._processed += 1
+            executed += 1
+            event.owner = None
+            if trace is not None and trace.wants(EventDispatched.kind):
+                trace.emit(
+                    EventDispatched(t_us=time, sequence=event.sequence, priority=event.priority)
+                )
+            event.callback()
         return self._now
-
-    def _peek(self) -> Optional[Event]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled_pending = max(self._cancelled_pending - 1, 0)
-        return self._heap[0] if self._heap else None
 
     def drain(self) -> None:
         """Discard all pending events (used when aborting a simulation)."""
+        for entry in self._heap:
+            entry[3].owner = None
         self._heap.clear()
         self._cancelled_pending = 0
 

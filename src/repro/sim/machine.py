@@ -294,7 +294,6 @@ class QuantumMachine:
         The event-driven purifier consumes ``2**depth`` raw pairs per good
         pair (every round succeeds in the deterministic model), and a channel
         must deliver one good pair per physical qubit of the logical operand.
-        Both per-pair simulations draw this budget from here.
         """
         depth = max(self.planner.budget_for_hops(hops).endpoint_rounds, 1)
         return depth, self.good_pairs_per_logical_communication() * (2 ** depth)

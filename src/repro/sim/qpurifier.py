@@ -19,6 +19,7 @@ Two views are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..errors import ConfigurationError
@@ -157,6 +158,7 @@ class QueuePurifier:
         self.engine = engine
         self.depth = depth
         self.params = params or IonTrapParameters.default()
+        self._round_us = self.params.times.purify_round(0.0)
         self.on_good_pair = on_good_pair
         self.name = name
         # ``service`` shares one bank of purifier units between several queue
@@ -208,31 +210,31 @@ class QueuePurifier:
         self._levels[0] += 1
         if self._level_states is not None:
             self._level_states[0].append(self._input_state)
-        self._try_start_rounds()
+        self._start_rounds(0)
 
-    def _try_start_rounds(self) -> None:
-        for level in range(self.depth):
-            while self._levels[level] >= 2:
-                self._levels[level] -= 2
-                duration = self.params.times.purify_round(0.0)
-                self._rounds_executed += 1
-                out_state = None
-                if self._level_states is not None:
-                    # The outcome is a pure function of the two input states,
-                    # so it is computed at submit time and merely delivered at
-                    # round completion — no timing impact.
-                    queue = self._level_states[level]
-                    pair_a, pair_b = queue.pop(0), queue.pop(0)
-                    out_state = self._protocol.round(pair_a, pair_b).state
-                self._service.submit(
-                    duration, lambda lv=level, st=out_state: self._round_done(lv, st)
-                )
+    def _start_rounds(self, level: int) -> None:
+        # Every level below the top holds fewer than two pairs between calls,
+        # so only the level that just gained a pair can start a round.
+        while self._levels[level] >= 2:
+            self._levels[level] -= 2
+            self._rounds_executed += 1
+            out_state = None
+            if self._level_states is not None:
+                # The outcome is a pure function of the two input states,
+                # so it is computed at submit time and merely delivered at
+                # round completion — no timing impact.
+                queue = self._level_states[level]
+                pair_a, pair_b = queue.pop(0), queue.pop(0)
+                out_state = self._protocol.round(pair_a, pair_b).state
+            self._service.submit(self._round_us, partial(self._round_done, level, out_state))
 
     def _round_done(self, level: int, state: Optional[BellDiagonalState] = None) -> None:
         self._levels[level + 1] += 1
         if self._level_states is not None and state is not None:
             self._level_states[level + 1].append(state)
-        if level + 1 == self.depth:
+        if level + 1 < self.depth:
+            self._start_rounds(level + 1)
+        else:
             self._levels[level + 1] -= 1
             if self._level_states is not None:
                 emitted = self._level_states[level + 1].pop(0)
@@ -250,4 +252,3 @@ class QueuePurifier:
                 )
             if self.on_good_pair is not None:
                 self.on_good_pair()
-        self._try_start_rounds()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Optional
 
 from ..errors import SimulationError
@@ -107,25 +108,41 @@ class ServiceCenter:
         """Queue a job of ``duration`` microseconds; ``done`` fires at completion."""
         if duration < 0:
             raise SimulationError(f"duration must be non-negative, got {duration}")
-        arrival = self._engine.now
-        self._queue.append((arrival, duration, done))
-        self.stats.max_queue_length = max(self.stats.max_queue_length, len(self._queue))
-        self._dispatch()
+        queue = self._queue
+        free = self._busy < self.capacity
+        if free and not queue:
+            self._serve(duration, done)
+            return
+        queue.append((self._engine.now, duration, done))
+        if free:
+            # Inside a completion's ``done`` a server is free while older
+            # jobs still wait: they are served first.
+            self._dispatch()
+        stats = self.stats
+        if len(queue) > stats.max_queue_length:
+            stats.max_queue_length = len(queue)
+
+    def _serve(self, duration: float, done: Optional[Callable[[], None]]) -> None:
+        self._busy += 1
+        stats = self.stats
+        stats.jobs_served += 1
+        stats.busy_time += duration
+        self._engine.schedule(duration, partial(self._finish, done))
 
     def _dispatch(self) -> None:
-        while self._busy < self.capacity and self._queue:
-            arrival, duration, done = self._queue.popleft()
-            self._busy += 1
-            self.stats.total_wait += self._engine.now - arrival
-            self.stats.jobs_served += 1
-            self.stats.busy_time += duration
-            self._engine.schedule(duration, lambda d=done: self._finish(d))
+        queue = self._queue
+        now = self._engine.now
+        while self._busy < self.capacity and queue:
+            arrival, duration, done = queue.popleft()
+            self.stats.total_wait += now - arrival
+            self._serve(duration, done)
 
     def _finish(self, done: Optional[Callable[[], None]]) -> None:
         self._busy -= 1
         if done is not None:
             done()
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
 
     def throughput_per_us(self, job_duration: float) -> float:
         """Steady-state job completion rate for jobs of ``job_duration``."""

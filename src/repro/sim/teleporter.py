@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..network.geometry import Coordinate
 from ..network.nodes import TeleporterSpec
 from ..network.router import QuantumRouter
@@ -30,9 +30,6 @@ def swap_routing(
     serviced by ``node``'s X set when it leaves horizontally and its Y set
     otherwise (the Figure 6 router split); it *turns* — paying the ballistic
     move between the sets — when the incoming and outgoing dimensions differ.
-    Both per-pair simulations (the single-channel study and the detailed
-    transport backend) route through this one expression, so the physics
-    cannot drift between them.
     """
     dimension = "x" if nxt.y == node.y else "y"
     turn = (previous.y == node.y) != (nxt.y == node.y)
@@ -61,15 +58,14 @@ class TeleporterNodeSim:
             "x": ServiceCenter(engine, self.router.x_teleporters, name=f"{label}.x"),
             "y": ServiceCenter(engine, self.router.y_teleporters, name=f"{label}.y"),
         }
-        self._stored = 0
+        times = self.params.times
+        self._swap_us = times.teleport(0.0)
+        # A turning swap adds the intra-router ballistic move between the sets.
+        self._turn_swap_us = self._swap_us + times.ballistic(self.router.turn_cells)
         self._turns = 0
         self._teleports = 0
 
     # -- state ----------------------------------------------------------------------
-
-    @property
-    def stored_qubits(self) -> int:
-        return self._stored
 
     @property
     def storage_cells(self) -> int:
@@ -84,9 +80,12 @@ class TeleporterNodeSim:
         return self._turns
 
     def service_for(self, dimension: str) -> ServiceCenter:
-        if dimension not in self._sets:
-            raise ConfigurationError(f"dimension must be 'x' or 'y', got {dimension!r}")
-        return self._sets[dimension]
+        try:
+            return self._sets[dimension]
+        except KeyError:
+            raise ConfigurationError(
+                f"dimension must be 'x' or 'y', got {dimension!r}"
+            ) from None
 
     def utilisation(self, elapsed_us: float) -> float:
         """Combined utilisation of both teleporter sets."""
@@ -95,20 +94,6 @@ class TeleporterNodeSim:
         return (x + y) / 2.0
 
     # -- operations ------------------------------------------------------------------------
-
-    def store_incoming(self) -> None:
-        """Hold an incoming qubit in the storage area while its swap completes."""
-        if self._stored >= self.storage_cells:
-            raise SimulationError(
-                f"storage overflow at {self.position}: {self._stored} qubits held, "
-                f"capacity {self.storage_cells}"
-            )
-        self._stored += 1
-
-    def release_storage(self) -> None:
-        if self._stored <= 0:
-            raise SimulationError(f"storage underflow at {self.position}")
-        self._stored -= 1
 
     def teleport_through(
         self,
@@ -122,10 +107,11 @@ class TeleporterNodeSim:
         ``turn`` adds the intra-router ballistic move between the X and Y sets
         before the swap is serviced.
         """
-        duration = self.params.times.teleport(0.0)
         if turn:
             self._turns += 1
-            duration += self.params.times.ballistic(self.router.turn_cells)
+            duration = self._turn_swap_us
+        else:
+            duration = self._swap_us
         self._teleports += 1
         trace = self.engine.trace
         if trace is not None and trace.wants(TeleportPerformed.kind):

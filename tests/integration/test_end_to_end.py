@@ -16,8 +16,11 @@ from repro import (
 from repro.core.logical import STEANE_LEVEL_1
 from repro.core.metrics import evaluate_channel_metrics
 from repro.core.planner import ChannelPlanner
+from repro.network.layout import CommRequest
 from repro.network.topology import square_mesh
-from repro.sim.channel_setup import DetailedChannelSetup
+from repro.sim.control import PlannedCommunication
+from repro.sim.detailed import DetailedTransport
+from repro.sim.engine import SimulationEngine
 
 
 class TestPublicAPI:
@@ -46,12 +49,18 @@ class TestChannelToSimulatorConsistency:
 
     def test_detailed_setup_consistent_with_budget_accounting(self):
         machine = QuantumMachine(8, allocation=ResourceAllocation(4, 4, 4), encoding=STEANE_LEVEL_1)
-        plan = machine.planner.plan(Coordinate(0, 0), Coordinate(3, 3))
-        result = DetailedChannelSetup(machine, plan, good_pairs_needed=7).run()
+        engine = SimulationEngine()
+        transport = DetailedTransport(engine, machine)
+        source, dest = Coordinate(0, 0), Coordinate(3, 3)
+        plan = machine.planner.plan(source, dest)
+        request = CommRequest(source=source, dest=dest, qubit=1)
+        transport.start(PlannedCommunication(request=request, plan=plan), lambda: None)
+        engine.run()
         # The detailed simulation consumes exactly 2^rounds raw pairs per good
-        # pair, the idealised version of the budget's expected-yield figure.
+        # pair (7 of them for a Steane-encoded operand), the idealised version
+        # of the budget's expected-yield figure.
         ideal = 7 * 2 ** plan.budget.endpoint_rounds
-        assert result.raw_pairs_injected == ideal
+        assert transport.records[0].pairs_transited == ideal
         assert plan.budget.endpoint_pairs * 7 >= ideal
 
     def test_flow_simulation_runtime_bounded_by_channel_latency(self):

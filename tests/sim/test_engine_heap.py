@@ -51,6 +51,36 @@ class TestHeapCompaction:
         event.cancel()
         assert engine.cancelled_pending == 1
 
+    def test_cancel_after_firing_counts_nothing(self):
+        # A fired event left no entry in the heap, so cancelling it through
+        # a stale reference must not count a dead entry.
+        engine = SimulationEngine()
+        fired = engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+        assert engine.step()
+        fired.cancel()
+        assert engine.cancelled_pending == 0
+        assert engine.pending_events == 1
+
+    def test_compaction_inside_a_callback_keeps_the_run_going(self):
+        # Cancellations from inside a callback can compact the heap while
+        # ``run`` is iterating it; the remaining live events still fire.
+        engine = SimulationEngine()
+        fired = []
+        doomed = [engine.schedule(10.0 + i, lambda: fired.append("doomed")) for i in range(100)]
+        for i in range(5):
+            engine.schedule(20.0 + i, lambda i=i: fired.append(i))
+
+        def cancel_all():
+            for event in doomed:
+                event.cancel()
+
+        engine.schedule(1.0, cancel_all)
+        engine.run()
+        assert fired == [0, 1, 2, 3, 4]
+        assert engine.pending_events == 0
+        assert engine.cancelled_pending == 0
+
     def test_cancel_after_drain_stays_sound(self):
         engine = SimulationEngine()
         event = engine.schedule(1.0, lambda: None)

@@ -178,6 +178,30 @@ class TestServiceCenter:
         assert center.stats.utilisation(engine.now) == pytest.approx(1.0)
         assert center.stats.mean_wait() == pytest.approx((0 + 5 + 10 + 15) / 4)
 
+    def test_max_queue_length_counts_only_waiting_jobs(self):
+        engine = SimulationEngine()
+        idle = ServiceCenter(engine, 1)
+        idle.submit(5.0)
+        assert idle.stats.max_queue_length == 0
+        busy = ServiceCenter(engine, 1)
+        for _ in range(3):
+            busy.submit(5.0)
+        assert busy.stats.max_queue_length == 2
+        engine.run()
+        assert busy.stats.max_queue_length == 2
+
+    def test_jobs_waiting_inside_a_completion_are_served_first(self):
+        # ``done`` runs before the freed server is re-dispatched; a job
+        # submitted from it must queue behind the jobs already waiting.
+        engine = SimulationEngine()
+        center = ServiceCenter(engine, 1)
+        order = []
+        center.submit(1.0, lambda: center.submit(1.0, lambda: order.append("late")))
+        center.submit(1.0, lambda: order.append("early"))
+        engine.run()
+        assert order == ["early", "late"]
+        assert engine.now == 3.0
+
     def test_throughput_per_us(self):
         center = ServiceCenter(SimulationEngine(), 4)
         assert center.throughput_per_us(122.0) == pytest.approx(4 / 122.0)

@@ -176,24 +176,6 @@ class TestTeleporterNodeSim:
         engine.run()
         assert done[0][1] == done[1][1] == pytest.approx(122.0)
 
-    def test_storage_overflow_detected(self):
-        from repro.errors import SimulationError
-
-        engine = SimulationEngine()
-        node = TeleporterNodeSim(engine, Coordinate(0, 0), spec=TeleporterSpec(1))
-        for _ in range(node.storage_cells):
-            node.store_incoming()
-        with pytest.raises(SimulationError):
-            node.store_incoming()
-
-    def test_storage_underflow_detected(self):
-        from repro.errors import SimulationError
-
-        engine = SimulationEngine()
-        node = TeleporterNodeSim(engine, Coordinate(0, 0))
-        with pytest.raises(SimulationError):
-            node.release_storage()
-
     def test_unknown_dimension_rejected(self):
         node = TeleporterNodeSim(SimulationEngine(), Coordinate(0, 0))
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,14 @@
-"""Transport backend contract: registry, parity, contention, provenance."""
+"""Transport backend contract: registry, parity, contention, provenance.
+
+The detailed backend's outputs on every catalog scenario are pinned bitwise
+in ``detailed_pins.json``.  After a change that is *meant* to alter them,
+regenerate the file with::
+
+    PYTHONPATH=src python tests/sim/test_transport_backends.py
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +32,52 @@ from repro.sim.control import PlannedCommunication
 from repro.sim.detailed import DetailedTransport
 from repro.sim.flow import FlowTransport
 from repro.verify.harness import BACKEND_MAKESPAN_RATIO
+
+DETAILED_PINS = Path(__file__).with_name("detailed_pins.json")
+
+
+def _detailed_cases():
+    """(pin key, spec): every catalog scenario, plus smoke with faster generators.
+
+    The Table 1 durations are integers, so sums of them do not depend on the
+    order the events add them in; a generator bandwidth scale of 3 makes the
+    generation time non-integral, so a reordering of events shows up.
+    """
+    cases = [(name, get_scenario(name)) for name in list_scenarios()]
+    data = get_scenario("smoke").to_dict()
+    data["physics"]["generator_bandwidth_scale"] = 3
+    cases.append(("smoke/generator_bandwidth_scale=3", ScenarioSpec.from_dict(data)))
+    return cases
+
+
+def _detailed_pin(result):
+    """A detailed run's outputs with every float as ``float.hex``.
+
+    One string per channel record, in completion order:
+    start, end, hops, pairs transited, delivered fidelity.
+    """
+
+    def hexed(value):
+        return "None" if value is None else float(value).hex()
+
+    return {
+        "makespan_us": result.makespan_us.hex(),
+        "channels": [
+            " ".join(
+                (
+                    hexed(channel.start_us),
+                    hexed(channel.end_us),
+                    str(channel.hops),
+                    hexed(channel.pairs_transited),
+                    hexed(channel.delivered_fidelity),
+                )
+            )
+            for channel in result.channels
+        ],
+        "utilisation": {
+            kind: hexed(value) for kind, value in sorted(result.resource_utilisation.items())
+        },
+    }
 
 
 class TestRegistry:
@@ -83,14 +139,18 @@ class TestBackendParity:
 
     def test_every_catalog_scenario_completes_on_detailed(self):
         # The acceptance bar: the detailed backend is a full end-to-end
-        # backend, not a single-channel study — every catalog scenario runs.
-        for name in list_scenarios():
-            spec = get_scenario(name)
+        # backend, not a single-channel study — every catalog scenario runs,
+        # and its outputs match the checked-in pins bit for bit.
+        pins = json.loads(DETAILED_PINS.read_text(encoding="utf-8"))
+        cases = _detailed_cases()
+        assert sorted(pins) == sorted(key for key, _ in cases)
+        for key, spec in cases:
             result = CommunicationSimulator(
                 build_machine(spec), backend="detailed"
             ).run(build_stream(spec))
             assert result.makespan_us > 0
             assert result.backend == "detailed"
+            assert _detailed_pin(result) == pins[key], key
 
 
 def _planned(machine, source, dest, qubit):
@@ -138,6 +198,26 @@ class TestDetailedContention:
         assert "(0,0)-(1,0)" in detail["generator"]
         assert "(1,0)" in detail["teleporter"]
         assert "(3,0)" in detail["purifier"]
+
+    def test_shared_hardware_is_created_in_first_use_order(self):
+        # utilisation_report sums each resource class in creation order, so
+        # that order is part of the bitwise contract: hardware comes into
+        # being when the first pair reaches it, hop by hop across channels,
+        # not when a channel that will use it opens.
+        machine = QuantumMachine(5)
+        engine = SimulationEngine()
+        transport = DetailedTransport(engine, machine)
+        for qubit, row in enumerate((0, 1), start=1):
+            planned = _planned(machine, Coordinate(0, row), Coordinate(3, row), qubit)
+            transport.start(planned, lambda: None)
+        engine.run()
+        detail = transport.component_utilisation(engine.now)
+        assert list(detail["generator"]) == [
+            "(0,0)-(1,0)", "(0,1)-(1,1)", "(1,0)-(2,0)", "(1,1)-(2,1)", "(2,0)-(3,0)", "(2,1)-(3,1)"
+        ]
+        assert list(detail["teleporter"]) == [
+            "(1,0)", "(1,1)", "(2,0)", "(2,1)", "(0,0)", "(3,0)", "(0,1)", "(3,1)"
+        ]
 
     def test_co_sourced_channels_contend_for_the_source_purifier_bank(self):
         # Both endpoints purify their halves (the work the fluid model
@@ -192,3 +272,13 @@ class TestBackendProvenance:
         # Backend choice must reach the cache key, or fluid and detailed
         # sweeps would collide on one slot.
         assert detailed["spec_hash"] != record["spec_hash"]
+
+
+if __name__ == "__main__":
+    pins = {
+        key: _detailed_pin(
+            CommunicationSimulator(build_machine(spec), backend="detailed").run(build_stream(spec))
+        )
+        for key, spec in _detailed_cases()
+    }
+    DETAILED_PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.geometry import Coordinate
+from repro.network.layout import CommRequest
 from repro.scenarios import build_machine, build_stream, get_scenario
-from repro.sim.channel_setup import DetailedChannelSetup
+from repro.sim.control import PlannedCommunication
+from repro.sim.detailed import DetailedTransport
+from repro.sim.engine import SimulationEngine
 from repro.sim.machine import QuantumMachine
 from repro.sim.simulator import CommunicationSimulator
 from repro.trace import (
@@ -145,17 +149,22 @@ class TestTracedFlowRuns:
 
 class TestTracedDetailedRuns:
     def test_detailed_components_emit_milestones(self):
-        from repro.network.geometry import Coordinate
-
         machine = QuantumMachine(5, num_qubits=10)
-        plan = machine.planner.plan(Coordinate(0, 0), Coordinate(3, 2))
+        source, dest = Coordinate(0, 0), Coordinate(3, 2)
+        plan = machine.planner.plan(source, dest)
         bus = TraceBus()
-        window = machine.allocation.teleporter_spec.storage_cells
-        result = DetailedChannelSetup(machine, plan, trace=bus, max_pairs_in_flight=window).run()
+        engine = SimulationEngine(trace=bus)
+        transport = DetailedTransport(engine, machine)
+        request = CommRequest(source=source, dest=dest, qubit=1)
+        transport.start(PlannedCommunication(request=request, plan=plan), lambda: None)
+        engine.run()
+        raw = transport.records[0].pairs_transited
+        good = machine.good_pairs_per_logical_communication()
         generated = bus.filtered([EprPairGenerated.kind])
         purified = bus.filtered([PurificationMilestone.kind])
         teleports = bus.filtered([TeleportPerformed.kind])
-        assert len(generated) >= result.raw_pairs_injected
-        assert len(purified) == result.good_pairs_delivered
-        assert len(teleports) == result.teleports_performed
-        assert purified[-1].good_pairs == result.good_pairs_delivered
+        assert len(generated) >= raw
+        # Both endpoints purify, and both endpoint routers teleport the data.
+        assert len(purified) == 2 * good
+        assert len(teleports) == raw * (plan.hops - 1) + 2 * good
+        assert purified[-1].good_pairs == good
