@@ -69,8 +69,8 @@ def reproduction_report(
 ) -> str:
     """Render the full reproduction report as text (serial, uncached).
 
-    ``python -m repro report`` produces the same report through the parallel,
-    cached :class:`repro.runtime.ExperimentRunner`.
+    ``python -m repro experiments report`` produces the same report through
+    the parallel, cached :class:`repro.runtime.ExperimentRunner`.
     """
     pairs = run_experiments(identifiers, include_heavy=include_heavy)
     return render_report(pairs, max_points=max_points)

@@ -2,8 +2,7 @@
 
 Models the structural side of Section 3 and Section 5 of the paper: a 2-D
 mesh of teleporter (T') nodes joined by virtual wires (G nodes on every link),
-with corrector (C), purifier (P) and logical-qubit (LQ) sites attached, and a
-parallel classical control network.
+with corrector (C), purifier (P) and logical-qubit (LQ) sites attached.
 """
 
 from .geometry import Coordinate, manhattan_distance
@@ -19,13 +18,9 @@ from .topology import MeshTopology
 from .fabrics import build_topology, list_topologies, register_topology
 from .routing import DimensionOrder, Path, dimension_order_route
 from .router import QuantumRouter, RouterPort
-from .messages import ClassicalMessage, PauliFrame
-from .classical import ClassicalNetworkModel
 from .layout import HomeBaseLayout, MachineLayout, MobileQubitLayout
 
 __all__ = [
-    "ClassicalMessage",
-    "ClassicalNetworkModel",
     "Coordinate",
     "DimensionOrder",
     "GeneratorSpec",
@@ -35,7 +30,6 @@ __all__ = [
     "MeshTopology",
     "MobileQubitLayout",
     "NodeKind",
-    "PauliFrame",
     "Path",
     "PurifierSpec",
     "QuantumRouter",

@@ -40,10 +40,6 @@ The command surface is noun-verb:
 Commands that print data accept one shared ``--format text|json`` option;
 ``json`` emits the machine-readable form of exactly what ``text`` shows.
 
-The legacy top-level ``list``, ``run`` and ``report`` commands remain as
-hidden deprecated aliases of ``experiments list|run|report``: they warn on
-stderr and print byte-identical output on stdout.
-
 ``experiments`` and the scenario commands execute through
 :class:`repro.runtime.ExperimentRunner`, so independent experiments run
 across a process pool and results are cached on disk — a second invocation
@@ -179,13 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the tables and figures of the ISCA 2006 "
         "quantum-interconnect paper.",
     )
-    # The metavar pins the usage line to the public nouns; the deprecated
-    # top-level aliases registered below stay callable but invisible.
-    subparsers = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{backends,experiments,scenarios,sweep,serve,verify,lint}",
-    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
     backends = subparsers.add_parser(
         "backends", help="list the registered transport backends"
@@ -212,17 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="print the full reproduction report"
     )
     _add_experiment_run_options(ex_report)
-
-    # Legacy aliases (deprecated, hidden: no help= keeps them out of --help).
-    # They accept exactly the options their pre-noun-verb forms accepted and
-    # print byte-identical stdout; the deprecation warning goes to stderr.
-    legacy_list = subparsers.add_parser("list")
-    legacy_list.set_defaults(format="text")
-    legacy_run = subparsers.add_parser("run")
-    legacy_run.add_argument("identifiers", nargs="*", metavar="IDENTIFIER")
-    _add_experiment_run_options(legacy_run)
-    legacy_report = subparsers.add_parser("report")
-    _add_experiment_run_options(legacy_report)
 
     scenarios = subparsers.add_parser(
         "scenarios", help="declarative scenario engine (list/run/sweep)"
@@ -337,14 +316,6 @@ def _runner_from(args: argparse.Namespace) -> ExperimentRunner:
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-    )
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    print(
-        f"warning: `python -m repro {old}` is deprecated; "
-        f"use `python -m repro {new}`",
-        file=sys.stderr,
     )
 
 
@@ -720,15 +691,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            _warn_deprecated("list", "experiments list")
-            return _cmd_experiments_list(args)
-        if args.command == "run":
-            _warn_deprecated("run", "experiments run")
-            return _cmd_experiments_run(args)
-        if args.command == "report":
-            _warn_deprecated("report", "experiments report")
-            return _cmd_experiments_report(args)
         if args.command == "experiments":
             return _cmd_experiments(args)
         if args.command == "backends":

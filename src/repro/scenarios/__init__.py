@@ -8,7 +8,7 @@ scenarios, bundles and sweep grids from JSON/YAML with inheritance
 communication simulator, service mode (a ``traffic`` section) through the
 open-loop service simulator — returning a typed :class:`RunResult`.
 :func:`run_record` is the flat-record form the benchmark trajectory, sweep
-cache and CLI consume (:func:`run_scenario` is its deprecated alias).
+cache and CLI consume.
 ``python -m repro scenarios`` is the front end.
 """
 
@@ -43,7 +43,6 @@ from .run import (
     build_stream,
     run,
     run_record,
-    run_scenario,
 )
 from .bench import bench_payload, current_git_sha, write_bench_file
 
@@ -77,7 +76,6 @@ __all__ = [
     "resolve_scenario",
     "run",
     "run_record",
-    "run_scenario",
     "select_scenarios",
     "write_bench_file",
 ]

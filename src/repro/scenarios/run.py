@@ -16,14 +16,12 @@ service runs — with an exact JSON round-trip
 a module-level callable taking only the spec mapping, so
 :meth:`repro.runtime.ExperimentRunner.sweep` can fan a scenario grid across
 its multiprocessing pool and cache each point under the spec's hash.  For
-batch scenarios its output is byte-for-byte the historical schema-2 record;
-:func:`run_scenario` remains as a deprecated alias for it.
+batch scenarios its output is byte-for-byte the historical schema-2 record.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -526,21 +524,7 @@ def run_record(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Dict[str, Any]:
 
     This is the module-level callable :meth:`ExperimentRunner.sweep` ships to
     pool workers.  For batch scenarios the record is byte-identical to the
-    historical schema-2 ``run_scenario`` output.
+    historical schema-2 record.
     """
     return run(spec).flat_record()
 
-
-def run_scenario(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Dict[str, Any]:
-    """Deprecated alias for :func:`run_record` (the historical flat-dict API).
-
-    Kept byte-compatible for one release; new code should call :func:`run`
-    for the typed :class:`RunResult` or :func:`run_record` for the flat dict.
-    """
-    warnings.warn(
-        "run_scenario() is deprecated: use repro.scenarios.run.run() for the "
-        "typed RunResult or run_record() for the flat record",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_record(spec)

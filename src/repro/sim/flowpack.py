@@ -297,9 +297,12 @@ class FlowPack:
         Per iteration: mask entries of frozen rows to exact 0.0 work, sum
         per-column demand with ``bincount`` (sequential, flow-id order),
         take the min ``cap_left / denom`` bottleneck delta (min over floats
-        is order-independent; no NaNs can occur since denom > 0), credit
-        every unfrozen row, charge every contended column, and freeze the
-        member rows of columns that crossed the saturation epsilon.
+        is order-independent), credit every unfrozen row, charge every
+        contended column, and freeze the member rows of columns that crossed
+        the saturation epsilon.  No NaNs can occur while every work is
+        finite: only columns with denom > 0 are divided by.  An infinite work
+        would meet a zero delta and make NaN, which is why
+        ``TransportBackend._open_channel`` rejects infeasible channels.
         """
         n, e = self.n_rows, self.n_entries
         rates = np.zeros(n, dtype=np.float64)

@@ -26,7 +26,7 @@ import dataclasses
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError, InfeasibleError, SimulationError
 from ..network.topology import LinkId
 from ..trace.records import ChannelClosed, ChannelFidelity, ChannelOpened, RouteChosen
 from .results import ChannelRecord
@@ -109,6 +109,10 @@ class TransportBackend(ABC):
         level is selected: the fidelity profile for the channel's hop count is
         resolved (and memoized) here, at channel-open time, so both backends
         commit to the same threshold-driven level before servicing begins.
+
+        A channel whose pairs no purification depth can bring to the target
+        fidelity raises :class:`~repro.errors.InfeasibleError` here: its
+        budget asks for infinitely many pairs, so servicing it would stall.
         """
         if planned.plan is None:
             raise SimulationError("local communications do not need the transport backend")
@@ -139,6 +143,16 @@ class TransportBackend(ABC):
                         candidates=len(candidates),
                     )
                 )
+        if not planned.plan.feasible:
+            budget = planned.plan.budget
+            params = self.machine.params
+            raise InfeasibleError(
+                f"a {planned.hops}-hop channel cannot reach the target fidelity: its "
+                f"pairs arrive with error {budget.arrival_error:.4g}, which "
+                f"{budget.endpoint_rounds} purification rounds cannot bring to "
+                f"{params.threshold_fidelity:.6g}; raise noise.base_fidelity (now "
+                f"{params.zero_prep_fidelity:.6g}) or lower noise.target_fidelity"
+            )
         if self.fidelity is not None:
             self.fidelity.profile(planned.hops)
         if trace is not None:

@@ -1,76 +1,11 @@
-"""Tests for classical messages, the classical network model and machine layouts."""
+"""Tests for the machine layouts (Home Base and Mobile Qubit)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.classical import ClassicalNetworkModel
 from repro.network.geometry import Coordinate
 from repro.network.layout import HomeBaseLayout, MobileQubitLayout, build_layout
-from repro.network.messages import ClassicalMessage, PauliFrame
 from repro.network.topology import square_mesh
-from repro.physics.parameters import IonTrapParameters
-
-
-class TestPauliFrame:
-    def test_identity_by_default(self):
-        assert PauliFrame().identity
-        assert PauliFrame().label == "I"
-
-    def test_compose_is_xor(self):
-        frame = PauliFrame(x=True).compose(PauliFrame(x=True, z=True))
-        assert frame.label == "Z"
-
-    def test_apply_teleport_outcome(self):
-        frame = PauliFrame().apply_teleport_outcome(1, 0).apply_teleport_outcome(0, 1)
-        assert frame.label == "Y"
-        assert frame.bits == (1, 1)
-
-    def test_double_application_cancels(self):
-        frame = PauliFrame().apply_teleport_outcome(1, 1).apply_teleport_outcome(1, 1)
-        assert frame.identity
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ConfigurationError):
-            PauliFrame().apply_teleport_outcome(2, 0)
-
-
-class TestClassicalMessage:
-    def test_unique_ids(self):
-        assert ClassicalMessage().qubit_id != ClassicalMessage().qubit_id
-
-    def test_advanced_accumulates_corrections_and_hops(self):
-        message = ClassicalMessage().advanced(1, 0).advanced(0, 1)
-        assert message.hop_count == 2
-        assert message.correction.label == "Y"
-
-    def test_retargeted(self):
-        message = ClassicalMessage().retargeted((1, 2), (3, 4))
-        assert message.destination == (1, 2)
-        assert message.partner_destination == (3, 4)
-
-    def test_size_bits_constant(self):
-        assert ClassicalMessage().size_bits == 74
-
-
-class TestClassicalNetworkModel:
-    def test_latency_linear(self):
-        model = ClassicalNetworkModel(IonTrapParameters.default())
-        assert model.round_trip_us(1000) == pytest.approx(2 * model.latency_us(1000))
-
-    def test_classical_much_faster_than_quantum_ops(self):
-        model = ClassicalNetworkModel()
-        assert model.latency_us(18_000) < 10.0
-
-    def test_traffic_estimate(self):
-        model = ClassicalNetworkModel()
-        estimate = model.estimate_traffic(100.0, 50.0, 1000.0)
-        assert estimate.messages_per_second == pytest.approx(1150.0)
-        assert estimate.bits_per_second > 0
-        assert "in-flight" in estimate.describe()
-
-    def test_rejects_negative_rates(self):
-        with pytest.raises(ConfigurationError):
-            ClassicalNetworkModel().estimate_traffic(-1, 0, 0)
 
 
 class TestHomeBaseLayout:

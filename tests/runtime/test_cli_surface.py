@@ -1,4 +1,4 @@
-"""The noun-verb CLI surface: serve, --format json, and deprecated aliases."""
+"""The noun-verb CLI surface: serve, --format json and sweep status."""
 
 import json
 
@@ -128,36 +128,3 @@ class TestSweepStatus:
         assert record["journaled"] is True
         assert record["cached"] is False
 
-
-class TestDeprecatedAliases:
-    def test_legacy_list_warns_but_keeps_stdout(self, capsys):
-        assert main(["experiments", "list"]) == 0
-        modern = capsys.readouterr()
-        assert main(["list"]) == 0
-        legacy = capsys.readouterr()
-        assert legacy.out == modern.out
-        assert "deprecated" in legacy.err
-        assert "deprecated" not in modern.err
-
-    def test_legacy_run_warns_but_keeps_stdout(self, tmp_path, capsys):
-        assert main(["experiments", "run", "table1", "--cache-dir", str(tmp_path)]) == 0
-        modern = capsys.readouterr()
-        assert main(["run", "table1", "--cache-dir", str(tmp_path)]) == 0
-        legacy = capsys.readouterr()
-        assert legacy.out == modern.out
-        assert "deprecated" in legacy.err
-
-    def test_legacy_aliases_are_hidden_from_help(self, capsys):
-        try:
-            main(["--help"])
-        except SystemExit:
-            pass
-        help_text = capsys.readouterr().out
-        assert "experiments" in help_text
-        assert "serve" in help_text
-        # The usage metavar lists only the public nouns.
-        assert "{backends,experiments,scenarios,sweep,serve,verify,lint}" in help_text
-        for line in help_text.splitlines():
-            stripped = line.strip()
-            assert not stripped.startswith("list "), line
-            assert stripped != "list"

@@ -229,23 +229,23 @@ class TestExperimentRunner:
 
 class TestCli:
     def test_list_command(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["experiments", "list"]) == 0
         out = capsys.readouterr().out
         assert "figure16" in out and "[heavy]" in out
 
     def test_run_command_prints_artifacts(self, tmp_path, capsys):
-        code = main(["run", "table1", "--cache-dir", str(tmp_path)])
+        code = main(["experiments", "run", "table1", "--cache-dir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "[table1]" in out and "Teleport" in out
 
     def test_run_unknown_experiment_fails_cleanly(self, tmp_path, capsys):
-        code = main(["run", "nope", "--cache-dir", str(tmp_path)])
+        code = main(["experiments", "run", "nope", "--cache-dir", str(tmp_path)])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_report_command(self, tmp_path, capsys):
-        code = main(["report", "--cache-dir", str(tmp_path), "--points", "4"])
+        code = main(["experiments", "report", "--cache-dir", str(tmp_path), "--points", "4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Reproduction report" in out

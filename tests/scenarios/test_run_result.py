@@ -1,11 +1,12 @@
-"""The typed RunResult surface: round-trip, views, and the deprecated shim."""
+"""The typed RunResult surface: round-trip, views and flat records."""
 
 import json
+import warnings
 
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import get_scenario, run, run_record, run_scenario
+from repro.scenarios import get_scenario, run, run_record
 from repro.scenarios.run import (
     RESULT_SCHEMA_VERSION,
     SERVICE_SCHEMA_VERSION,
@@ -44,6 +45,11 @@ class TestBatchRunResult:
         record = run_record(get_scenario("smoke"))
         assert list(record)[:5] == ["schema", "name", "label", "spec_hash", "spec"]
         assert list(record)[-1] == "wall_time_s"
+
+    def test_run_record_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_record(get_scenario("smoke"))
 
 
 class TestServiceRunResult:
@@ -112,25 +118,6 @@ class TestViewExclusivity:
             RunResult(**self._envelope_kwargs())
         with pytest.raises(ScenarioError, match="batch XOR service"):
             RunResult(**self._envelope_kwargs(), batch=batch, service=service)
-
-
-class TestDeprecatedShim:
-    def test_run_scenario_warns_and_matches_run_record(self):
-        spec = get_scenario("smoke")
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            legacy = run_scenario(spec)
-        fresh = run_record(spec)
-        legacy.pop("wall_time_s")
-        fresh.pop("wall_time_s")
-        assert legacy == fresh
-        assert list(legacy) == list(fresh)
-
-    def test_run_record_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_record(get_scenario("smoke"))
 
 
 class TestSpecHashStability:

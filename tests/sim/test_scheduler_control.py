@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.control import ControlUnit
+from repro.network.layout import CommRequest
+from repro.scenarios import build_machine, get_scenario, list_scenarios, run
+from repro.sim.control import ControlUnit, PlannedCommunication
 from repro.sim.machine import QuantumMachine
 from repro.sim.scheduler import InstructionScheduler
 from repro.workloads.instructions import InstructionStream
@@ -117,21 +119,40 @@ class TestControlUnit:
     def test_local_communication_issues_no_messages(self):
         machine = QuantumMachine(4, layout="mobile_qubit")
         control = ControlUnit(machine)
-        # Force a local request by planning an operation between co-located qubits.
         stream = make_stream([(1, 2)], num_qubits=16)
-        planned = control.plan_operation(stream[0])
-        # Walk again between the same two qubits: mover is now at the target site.
-        planned_again = control.plan_operation(stream[0])
-        for item in planned_again:
-            if item.is_local:
-                assert control.issue_messages(item) == []
+        control.issue_messages(control.plan_operation(stream[0])[0])
+        issued = control.messages_issued
+        site = machine.layout.home_site(1)
+        local = PlannedCommunication(request=CommRequest(source=site, dest=site, qubit=1), plan=None)
+        assert local.is_local
+        assert len(control.issue_messages(local)) == 0
+        assert control.messages_issued == issued > 0
+
+    def test_packet_ids_restart_for_every_control_unit(self):
+        machine = QuantumMachine(4, layout="home_base")
+        stream = make_stream([(1, 16)], num_qubits=16)
+        issued = []
+        for _ in range(2):
+            control = ControlUnit(machine)
+            control.reset()
+            issued.append([control.issue_messages(item) for item in control.plan_operation(stream[0])])
+        good_pairs = machine.good_pairs_per_logical_communication()
+        assert issued[0] == issued[1] == [range(0, good_pairs), range(good_pairs, 2 * good_pairs)]
 
     def test_reset_restores_positions_and_clears_log(self):
         machine = QuantumMachine(4, layout="mobile_qubit")
         control = ControlUnit(machine)
         stream = make_stream([(1, 5)], num_qubits=16)
-        control.plan_operation(stream[0])
-        control.issue_messages(control.plan_operation(stream[0])[0]) if control.plan_operation(stream[0]) else None
+        control.issue_messages(control.plan_operation(stream[0])[0])
+        assert control.messages_issued > 0
         control.reset()
         assert control.messages_issued == 0
         assert machine.layout.position_of(1) == machine.layout.home_site(1)
+
+    def test_one_packet_per_good_pair_of_every_channel(self):
+        specs = [spec for spec in map(get_scenario, list_scenarios()) if spec.traffic is None]
+        specs.append(get_scenario("smoke").with_backend("detailed"))
+        for spec in specs:
+            batch = run(spec).batch
+            good_pairs = build_machine(spec).good_pairs_per_logical_communication()
+            assert batch.classical_messages == batch.channel_count * good_pairs, (spec.name, spec.runtime.backend)

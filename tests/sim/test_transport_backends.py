@@ -8,15 +8,17 @@ regenerate the file with::
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.network.geometry import Coordinate
 from repro.network.layout import CommRequest
 from repro.network.nodes import ResourceAllocation
-from repro.scenarios import ScenarioSpec, get_scenario, list_scenarios, run_record
+from repro.runtime.cli import main
+from repro.scenarios import ScenarioSpec, get_scenario, list_scenarios, run, run_record
 from repro.scenarios.run import build_machine, build_stream
 from repro.scenarios.spec import BACKEND_NAMES
 from repro.sim import (
@@ -272,6 +274,39 @@ class TestBackendProvenance:
         # Backend choice must reach the cache key, or fluid and detailed
         # sweeps would collide on one slot.
         assert detailed["spec_hash"] != record["spec_hash"]
+
+
+def _infeasible_smoke():
+    """Smoke whose pairs, made from 0.5-fidelity qubits, never purify to the threshold."""
+    return get_scenario("smoke").with_noise({"base_fidelity": 0.5}).to_dict()
+
+
+class TestInfeasibleChannel:
+    @pytest.mark.parametrize(
+        "backend, allocator",
+        [("fluid", "incremental"), ("fluid", "vectorized"), ("detailed", "incremental")],
+    )
+    def test_unreachable_target_fails_fast_naming_the_noise_fields(self, backend, allocator):
+        # RuntimeWarnings are errors here: an infeasible channel that got past
+        # the check would first show up as NaN rates in the fluid allocator.
+        data = _infeasible_smoke()
+        data["runtime"].update(backend=backend, allocator=allocator)
+        spec = ScenarioSpec.from_dict(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InfeasibleError) as raised:
+                run(spec)
+        message = str(raised.value)
+        assert "1-hop channel" in message
+        assert "arrive with error 0.5004" in message
+        assert "noise.base_fidelity (now 0.5)" in message
+        assert "noise.target_fidelity" in message
+
+    def test_cli_exits_2_with_the_message(self, tmp_path, capsys):
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(_infeasible_smoke()), encoding="utf-8")
+        assert main(["verify", "run", "--spec", str(path)]) == 2
+        assert "noise.base_fidelity" in capsys.readouterr().err
 
 
 if __name__ == "__main__":
