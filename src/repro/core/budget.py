@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, InfeasibleError
+from ..errors import ConfigurationError
 from ..physics.parameters import IonTrapParameters
 from ..physics.purification import PurificationProtocol, get_protocol
 from ..physics.purification_tree import expected_pairs_for_rounds
@@ -219,13 +219,6 @@ class EPRBudgetModel:
             setup_latency_us=latency,
             per_hop_costs=tuple(per_hop_costs),
         )
-
-    def budget_or_none(self, hops: int) -> Optional[ChannelBudget]:
-        """Like :meth:`budget` but returns None instead of raising on bad input."""
-        try:
-            return self.budget(hops)
-        except (ConfigurationError, InfeasibleError):
-            return None
 
     def sweep(self, hop_values: Sequence[int]) -> List[ChannelBudget]:
         """Budgets for a sequence of distances (Figure 10/11 series)."""

@@ -64,11 +64,6 @@ class ChannelReport:
         """Total raw EPR pairs consumed per logical qubit moved."""
         return self.budget.total_pairs_per_logical_communication(self.encoding)
 
-    @property
-    def data_error_introduced(self) -> float:
-        """Error added to the data qubit by the teleportation itself."""
-        return self.data_fidelity_in - self.data_fidelity_out
-
     def describe(self) -> str:
         lines = [
             f"QuantumChannel over {self.hops} hops "

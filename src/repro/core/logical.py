@@ -52,10 +52,6 @@ class LogicalQubitEncoding:
         """Physical qubits per logical qubit at this concatenation level."""
         return self.physical_per_logical_base ** self.level
 
-    def data_teleports_per_communication(self) -> int:
-        """Teleportations needed to move one logical qubit between endpoints."""
-        return self.physical_qubits
-
     def describe(self) -> str:
         return (
             f"{self.name} level {self.level}: "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..network.nodes import ResourceAllocation
 from ..physics.purification_tree import hardware_purifiers_for_tree
 from .channel import ChannelReport
 
@@ -64,6 +65,6 @@ def evaluate_channel_metrics(
         epr_pair_count=report.pairs_per_logical_communication,
         latency_us=report.setup_latency_us,
         endpoint_purifier_units=hardware_purifiers_for_tree(budget.endpoint_rounds),
-        router_storage_cells=4 * teleporters_per_node,
+        router_storage_cells=ResourceAllocation(teleporters_per_node).storage_cells,
         classical_messages=classical,
     )

@@ -1,98 +1,16 @@
-"""Node kinds and resource allocations for the mesh interconnect.
+"""The (t, g, p) resource allocation of the mesh interconnect.
 
-The paper's datapath contains five unit types (Section 5): Teleporters (T'),
-Purifiers (P), Generators (G), Logical Qubits (LQ) and Wires.  This module
-defines value objects describing their capacities; the live simulation
-behaviour lives in :mod:`repro.sim`.
+The paper's datapath places Teleporters (T'), Generators (G) and Purifiers
+(P) on every tile (Section 5).  :class:`ResourceAllocation` says how many
+units of each a node holds; the live simulation behaviour lives in
+:mod:`repro.sim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from ..errors import ConfigurationError
-from .geometry import Coordinate
-
-
-class NodeKind(Enum):
-    """Unit types placed on the interconnect fabric."""
-
-    TELEPORTER = "T"
-    GENERATOR = "G"
-    PURIFIER = "P"
-    CORRECTOR = "C"
-    LOGICAL_QUBIT = "LQ"
-
-
-@dataclass(frozen=True)
-class TeleporterSpec:
-    """A T' node: two sets of teleporters plus incoming storage.
-
-    ``teleporters`` is the total count *t*; the router splits them evenly into
-    an X set and a Y set (Figure 6).  Storage is ``t`` cells per incoming link
-    (4t per node) so incoming teleports are never multiplexed, which is the
-    paper's deadlock-avoidance rule.
-    """
-
-    teleporters: int = 1
-
-    def __post_init__(self) -> None:
-        if self.teleporters < 1:
-            raise ConfigurationError(f"teleporters must be >= 1, got {self.teleporters}")
-
-    @property
-    def per_direction(self) -> int:
-        """Teleporters available to each of the X and Y sets."""
-        return max(self.teleporters // 2, 1)
-
-    @property
-    def storage_cells(self) -> int:
-        """Storage cells for incoming teleports (t per incoming link, 4 links)."""
-        return 4 * self.teleporters
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A G node: ``generators`` parallel EPR-pair factories on one link."""
-
-    generators: int = 1
-
-    def __post_init__(self) -> None:
-        if self.generators < 1:
-            raise ConfigurationError(f"generators must be >= 1, got {self.generators}")
-
-
-@dataclass(frozen=True)
-class PurifierSpec:
-    """A P node: ``purifiers`` queue purifiers of depth ``queue_depth``."""
-
-    purifiers: int = 1
-    queue_depth: int = 3
-
-    def __post_init__(self) -> None:
-        if self.purifiers < 1:
-            raise ConfigurationError(f"purifiers must be >= 1, got {self.purifiers}")
-        if self.queue_depth < 1:
-            raise ConfigurationError(f"queue_depth must be >= 1, got {self.queue_depth}")
-
-
-@dataclass(frozen=True)
-class LogicalQubitSite:
-    """An LQ node: home of one (or two) logical qubits.
-
-    ``capacity`` is 2 for the Home Base layout (room for the resident logical
-    qubit plus a visitor) and 2 for the Mobile Qubit layout as well, but in the
-    latter no qubit is considered "resident".
-    """
-
-    position: Coordinate
-    capacity: int = 2
-    resident: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {self.capacity}")
 
 
 @dataclass(frozen=True)
@@ -107,33 +25,28 @@ class ResourceAllocation:
         Generators per G node (*g*).
     purifiers_per_node:
         Queue purifiers per P node (*p*).
-    queue_depth:
-        Purification tree depth implemented by each queue purifier.
     """
 
     teleporters_per_node: int = 1
     generators_per_node: int = 1
     purifiers_per_node: int = 1
-    queue_depth: int = 3
 
     def __post_init__(self) -> None:
         for name in ("teleporters_per_node", "generators_per_node", "purifiers_per_node"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.queue_depth < 1:
-            raise ConfigurationError(f"queue_depth must be >= 1, got {self.queue_depth}")
 
     @classmethod
-    def uniform(cls, count: int, queue_depth: int = 3) -> "ResourceAllocation":
+    def uniform(cls, count: int) -> "ResourceAllocation":
         """t = g = p = ``count`` (the paper's normalisation point uses 1024)."""
-        return cls(count, count, count, queue_depth)
+        return cls(count, count, count)
 
     @classmethod
-    def ratio(cls, purifiers: int, ratio: int, queue_depth: int = 3) -> "ResourceAllocation":
+    def ratio(cls, purifiers: int, ratio: int) -> "ResourceAllocation":
         """t = g = ``ratio`` * p with p = ``purifiers`` (Figure 16 sweeps)."""
         if ratio < 1:
             raise ConfigurationError(f"ratio must be >= 1, got {ratio}")
-        return cls(purifiers * ratio, purifiers * ratio, purifiers, queue_depth)
+        return cls(purifiers * ratio, purifiers * ratio, purifiers)
 
     @property
     def label(self) -> str:
@@ -145,16 +58,13 @@ class ResourceAllocation:
         return f"t={t},g={g},p={p}"
 
     @property
-    def teleporter_spec(self) -> TeleporterSpec:
-        return TeleporterSpec(self.teleporters_per_node)
+    def storage_cells(self) -> int:
+        """Incoming-teleport storage of one T' node: ``t`` cells per link, four links.
 
-    @property
-    def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(self.generators_per_node)
-
-    @property
-    def purifier_spec(self) -> PurifierSpec:
-        return PurifierSpec(self.purifiers_per_node, self.queue_depth)
+        Section 5.3 sizes it so incoming teleports are never multiplexed,
+        which is the paper's deadlock-avoidance rule.
+        """
+        return 4 * self.teleporters_per_node
 
     def area_units(self) -> int:
         """Crude interconnect-area proxy: total units per grid tile.

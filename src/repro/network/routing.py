@@ -6,8 +6,7 @@ destination row.  The router design (Figure 6) mirrors this with separate X
 and Y teleporter sets and a single turn per path.
 
 :class:`Path` captures an ordered list of T' nodes plus derived properties the
-budget and simulation layers need (hop count, traversed links, the turning
-node, per-dimension segments).
+budget and simulation layers need (hop count, traversed links, midpoint).
 """
 
 from __future__ import annotations
@@ -93,30 +92,9 @@ class Path:
             for a, b in zip(self.nodes, self.nodes[1:])
         )
 
-    @property
-    def intermediate_nodes(self) -> Tuple[Coordinate, ...]:
-        """Nodes strictly between source and destination."""
-        return self.nodes[1:-1]
-
-    @property
-    def turn_node(self) -> Optional[Coordinate]:
-        """The node where the path changes dimension, if any."""
-        for prev_node, node, next_node in zip(self.nodes, self.nodes[1:], self.nodes[2:]):
-            moved_x_then_y = prev_node.y == node.y and node.x == next_node.x
-            moved_y_then_x = prev_node.x == node.x and node.y == next_node.y
-            if moved_x_then_y or moved_y_then_x:
-                return node
-        return None
-
     def midpoint_node(self) -> Coordinate:
         """Node nearest the middle of the path (where the seed G node sits)."""
         return self.nodes[len(self.nodes) // 2]
-
-    def contains_node(self, coord: Coordinate) -> bool:
-        return coord in self.nodes
-
-    def contains_link(self, link: LinkId) -> bool:
-        return link in self.links
 
     @property
     def stable_name(self) -> str:

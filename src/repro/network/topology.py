@@ -85,10 +85,6 @@ class LinkId:
         return cls(a, b)
 
     @property
-    def horizontal(self) -> bool:
-        return self.a.y == self.b.y
-
-    @property
     def is_wrap(self) -> bool:
         """True for the long-way-around link of a ring or torus."""
         return not self.express and manhattan_distance(self.a, self.b) != 1

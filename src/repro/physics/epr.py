@@ -100,10 +100,6 @@ class EPRPair:
         """Current locations of the two halves."""
         return (self.left_location, self.right_location)
 
-    def with_state(self, state: BellDiagonalState) -> "EPRPair":
-        """Return a copy with a different quantum state."""
-        return replace(self, state=state)
-
     def after_move(self, cells: float, params: IonTrapParameters | None = None) -> "EPRPair":
         """Return the pair after ballistically moving one half by ``cells``."""
         params = params or IonTrapParameters.default()

@@ -29,17 +29,9 @@ class NoiseModel:
 
     params: IonTrapParameters
 
-    def after_one_qubit_gate(self, state: BellDiagonalState) -> BellDiagonalState:
-        """Pair state after a noisy one-qubit gate on one of its halves."""
-        return state.local_depolarize(self.params.errors.one_qubit_gate)
-
     def after_two_qubit_gate(self, state: BellDiagonalState) -> BellDiagonalState:
         """Pair state after a noisy two-qubit gate involving one of its halves."""
         return state.depolarize(self.params.errors.two_qubit_gate)
-
-    def after_movement(self, state: BellDiagonalState, cells: float) -> BellDiagonalState:
-        """Pair state after ballistically moving one half over ``cells`` cells."""
-        return state.movement_decay(self.params.errors.move_cell, cells)
 
     def measurement_flip_probability(self, measurements: int = 1) -> float:
         """Probability that an odd number of ``measurements`` outcomes is wrong.

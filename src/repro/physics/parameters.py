@@ -223,10 +223,6 @@ class IonTrapParameters:
         """Return a copy with a different error-rate bundle."""
         return replace(self, errors=errors)
 
-    def with_times(self, times: OperationTimes) -> "IonTrapParameters":
-        """Return a copy with a different timing bundle."""
-        return replace(self, times=times)
-
     def with_hop_cells(self, cells_per_hop: int) -> "IonTrapParameters":
         """Return a copy with a different virtual-wire hop length."""
         return replace(self, cells_per_hop=cells_per_hop)

@@ -164,12 +164,6 @@ class PurificationProtocol(ABC):
             current = outcome.state
         return outcomes
 
-    def fidelity_after_rounds(self, state: BellDiagonalState, rounds: int) -> float:
-        """Fidelity of the surviving pair after ``rounds`` tree levels."""
-        if rounds == 0:
-            return state.fidelity
-        return self.iterate(state, rounds)[-1].fidelity
-
     def error_series(self, state: BellDiagonalState, rounds: int) -> List[float]:
         """Error (1 - fidelity) after 0..rounds tree levels (Figure 8 series)."""
         series = [state.error]

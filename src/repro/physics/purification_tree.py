@@ -59,18 +59,6 @@ class PurificationSchedule:
     def output_error(self) -> float:
         return self.output_state.error
 
-    @property
-    def total_latency_us(self) -> float:
-        """Serial latency of the tree when one purifier per level is available.
-
-        Each level is one purification round; a queue purifier (Figure 14)
-        executes the ``2**r - 1`` constituent rounds with depth-``r`` pipeline
-        latency, so the steady-state latency seen by one output pair is
-        ``rounds`` round-times.  Classical-communication distance is added by
-        the caller, which knows the channel length.
-        """
-        return float(self.rounds)
-
     def describe(self) -> str:
         lines = [
             f"PurificationSchedule(rounds={self.rounds}, "

@@ -95,7 +95,6 @@ def build_machine(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> QuantumMachin
             teleporters_per_node=physics.teleporters,
             generators_per_node=physics.generators,
             purifiers_per_node=physics.purifiers,
-            queue_depth=physics.queue_depth,
         ),
         layout=runtime.layout,
         num_qubits=spec.workload.num_qubits,
@@ -487,7 +486,7 @@ def _run_service(spec: ScenarioSpec) -> RunResult:
     simulator = ServiceSimulator(
         machine, allocator=spec.runtime.allocator, backend=spec.runtime.backend
     )
-    result = simulator.run(traffic)
+    result = simulator.run(traffic, max_events=spec.runtime.max_events)
     wall_s = time.perf_counter() - started
     metrics = result.metrics
     tenants_raw = metrics.get("tenants", {})

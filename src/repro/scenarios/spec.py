@@ -210,7 +210,6 @@ class PhysicsSpec:
     teleporters: int = 2
     generators: int = 2
     purifiers: int = 1
-    queue_depth: int = 3
     protocol: str = "dejmps"
     logical_gate_us: float = 300.0
     generator_bandwidth_scale: float = 1.0
@@ -224,7 +223,6 @@ class PhysicsSpec:
                 "teleporters",
                 "generators",
                 "purifiers",
-                "queue_depth",
                 "protocol",
                 "logical_gate_us",
                 "generator_bandwidth_scale",
@@ -238,7 +236,6 @@ class PhysicsSpec:
             teleporters=_int_field(data, "teleporters", cls.teleporters, "physics", minimum=1),
             generators=_int_field(data, "generators", cls.generators, "physics", minimum=1),
             purifiers=_int_field(data, "purifiers", cls.purifiers, "physics", minimum=1),
-            queue_depth=_int_field(data, "queue_depth", cls.queue_depth, "physics", minimum=1),
             protocol=protocol.strip().lower(),
             logical_gate_us=_float_field(
                 data, "logical_gate_us", cls.logical_gate_us, "physics", minimum=0.0

@@ -176,10 +176,11 @@ class ServiceResult:
 class ServiceSimulator:
     """Drives a transport backend with an open-loop request stream.
 
-    ``backend``/``allocator`` select the transport exactly as
-    :class:`~repro.sim.simulator.CommunicationSimulator` does, so the same
-    machine serves batch and service runs and the fluid-vs-detailed parity
-    argument carries over to service mode.
+    ``backend`` (``"fluid"`` or ``"detailed"``) and ``allocator``
+    (``"incremental"``, ``"vectorized"`` or ``"reference"``) select the
+    transport exactly as :class:`~repro.sim.simulator.CommunicationSimulator`
+    does, so the same machine serves batch and service runs and the
+    fluid-vs-detailed parity argument carries over to service mode.
     """
 
     def __init__(
@@ -198,6 +199,7 @@ class ServiceSimulator:
         traffic: "TrafficSpec",
         *,
         trace: Optional[TraceBus] = None,
+        max_events: Optional[int] = None,
     ) -> ServiceResult:
         """Generate, admit, schedule and service ``traffic`` to completion.
 
@@ -205,7 +207,10 @@ class ServiceSimulator:
         admitted request completes — so the makespan is horizon plus drain.
         A caller-provided ``trace`` must accept the request-lifecycle kinds
         (the steady-state metrics are computed from that stream); without
-        one, a private non-accumulating bus carries them.
+        one, a private non-accumulating bus carries them.  ``max_events``
+        caps the events the engine dispatches (``runtime.max_events``); a run
+        it cuts short raises :class:`~repro.errors.SimulationError` rather
+        than report metrics of a truncated arrival stream.
         """
         if trace is None:
             bus = TraceBus(kinds=REQUEST_KINDS, keep_records=False)
@@ -338,7 +343,13 @@ class ServiceSimulator:
 
         for request in requests:
             engine.schedule_at(request.arrival_us, lambda r=request: on_arrival(r))
-        engine.run()
+        engine.run(max_events=max_events)
+        live_events = engine.pending_events - engine.cancelled_pending
+        if live_events:
+            raise SimulationError(
+                f"service run stopped at {engine.now:.6g} us by runtime.max_events="
+                f"{max_events} with {live_events} events still pending"
+            )
         if inflight != 0 or len(scheduler) != 0:
             raise SimulationError(
                 f"service run drained with {inflight} requests in flight and "

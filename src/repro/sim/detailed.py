@@ -40,13 +40,8 @@ from .generator import LinkGenerator
 from .machine import QuantumMachine
 from .qpurifier import QueuePurifier
 from .resources import ResourcePool, ServiceCenter
-from .teleporter import TeleporterNodeSim, swap_routing
+from .teleporter import TeleporterNodeSim, swap_routing, teleporter_set
 from .transport import TransportBackend, register_backend
-
-
-def _endpoint_dimension(endpoint: Coordinate, neighbour: Coordinate) -> str:
-    """Which teleporter set services an endpoint's data teleports (Figure 6)."""
-    return "x" if neighbour.y == endpoint.y else "y"
 
 
 class _Swap(NamedTuple):
@@ -242,7 +237,7 @@ class _DetailedChannel:
         )
         self._teleports_pending = 2 * self.good_pairs_needed
         for endpoint, neighbour in endpoints:
-            dimension = _endpoint_dimension(endpoint, neighbour)
+            dimension = teleporter_set(endpoint, neighbour)
             teleporter = transport.teleporter_for(endpoint)
             for _ in range(self.good_pairs_needed):
                 teleporter.teleport_through(dimension, self._data_teleport_done)
@@ -296,7 +291,6 @@ class DetailedTransport(TransportBackend):
         self._teleporters: Dict[Coordinate, TeleporterNodeSim] = {}
         self._storage: Dict[Coordinate, ResourcePool] = {}
         self._purifier_services: Dict[Coordinate, ServiceCenter] = {}
-        self._active: Dict[int, _DetailedChannel] = {}
 
     # -- shared hardware (created on first use, then common to all channels) -----------
 
@@ -320,7 +314,7 @@ class DetailedTransport(TransportBackend):
             teleporter = TeleporterNodeSim(
                 self.engine,
                 node,
-                spec=self.machine.allocation.teleporter_spec,
+                bandwidth=self.machine.teleporter_bandwidth_per_direction(),
                 params=self.machine.params,
             )
             self._teleporters[node] = teleporter
@@ -329,7 +323,7 @@ class DetailedTransport(TransportBackend):
     def storage_for(self, node: Coordinate) -> ResourcePool:
         pool = self._storage.get(node)
         if pool is None:
-            cells = self.teleporter_for(node).storage_cells
+            cells = self.machine.allocation.storage_cells
             pool = ResourcePool(self.engine, cells, name=f"S{node}")
             self._storage[node] = pool
         return pool
@@ -347,19 +341,12 @@ class DetailedTransport(TransportBackend):
 
     # -- backend contract ---------------------------------------------------------------
 
-    @property
-    def active_channels(self) -> int:
-        return len(self._active)
-
     def start(self, planned: PlannedCommunication, done: Callable[[], None]) -> None:
         """Begin servicing a planned communication at per-pair granularity."""
         flow_id, planned = self._open_channel(planned)
-        channel = _DetailedChannel(self, flow_id, planned, done)
-        self._active[flow_id] = channel
-        channel.begin()
+        _DetailedChannel(self, flow_id, planned, done).begin()
 
     def _finish_channel(self, channel: _DetailedChannel) -> None:
-        del self._active[channel.flow_id]
         sampled = channel.sampled_fidelity() if self.fidelity is not None else None
         self._close_channel(
             channel.flow_id,

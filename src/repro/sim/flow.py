@@ -64,6 +64,7 @@ from ..trace.records import FlowRateChanged
 from .control import PlannedCommunication
 from .engine import Event, SimulationEngine
 from .machine import QuantumMachine
+from .teleporter import teleporter_set
 from .transport import TransportBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,6 +78,9 @@ KIND_PURIFIER = "purifier"
 
 #: All resource kinds, in the order the vectorized pack accounts for them.
 RESOURCE_KINDS = (KIND_TELEPORTER_X, KIND_TELEPORTER_Y, KIND_GENERATOR, KIND_PURIFIER)
+
+#: The resource kind of each router teleporter set (see ``teleporter_set``).
+_TELEPORTER_KIND = {"x": KIND_TELEPORTER_X, "y": KIND_TELEPORTER_Y}
 
 ResourceKey = Tuple
 
@@ -293,26 +297,20 @@ class FlowTransport(TransportBackend):
         path = plan.path
         nodes = path.nodes
         # Chained-teleportation swaps at every intermediate node, charged to
-        # the X or Y teleporter set by the outgoing direction (Figure 6).
+        # the teleporter set facing the outgoing direction (Figure 6).
         for node, nxt in zip(nodes[1:], nodes[2:]):
-            kind = KIND_TELEPORTER_X if nxt.y == node.y else KIND_TELEPORTER_Y
+            kind = _TELEPORTER_KIND[teleporter_set(node, nxt)]
             _add((kind, node.as_tuple()), profile.swap_work)
         # Virtual-wire pair generation on every traversed link.
         for link in path.links:
             _add((KIND_GENERATOR, link.a.as_tuple(), link.b.as_tuple()), profile.generator_work)
         # Endpoint purification and data teleports.  The data teleport uses
-        # the router half matching the endpoint's link direction, exactly as
-        # the swap loop above does for intermediate hops.
-        for endpoint, neighbour in (
-            (path.source, nodes[1] if len(nodes) > 1 else None),
-            (path.destination, nodes[-2] if len(nodes) > 1 else None),
-        ):
+        # the set facing the endpoint's link, exactly as the swap loop above
+        # does for intermediate hops; a zero-hop path faces itself (X set).
+        first, last = (nodes[1], nodes[-2]) if len(nodes) > 1 else (path.source, path.source)
+        for endpoint, neighbour in ((path.source, first), (path.destination, last)):
             _add((KIND_PURIFIER, endpoint.as_tuple()), profile.purifier_work)
-            kind = (
-                KIND_TELEPORTER_X
-                if neighbour is None or neighbour.y == endpoint.y
-                else KIND_TELEPORTER_Y
-            )
+            kind = _TELEPORTER_KIND[teleporter_set(endpoint, neighbour)]
             _add((kind, endpoint.as_tuple()), profile.data_teleport_work)
         return demands
 

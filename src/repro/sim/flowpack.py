@@ -106,9 +106,6 @@ class FlowPack:
     def row_of(self, flow_id: int) -> int:
         return self._row_of_flow[flow_id]
 
-    def flow_id_at(self, row: int) -> int:
-        return int(self._row_flow_id[row])
-
     def rate_of(self, flow_id: int) -> float:
         return float(self._rate[self._row_of_flow[flow_id]])
 

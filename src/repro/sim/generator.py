@@ -70,10 +70,6 @@ class LinkGenerator:
         return self._consumed
 
     @property
-    def waiting_consumers(self) -> int:
-        return len(self._waiters)
-
-    @property
     def service(self) -> ServiceCenter:
         return self._service
 

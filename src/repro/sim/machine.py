@@ -261,7 +261,11 @@ class QuantumMachine:
     # (server-microseconds) by bandwidth gives time.
 
     def teleporter_bandwidth_per_direction(self) -> float:
-        """Teleporters available to each dimension set of a T' node."""
+        """Teleporters in each of a T' node's X and Y sets: ``max(t/2, 0.5)``.
+
+        Both backends size the sets from this one rule; at ``t = 1`` the two
+        sets share the node's single teleporter.
+        """
         return max(self.allocation.teleporters_per_node / 2.0, 0.5)
 
     def generator_bandwidth_per_link(self) -> float:

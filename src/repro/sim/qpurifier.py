@@ -190,11 +190,6 @@ class QueuePurifier:
         return self._rounds_executed
 
     @property
-    def level_occupancy(self) -> List[int]:
-        """Pairs currently waiting at each level (level 0 = raw input)."""
-        return list(self._levels)
-
-    @property
     def service(self) -> ServiceCenter:
         return self._service
 

@@ -144,19 +144,6 @@ class SimulationResult:
             summary["below_target"] = sum(1 for v in values if v < target)
         return summary
 
-    # -- operation statistics -------------------------------------------------------
-
-    def average_operation_duration_us(self) -> float:
-        if not self.operations:
-            return 0.0
-        return sum(o.duration_us for o in self.operations) / len(self.operations)
-
-    def critical_operation(self) -> Optional[OperationRecord]:
-        """The operation that finished last (ends the makespan)."""
-        if not self.operations:
-            return None
-        return max(self.operations, key=lambda op: op.complete_us)
-
     # -- reporting ---------------------------------------------------------------------
 
     def bottleneck_resource(self) -> Optional[str]:

@@ -41,10 +41,6 @@ class InstructionScheduler:
         return len(self._ops_by_index)
 
     @property
-    def issued_count(self) -> int:
-        return len(self._issued)
-
-    @property
     def completed_count(self) -> int:
         return len(self._completed)
 

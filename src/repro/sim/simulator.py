@@ -49,8 +49,10 @@ class CommunicationSimulator:
     ``"detailed"`` simulates every EPR pair through the shared node hardware.
     ``allocator`` selects the fluid backend's rate allocator: the default
     ``"incremental"`` recomputes only the affected component of flows on each
-    event, ``"reference"`` recomputes every rate from scratch (the original,
-    much slower behaviour kept as a correctness oracle).
+    event, ``"vectorized"`` runs the same filling as numpy kernels over flat
+    arrays, and ``"reference"`` recomputes every rate from scratch (the
+    original, much slower behaviour kept as a correctness oracle).  All three
+    produce bitwise-identical rates.
     """
 
     def __init__(

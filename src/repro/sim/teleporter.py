@@ -1,24 +1,37 @@
-"""T'-node simulation process: the two time-multiplexed teleporter sets.
+"""The T' node's router (Figure 6): its X/Y teleporter sets, in one place.
 
-Each T' node's router (Figure 6) splits its ``t`` teleporters into an X set
-and a Y set; qubits passing straight through use the set matching their travel
-dimension, turning qubits are ballistically moved between sets.  Incoming
-storage is ``t`` cells per link (4t per node), and the paper avoids deadlock
-by never multiplexing that storage.
+Each T' node's router splits its ``t`` teleporters into an X set and a Y set.
+:func:`teleporter_set` states which set serves a neighbour and
+:func:`swap_routing` when a transiting pair turns between the sets; both
+transport backends charge their teleports through these two functions.  Each
+set holds :meth:`~repro.sim.machine.QuantumMachine.teleporter_bandwidth_per_direction`
+teleporters, which may be fractional; :class:`TeleporterNodeSim` realises that
+share at per-pair granularity.  The node's incoming storage is
+:attr:`~repro.network.nodes.ResourceAllocation.storage_cells`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional
 
 from ..errors import ConfigurationError
 from ..network.geometry import Coordinate
-from ..network.nodes import TeleporterSpec
-from ..network.router import QuantumRouter
 from ..physics.parameters import IonTrapParameters
 from ..trace.records import TeleportPerformed
 from .engine import SimulationEngine
 from .resources import ServiceCenter
+
+#: Cells a turning qubit is ballistically moved between a router's X and Y sets.
+TURN_CELLS = 20
+
+
+def teleporter_set(node: Coordinate, neighbour: Coordinate) -> str:
+    """Which of ``node``'s teleporter sets serves traffic to or from ``neighbour``.
+
+    The X set for a neighbour in the same row, the Y set otherwise.
+    """
+    return "x" if neighbour.y == node.y else "y"
 
 
 def swap_routing(
@@ -27,49 +40,49 @@ def swap_routing(
     """Which teleporter set a transiting swap uses, and whether it turns.
 
     A pair extending from ``previous`` through ``node`` toward ``nxt`` is
-    serviced by ``node``'s X set when it leaves horizontally and its Y set
-    otherwise (the Figure 6 router split); it *turns* — paying the ballistic
-    move between the sets — when the incoming and outgoing dimensions differ.
+    serviced by the set facing ``nxt``; it *turns* — paying the ballistic
+    move between the sets — when the set facing ``previous`` differs.
     """
-    dimension = "x" if nxt.y == node.y else "y"
-    turn = (previous.y == node.y) != (nxt.y == node.y)
-    return dimension, turn
+    dimension = teleporter_set(node, nxt)
+    return dimension, teleporter_set(node, previous) != dimension
 
 
 class TeleporterNodeSim:
-    """Event-level model of one T' node's teleporter sets and storage."""
+    """Event-level model of one T' node's two teleporter sets.
+
+    ``bandwidth`` is the number of teleporters in each set.  A fractional
+    share becomes ``ceil(bandwidth)`` servers whose service time is
+    stretched by ``servers / bandwidth``, so each set completes exactly
+    ``bandwidth`` teleports per swap time; a whole bandwidth is unstretched.
+    """
 
     def __init__(
         self,
         engine: SimulationEngine,
         position: Coordinate,
         *,
-        spec: Optional[TeleporterSpec] = None,
+        bandwidth: float = 1.0,
         params: Optional[IonTrapParameters] = None,
         name: Optional[str] = None,
     ) -> None:
         self.engine = engine
         self.position = position
-        self.spec = spec or TeleporterSpec()
         self.params = params or IonTrapParameters.default()
-        self.router = QuantumRouter(position, self.spec)
         label = name or f"T'{position}"
+        servers = math.ceil(bandwidth)
         self._sets: Dict[str, ServiceCenter] = {
-            "x": ServiceCenter(engine, self.router.x_teleporters, name=f"{label}.x"),
-            "y": ServiceCenter(engine, self.router.y_teleporters, name=f"{label}.y"),
+            "x": ServiceCenter(engine, servers, name=f"{label}.x"),
+            "y": ServiceCenter(engine, servers, name=f"{label}.y"),
         }
         times = self.params.times
-        self._swap_us = times.teleport(0.0)
+        stretch = servers / bandwidth
+        self._swap_us = times.teleport(0.0) * stretch
         # A turning swap adds the intra-router ballistic move between the sets.
-        self._turn_swap_us = self._swap_us + times.ballistic(self.router.turn_cells)
+        self._turn_swap_us = (times.teleport(0.0) + times.ballistic(TURN_CELLS)) * stretch
         self._turns = 0
         self._teleports = 0
 
     # -- state ----------------------------------------------------------------------
-
-    @property
-    def storage_cells(self) -> int:
-        return self.router.storage_cells
 
     @property
     def teleports_performed(self) -> int:

@@ -156,7 +156,7 @@ def traced_run(
         from ..service import ServiceSimulator
 
         service_result = ServiceSimulator(machine, allocator=allocator, backend=backend).run(
-            spec.traffic, trace=bus
+            spec.traffic, trace=bus, max_events=spec.runtime.max_events
         )
         return TracedRun(
             spec=spec,

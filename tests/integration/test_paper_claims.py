@@ -105,6 +105,6 @@ class TestSection5Simulation:
 
     def test_storage_is_4t_per_teleporter_node(self):
         # Section 5.3: "yielding 4t storage cells per T' node."
-        from repro.network.nodes import TeleporterSpec
+        from repro.network.nodes import ResourceAllocation
 
-        assert TeleporterSpec(8).storage_cells == 32
+        assert ResourceAllocation(teleporters_per_node=8).storage_cells == 32

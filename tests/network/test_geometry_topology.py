@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, RoutingError
 from repro.network.geometry import Coordinate, iter_grid, manhattan_distance, midpoint
 from repro.network.nodes import ResourceAllocation
 from repro.network.topology import LinkId, MeshTopology, square_mesh
+from repro.sim.teleporter import teleporter_set
 
 
 class TestCoordinate:
@@ -47,8 +48,11 @@ class TestLinkId:
         assert LinkId(a, b) == LinkId(b, a)
 
     def test_horizontal_flag(self):
-        assert LinkId(Coordinate(1, 1), Coordinate(2, 1)).horizontal
-        assert not LinkId(Coordinate(1, 1), Coordinate(1, 2)).horizontal
+        # A horizontal link is served by the X set at both ends, a vertical
+        # one by the Y set.
+        a, east, north = Coordinate(1, 1), Coordinate(2, 1), Coordinate(1, 2)
+        assert teleporter_set(a, east) == teleporter_set(east, a) == "x"
+        assert teleporter_set(a, north) == teleporter_set(north, a) == "y"
 
     def test_rejects_non_adjacent(self):
         # Diagonal jumps and colinear jumps away from the zero edge can never
@@ -183,13 +187,6 @@ class TestResourceAllocation:
 
     def test_area_units(self):
         assert ResourceAllocation(4, 4, 2).area_units() == 10
-
-    def test_specs(self):
-        allocation = ResourceAllocation(5, 3, 2, queue_depth=4)
-        assert allocation.teleporter_spec.teleporters == 5
-        assert allocation.generator_spec.generators == 3
-        assert allocation.purifier_spec.purifiers == 2
-        assert allocation.purifier_spec.queue_depth == 4
 
     def test_rejects_zero_resources(self):
         with pytest.raises(ConfigurationError):

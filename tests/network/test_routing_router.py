@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.network.geometry import Coordinate
-from repro.network.nodes import TeleporterSpec
-from repro.network.router import QuantumRouter, RouterPort, port_towards
+from repro.network.nodes import ResourceAllocation
 from repro.network.routing import (
     DimensionOrder,
     Path,
@@ -15,6 +14,20 @@ from repro.network.routing import (
     route_many,
 )
 from repro.network.topology import square_mesh
+from repro.sim.detailed import DetailedTransport
+from repro.sim.engine import SimulationEngine
+from repro.sim.machine import QuantumMachine
+from repro.sim.teleporter import swap_routing, teleporter_set
+
+
+def _turns(path):
+    """The nodes where a pair transiting ``path`` turns between teleporter sets."""
+    nodes = path.nodes
+    return [
+        node
+        for previous, node, nxt in zip(nodes, nodes[1:], nodes[2:])
+        if swap_routing(previous, node, nxt)[1]
+    ]
 
 
 class TestDimensionOrderRoute:
@@ -39,15 +52,15 @@ class TestDimensionOrderRoute:
     def test_single_node_path(self):
         path = dimension_order_route(Coordinate(3, 3), Coordinate(3, 3))
         assert path.hops == 0
-        assert path.turn_node is None
+        assert _turns(path) == []
 
     def test_straight_path_has_no_turn(self):
         path = dimension_order_route(Coordinate(0, 0), Coordinate(5, 0))
-        assert path.turn_node is None
+        assert _turns(path) == []
 
     def test_l_shaped_path_turns_at_corner(self):
         path = dimension_order_route(Coordinate(0, 0), Coordinate(4, 3))
-        assert path.turn_node == Coordinate(4, 0)
+        assert _turns(path) == [Coordinate(4, 0)]
 
     def test_midpoint_node_is_on_path(self):
         path = dimension_order_route(Coordinate(0, 0), Coordinate(6, 6))
@@ -93,66 +106,31 @@ class TestDimensionOrderRoute:
         assert nodes[Coordinate(0, 0)] == 2
 
 
-class TestRouterPorts:
-    def test_port_towards(self):
-        at = Coordinate(3, 3)
-        assert port_towards(at, Coordinate(4, 3)) is RouterPort.EAST
-        assert port_towards(at, Coordinate(2, 3)) is RouterPort.WEST
-        assert port_towards(at, Coordinate(3, 4)) is RouterPort.NORTH
-        assert port_towards(at, Coordinate(3, 2)) is RouterPort.SOUTH
+class TestRouter:
+    """The Figure 6 router: set choice, per-set capacity and storage."""
 
-    def test_port_towards_rejects_non_adjacent(self):
-        with pytest.raises(RoutingError):
-            port_towards(Coordinate(0, 0), Coordinate(2, 2))
-
-    def test_port_dimensions(self):
-        assert RouterPort.EAST.dimension == "x"
-        assert RouterPort.NORTH.dimension == "y"
-        assert RouterPort.LOCAL.dimension == "local"
-
-
-class TestQuantumRouter:
     def test_teleporter_split(self):
-        router = QuantumRouter(Coordinate(1, 1), TeleporterSpec(8))
-        assert router.x_teleporters == 4
-        assert router.y_teleporters == 4
-        assert router.storage_cells == 32
+        machine = QuantumMachine(4, allocation=ResourceAllocation(8, 1, 1))
+        assert machine.teleporter_bandwidth_per_direction() == 4.0
+        assert machine.allocation.storage_cells == 32
 
     def test_odd_teleporter_count_keeps_at_least_one_per_set(self):
-        router = QuantumRouter(Coordinate(1, 1), TeleporterSpec(1))
-        assert router.x_teleporters == 1
-        assert router.y_teleporters == 1
+        # t = 1: the two sets share one teleporter, each realised as one
+        # server at half speed.
+        machine = QuantumMachine(4, allocation=ResourceAllocation(1, 1, 1))
+        node = DetailedTransport(SimulationEngine(), machine).teleporter_for(Coordinate(1, 1))
+        assert machine.teleporter_bandwidth_per_direction() == 0.5
+        assert node.service_for("x").capacity == node.service_for("y").capacity == 1
 
     def test_straight_transit_uses_outgoing_dimension(self):
-        router = QuantumRouter(Coordinate(2, 2))
-        transit = router.plan_transit(Coordinate(1, 2), Coordinate(3, 2))
-        assert transit.uses_x_set and not transit.uses_y_set
-        assert not transit.turn
-        assert transit.intra_router_cells == router.straight_cells
+        assert swap_routing(Coordinate(1, 2), Coordinate(2, 2), Coordinate(3, 2)) == ("x", False)
+        assert swap_routing(Coordinate(2, 1), Coordinate(2, 2), Coordinate(2, 3)) == ("y", False)
 
     def test_turning_transit_moves_between_sets(self):
-        router = QuantumRouter(Coordinate(2, 2))
-        transit = router.plan_transit(Coordinate(1, 2), Coordinate(2, 3))
-        assert transit.turn
-        assert transit.uses_y_set
-        assert transit.intra_router_cells == router.turn_cells
-
-    def test_ejection_at_endpoint(self):
-        router = QuantumRouter(Coordinate(2, 2))
-        transit = router.plan_transit(Coordinate(1, 2), None)
-        assert transit.ejected
-        assert transit.intra_router_cells == router.eject_cells
+        assert swap_routing(Coordinate(1, 2), Coordinate(2, 2), Coordinate(2, 3)) == ("y", True)
+        assert swap_routing(Coordinate(2, 1), Coordinate(2, 2), Coordinate(3, 2)) == ("x", True)
 
     def test_local_injection(self):
-        router = QuantumRouter(Coordinate(2, 2))
-        transit = router.plan_transit(None, Coordinate(2, 3))
-        assert transit.input_port is RouterPort.LOCAL
-        assert transit.uses_y_set
-
-    def test_teleporters_for_transit(self):
-        router = QuantumRouter(Coordinate(2, 2), TeleporterSpec(6))
-        transit = router.plan_transit(Coordinate(1, 2), Coordinate(3, 2))
-        assert router.teleporters_for(transit) == 3
-
-    def test_describe(self):
-        assert "t=4" in QuantumRouter(Coordinate(0, 0), TeleporterSpec(4)).describe()
+        # A pair injected at its source router uses the set facing its first link.
+        assert teleporter_set(Coordinate(2, 2), Coordinate(2, 3)) == "y"
+        assert teleporter_set(Coordinate(2, 2), Coordinate(1, 2)) == "x"

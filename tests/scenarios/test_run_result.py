@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from repro.errors import ScenarioError
-from repro.scenarios import get_scenario, run, run_record
+from repro.errors import ScenarioError, SimulationError
+from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario, run, run_record
 from repro.scenarios.run import (
     RESULT_SCHEMA_VERSION,
     SERVICE_SCHEMA_VERSION,
@@ -14,6 +14,7 @@ from repro.scenarios.run import (
     RunResult,
     ServiceView,
 )
+from repro.verify import traced_run
 
 
 class TestBatchRunResult:
@@ -84,6 +85,21 @@ class TestServiceRunResult:
             assert key in record, key
         assert record["schema"] == SERVICE_SCHEMA_VERSION
         assert "operations" not in record
+
+    def test_event_budget_bounds_a_service_run(self):
+        # runtime.max_events stops service runs as it stops batch runs: a run
+        # it cuts short raises instead of reporting a truncated stream.
+        service = get_scenario("service_smoke")
+
+        def budgeted(max_events):
+            data = apply_overrides(service.to_dict(), {"runtime.max_events": max_events})
+            return ScenarioSpec.from_dict(data)
+
+        for runner in (run, traced_run):
+            with pytest.raises(SimulationError, match="runtime.max_events"):
+                runner(budgeted(5))
+        roomy = run(budgeted(10**9))
+        assert roomy.service == run(service).service
 
 
 class TestViewExclusivity:

@@ -46,6 +46,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="topology has unknown keys"):
             ScenarioSpec.from_dict(data)
 
+    def test_removed_queue_depth_knob_is_unknown(self):
+        # Each channel's purification depth comes from its EPR budget, so the
+        # old physics.queue_depth knob is refused like any unknown key.
+        data = minimal()
+        data["physics"] = {"queue_depth": 3}
+        with pytest.raises(ScenarioError, match="physics has unknown keys.*queue_depth"):
+            ScenarioSpec.from_dict(data)
+
     def test_unknown_topology_kind(self):
         data = minimal()
         data["topology"]["kind"] = "hypercube"

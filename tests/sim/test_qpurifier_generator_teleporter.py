@@ -4,10 +4,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.geometry import Coordinate
-from repro.network.nodes import TeleporterSpec
+from repro.network.nodes import ResourceAllocation
 from repro.physics.parameters import IonTrapParameters
+from repro.sim.detailed import DetailedTransport
 from repro.sim.engine import SimulationEngine
 from repro.sim.generator import LinkGenerator
+from repro.sim.machine import QuantumMachine
 from repro.sim.qpurifier import QueuePurifier, QueuePurifierModel
 from repro.sim.teleporter import TeleporterNodeSim
 
@@ -159,17 +161,31 @@ class TestTeleporterNodeSim:
         assert node.turns_performed == 1
 
     def test_single_teleporter_serialises(self):
+        # At t = 1 the X and Y sets share the node's one teleporter, so each
+        # set completes a teleport every two swap times.
         engine = SimulationEngine()
-        node = TeleporterNodeSim(engine, Coordinate(0, 0), spec=TeleporterSpec(1))
+        machine = QuantumMachine(4, allocation=ResourceAllocation(1, 1, 1))
+        node = DetailedTransport(engine, machine).teleporter_for(Coordinate(0, 0))
         done = []
         node.teleport_through("x", lambda: done.append(engine.now))
         node.teleport_through("x", lambda: done.append(engine.now))
         engine.run()
-        assert done[1] == pytest.approx(244.0)
+        assert done == [pytest.approx(244.0), pytest.approx(488.0)]
+
+    def test_fractional_bandwidth_stretches_service(self):
+        # 1.5 teleporters per set (t = 3): two servers, each taking 4/3 of
+        # the 122 us swap time.
+        engine = SimulationEngine()
+        node = TeleporterNodeSim(engine, Coordinate(0, 0), bandwidth=1.5)
+        done = []
+        for _ in range(3):
+            node.teleport_through("x", lambda: done.append(engine.now))
+        engine.run()
+        assert done == pytest.approx([162.667, 162.667, 325.333], abs=1e-3)
 
     def test_x_and_y_sets_are_independent(self):
         engine = SimulationEngine()
-        node = TeleporterNodeSim(engine, Coordinate(0, 0), spec=TeleporterSpec(2))
+        node = TeleporterNodeSim(engine, Coordinate(0, 0), bandwidth=1.0)
         done = []
         node.teleport_through("x", lambda: done.append(("x", engine.now)))
         node.teleport_through("y", lambda: done.append(("y", engine.now)))

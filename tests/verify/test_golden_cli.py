@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.runtime.cli import main
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, list_scenarios
 from repro.verify import diff_golden, golden_path, record_golden
 
 
@@ -118,6 +118,11 @@ class TestGoldenFixtures:
 
 class TestCheckedInGoldens:
     """The repository's own fixtures stay in sync with the simulator."""
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_catalog_fixture_matches(self, name):
+        diff = diff_golden(get_scenario(name))
+        assert diff.ok, diff.summary()
 
     def test_smoke_and_ring_fixtures_match(self):
         for name in ("smoke", "ring_qft"):

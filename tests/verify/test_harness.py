@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import get_scenario
+from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario
 from repro.trace import CANONICAL_KINDS, FlowRateChanged, OperationRetired, RunStarted
 from repro.verify import (
     DIFFERENTIAL_KINDS,
@@ -92,6 +92,15 @@ class TestBackendCrossCheck:
         for name in ("smoke", "line_neighbours"):
             divergences = verify_backends(get_scenario(name))
             assert divergences == [], [str(d) for d in divergences]
+
+    @pytest.mark.parametrize("name", ["smoke", "ring_qft"])
+    @pytest.mark.parametrize("teleporters", [1, 3])
+    def test_backends_agree_at_odd_teleporter_counts(self, name, teleporters):
+        # Both backends size each X/Y set at max(t/2, 0.5) teleporters.
+        spec = get_scenario(name).to_dict()
+        spec = ScenarioSpec.from_dict(apply_overrides(spec, {"physics.teleporters": teleporters}))
+        divergences = verify_backends(spec)
+        assert divergences == [], [str(d) for d in divergences]
 
     def test_traced_run_honours_backend(self):
         run = traced_run(get_scenario("smoke"), backend="detailed")
