@@ -431,7 +431,20 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_table_line(name: str, record: Dict[str, Any], flag: str, width: int) -> str:
+def _scenario_table_line(record: Dict[str, Any], width: int) -> str:
+    name = record["name"]
+    error = record.get("error")
+    if error is not None:
+        return (
+            f"{name:{width}s}  ERROR {error.get('type', 'Error')}: "
+            f"{error.get('message', '')}  [{record['attempts']} attempt(s)]"
+        )
+    if record["cached"]:
+        flag = "cache"
+    elif record["journaled"]:
+        flag = "journal"
+    else:
+        flag = f"{record['wall_time_s']:.2f}s"
     if "offered" in record:  # service-mode flat record
         return (
             f"{name:{width}s}  makespan={record['makespan_us']:14.3f} us  "
@@ -447,76 +460,36 @@ def _scenario_table_line(name: str, record: Dict[str, Any], flag: str, width: in
 
 
 def _execute_scenarios(specs, args: argparse.Namespace) -> int:
-    """Fan specs across the pool, print the result table, emit the payload.
+    """Run specs through :func:`repro.api.sweep`, print the table, emit the payload.
 
     A failed point (worker exception or per-point timeout) prints as an
     ``ERROR`` row and makes the exit code 1, but never aborts its siblings:
     every other scenario still completes, and with ``--journal`` the failure
     is durably recorded and retried on the next invocation.
     """
-    from ..scenarios import run_record
+    from .. import api
     from ..scenarios.bench import bench_payload, write_bench_file
 
     _require_specs(specs, "the scenario selection")
-    if args.backend:
-        specs = [spec.with_backend(args.backend) for spec in specs]
-    runner = _runner_from(args)
-    # Pool payloads are canonical (name/description stripped), so two
-    # differently-named specs describing the same experiment share one cache
-    # slot; each record is re-labelled with its caller-side identity below.
-    points = runner.sweep_records(
-        run_record,
-        [{"spec": spec.canonical_dict()} for spec in specs],
+    records = api.sweep(
+        specs,
+        backend=args.backend or None,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
         force=args.force,
-        journal=getattr(args, "journal", None),
-        timeout_s=getattr(args, "point_timeout", None),
-        retries=getattr(args, "retries", 0),
-        progress=getattr(args, "progress", False),
+        journal=args.journal,
+        point_timeout_s=args.point_timeout,
+        retries=args.retries,
+        progress=args.progress,
     )
-    name_width = max(len(spec.name) for spec in specs)
-    records = []
-    failed = 0
-    as_json = getattr(args, "format", "text") == "json"
-    for spec, point in zip(specs, points):
-        if point.error is not None:
-            failed += 1
-            record = {
-                "name": spec.name,
-                "label": spec.label,
-                "spec": spec.to_dict(),
-                "cached": False,
-                "journaled": point.journaled,
-                "error": point.error,
-                "attempts": point.attempts,
-            }
-            records.append(record)
-            if not as_json:
-                print(
-                    f"{spec.name:{name_width}s}  ERROR "
-                    f"{point.error.get('type', 'Error')}: "
-                    f"{point.error.get('message', '')}  "
-                    f"[{point.attempts} attempt(s)]"
-                )
-            continue
-        record = {
-            **point.result,
-            "name": spec.name,
-            "label": spec.label,
-            "spec": spec.to_dict(),
-            "cached": point.cached,
-            "journaled": point.journaled,
-        }
-        records.append(record)
-        if not as_json:
-            if point.cached:
-                flag = "cache"
-            elif point.journaled:
-                flag = "journal"
-            else:
-                flag = f"{record['wall_time_s']:.2f}s"
-            print(_scenario_table_line(spec.name, record, flag, name_width))
+    as_json = args.format == "json"
     if as_json:
         _emit_json(records)
+    else:
+        width = max(len(record["name"]) for record in records)
+        for record in records:
+            print(_scenario_table_line(record, width))
     if args.emit_bench:
         payload = bench_payload(records)
         path = write_bench_file(args.emit_bench, payload)
@@ -527,7 +500,7 @@ def _execute_scenarios(specs, args: argparse.Namespace) -> int:
             f"{payload['computed_wall_time_s']:.2f}s computed",
             file=sys.stderr if as_json else sys.stdout,
         )
-    return 1 if failed else 0
+    return 1 if any("error" in record for record in records) else 0
 
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:

@@ -6,11 +6,15 @@ and either an instruction stream (batch mode) or an open-loop traffic stream
 (service mode, when the spec carries a ``traffic`` section), runs the
 appropriate simulator, and reduces the outcome to a :class:`RunResult`.
 
+:func:`run` is the only code that turns a spec into a simulator run.  Its
+``trace`` argument attaches a :class:`~repro.trace.TraceBus`, which is how
+the verify harness (and any other probe) observes a run: every caller gets
+the same :class:`RunResult`, traced or not.
+
 ``RunResult`` is the typed result surface: one envelope of identity fields
 (name, spec hash, machine, backend …) plus exactly one populated *view* —
-:class:`BatchView` for closed batch runs, :class:`ServiceView` for open-loop
-service runs — with an exact JSON round-trip
-(``RunResult.from_dict(json.loads(json.dumps(r.to_dict()))) == r``).
+:class:`BatchView` for closed batch runs, :class:`ServiceView` (defined by
+:mod:`repro.service.engine`, which returns it) for open-loop service runs.
 
 :func:`run_record` is the flat-dict entry point sweeps and the CLI use: it is
 a module-level callable taking only the spec mapping, so
@@ -29,8 +33,10 @@ from ..errors import ScenarioError
 from ..network.nodes import ResourceAllocation
 from ..network.routing import DimensionOrder
 from ..physics.parameters import IonTrapParameters
+from ..service.engine import ServiceSimulator, ServiceView
 from ..sim.machine import QuantumMachine
 from ..sim.simulator import CommunicationSimulator
+from ..trace import TraceBus
 from ..workloads.instructions import InstructionStream
 from ..workloads.registry import build_workload
 from .spec import NoiseSpec, ScenarioSpec
@@ -125,12 +131,6 @@ def build_stream(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> InstructionStr
 # -- the typed result surface ---------------------------------------------------------
 
 
-def _utilisation(payload: Any, where: str) -> Dict[str, float]:
-    if not isinstance(payload, Mapping):
-        raise ScenarioError(f"{where}.utilisation must be a mapping, got {payload!r}")
-    return {str(key): float(value) for key, value in payload.items()}
-
-
 @dataclass(frozen=True)
 class BatchView:
     """The closed-batch outcome: one instruction stream run to completion."""
@@ -154,100 +154,16 @@ class BatchView:
             "fidelity": dict(self.fidelity) if self.fidelity is not None else None,
         }
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "BatchView":
-        messages = payload.get("classical_messages")
-        fidelity = payload.get("fidelity")
-        return cls(
-            operations=int(payload["operations"]),
-            channel_count=int(payload["channel_count"]),
-            total_hops=int(payload["total_hops"]),
-            makespan_us=float(payload["makespan_us"]),
-            classical_messages=int(messages) if messages is not None else None,
-            utilisation=_utilisation(payload.get("utilisation", {}), "batch"),
-            fidelity=dict(fidelity) if fidelity is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class ServiceView:
-    """The open-loop outcome: steady-state service metrics over the horizon."""
-
-    duration_us: float
-    makespan_us: float
-    offered: int
-    admitted: int
-    dropped: int
-    completed: int
-    drop_rate: float
-    offered_load_per_ms: float
-    delivered_load_per_ms: float
-    latency_p50_us: float
-    latency_p99_us: float
-    wait_p50_us: float
-    wait_p99_us: float
-    max_queue_depth: int
-    utilisation: Dict[str, float] = field(default_factory=dict)
-    tenants: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    fidelity: Optional[Dict[str, Any]] = None
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "duration_us": self.duration_us,
-            "makespan_us": self.makespan_us,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "dropped": self.dropped,
-            "completed": self.completed,
-            "drop_rate": self.drop_rate,
-            "offered_load_per_ms": self.offered_load_per_ms,
-            "delivered_load_per_ms": self.delivered_load_per_ms,
-            "latency_p50_us": self.latency_p50_us,
-            "latency_p99_us": self.latency_p99_us,
-            "wait_p50_us": self.wait_p50_us,
-            "wait_p99_us": self.wait_p99_us,
-            "max_queue_depth": self.max_queue_depth,
-            "utilisation": dict(self.utilisation),
-            "tenants": {name: dict(stats) for name, stats in self.tenants.items()},
-            "fidelity": dict(self.fidelity) if self.fidelity is not None else None,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ServiceView":
-        tenants_raw = payload.get("tenants", {})
-        if not isinstance(tenants_raw, Mapping):
-            raise ScenarioError(f"service.tenants must be a mapping, got {tenants_raw!r}")
-        fidelity = payload.get("fidelity")
-        return cls(
-            duration_us=float(payload["duration_us"]),
-            makespan_us=float(payload["makespan_us"]),
-            offered=int(payload["offered"]),
-            admitted=int(payload["admitted"]),
-            dropped=int(payload["dropped"]),
-            completed=int(payload["completed"]),
-            drop_rate=float(payload["drop_rate"]),
-            offered_load_per_ms=float(payload["offered_load_per_ms"]),
-            delivered_load_per_ms=float(payload["delivered_load_per_ms"]),
-            latency_p50_us=float(payload["latency_p50_us"]),
-            latency_p99_us=float(payload["latency_p99_us"]),
-            wait_p50_us=float(payload["wait_p50_us"]),
-            wait_p99_us=float(payload["wait_p99_us"]),
-            max_queue_depth=int(payload["max_queue_depth"]),
-            utilisation=_utilisation(payload.get("utilisation", {}), "service"),
-            tenants={str(name): dict(stats) for name, stats in tenants_raw.items()},
-            fidelity=dict(fidelity) if fidelity is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class RunResult:
     """One scenario run: an identity envelope plus exactly one populated view.
 
     ``batch`` is set for closed batch runs, ``service`` for open-loop service
-    runs; never both.  :meth:`to_dict`/:meth:`from_dict` round-trip exactly
-    through JSON, and :meth:`flat_record` produces the flat dict the sweep
-    cache, benchmark trajectory and CLI tables consume (byte-identical to the
-    historical schema-2 record for batch runs).
+    runs; never both.  :meth:`to_dict` is the nested JSON form ``serve
+    --format json`` prints, and :meth:`flat_record` produces the flat dict the
+    sweep cache, benchmark trajectory and CLI tables consume (byte-identical
+    to the historical schema-2 record for batch runs).
     """
 
     schema: int
@@ -277,15 +193,20 @@ class RunResult:
         return "service" if self.service is not None else "batch"
 
     @property
-    def makespan_us(self) -> float:
+    def view(self) -> Union[BatchView, ServiceView]:
+        """The populated view: ``batch`` or ``service``."""
         view = self.service if self.service is not None else self.batch
         assert view is not None  # __post_init__ guarantees one view
-        return view.makespan_us
+        return view
+
+    @property
+    def makespan_us(self) -> float:
+        return self.view.makespan_us
 
     # -- codecs -----------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Nested JSON-safe form; :meth:`from_dict` round-trips it exactly."""
+        """Nested JSON-safe form: the envelope plus both view slots."""
         return {
             "schema": self.schema,
             "mode": self.mode,
@@ -303,32 +224,6 @@ class RunResult:
             "service": self.service.to_payload() if self.service is not None else None,
             "wall_time_s": self.wall_time_s,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunResult":
-        if not isinstance(payload, Mapping):
-            raise ScenarioError(f"a RunResult payload must be a mapping, got {payload!r}")
-        batch_raw = payload.get("batch")
-        service_raw = payload.get("service")
-        spec = payload.get("spec")
-        if not isinstance(spec, Mapping):
-            raise ScenarioError(f"RunResult.spec must be a mapping, got {spec!r}")
-        return cls(
-            schema=int(payload["schema"]),
-            name=str(payload["name"]),
-            label=str(payload["label"]),
-            spec_hash=str(payload["spec_hash"]),
-            spec=dict(spec),
-            machine=str(payload["machine"]),
-            workload=str(payload["workload"]),
-            topology_kind=str(payload["topology_kind"]),
-            layout=str(payload["layout"]),
-            allocator=str(payload["allocator"]),
-            backend=str(payload["backend"]),
-            wall_time_s=float(payload["wall_time_s"]),
-            batch=BatchView.from_payload(batch_raw) if batch_raw is not None else None,
-            service=ServiceView.from_payload(service_raw) if service_raw is not None else None,
-        )
 
     # -- the flat record ---------------------------------------------------------------
 
@@ -398,16 +293,53 @@ class RunResult:
         return head
 
 
-def _envelope(
-    spec: ScenarioSpec,
-    *,
-    schema: int,
-    machine: QuantumMachine,
-    workload: str,
-    wall_time_s: float,
-    batch: Optional[BatchView] = None,
-    service: Optional[ServiceView] = None,
+# -- execution ------------------------------------------------------------------------
+
+
+def run(
+    spec: Union[ScenarioSpec, Mapping[str, Any]], *, trace: Optional[TraceBus] = None
 ) -> RunResult:
+    """Build and simulate one scenario, returning the typed :class:`RunResult`.
+
+    A spec with a ``traffic`` section runs in open-loop service mode through
+    :class:`~repro.service.ServiceSimulator`; otherwise the workload's
+    instruction stream runs to completion in batch mode.  Both paths share
+    the machine construction, so a traffic section changes *what is offered*,
+    never *what machine serves it*.  ``trace`` attaches a trace bus to the
+    simulator; a service run needs it to accept the request-lifecycle kinds.
+    """
+    spec = _as_spec(spec)
+    runtime = spec.runtime
+    started = time.perf_counter()
+    # An oversubscribed workload fails inside build_machine: the layout
+    # refuses more logical qubits than the fabric has LQ sites.
+    machine = build_machine(spec)
+    batch: Optional[BatchView] = None
+    service: Optional[ServiceView] = None
+    if spec.traffic is not None:
+        schema = SERVICE_SCHEMA_VERSION
+        workload = f"service[{len(spec.traffic.tenants)} tenants]"
+        service = ServiceSimulator(
+            machine, allocator=runtime.allocator, backend=runtime.backend
+        ).run(spec.traffic, trace=trace, max_events=runtime.max_events)
+    else:
+        stream = build_stream(spec)
+        schema = RESULT_SCHEMA_VERSION
+        workload = stream.name
+        result = CommunicationSimulator(
+            machine, allocator=runtime.allocator, backend=runtime.backend
+        ).run(stream, max_events=runtime.max_events, trace=trace)
+        messages = result.metadata.get("classical_messages")
+        batch = BatchView(
+            operations=len(result.operations),
+            channel_count=result.channel_count,
+            total_hops=sum(record.total_hops for record in result.operations),
+            makespan_us=result.makespan_us,
+            classical_messages=messages if isinstance(messages, int) else None,
+            utilisation=dict(result.resource_utilisation),
+            fidelity=result.fidelity_summary(),
+        )
+    wall_time_s = time.perf_counter() - started
     return RunResult(
         schema=schema,
         name=spec.name,
@@ -417,104 +349,12 @@ def _envelope(
         machine=machine.describe(),
         workload=workload,
         topology_kind=spec.topology.kind,
-        layout=spec.runtime.layout,
-        allocator=spec.runtime.allocator,
-        backend=spec.runtime.backend,
+        layout=runtime.layout,
+        allocator=runtime.allocator,
+        backend=runtime.backend,
         wall_time_s=wall_time_s,
         batch=batch,
         service=service,
-    )
-
-
-# -- execution ------------------------------------------------------------------------
-
-
-def run(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> RunResult:
-    """Build and simulate one scenario, returning the typed :class:`RunResult`.
-
-    A spec with a ``traffic`` section runs in open-loop service mode through
-    :class:`~repro.service.ServiceSimulator`; otherwise the workload's
-    instruction stream runs to completion in batch mode.  Both paths share
-    the machine construction, so a traffic section changes *what is offered*,
-    never *what machine serves it*.
-    """
-    spec = _as_spec(spec)
-    if spec.traffic is not None:
-        return _run_service(spec)
-    return _run_batch(spec)
-
-
-def _run_batch(spec: ScenarioSpec) -> RunResult:
-    started = time.perf_counter()
-    # An oversubscribed workload fails inside build_machine: the layout
-    # refuses more logical qubits than the fabric has LQ sites.
-    machine = build_machine(spec)
-    stream = build_stream(spec)
-    simulator = CommunicationSimulator(
-        machine, allocator=spec.runtime.allocator, backend=spec.runtime.backend
-    )
-    result = simulator.run(stream, max_events=spec.runtime.max_events)
-    wall_s = time.perf_counter() - started
-    total_hops = sum(record.total_hops for record in result.operations)
-    messages = result.metadata.get("classical_messages")
-    return _envelope(
-        spec,
-        schema=RESULT_SCHEMA_VERSION,
-        machine=machine,
-        workload=stream.name,
-        wall_time_s=wall_s,
-        batch=BatchView(
-            operations=len(result.operations),
-            channel_count=result.channel_count,
-            total_hops=total_hops,
-            makespan_us=result.makespan_us,
-            classical_messages=messages if isinstance(messages, int) else None,
-            utilisation=dict(result.resource_utilisation),
-            fidelity=result.fidelity_summary(),
-        ),
-    )
-
-
-def _run_service(spec: ScenarioSpec) -> RunResult:
-    from ..service import ServiceSimulator
-
-    traffic = spec.traffic
-    if traffic is None:  # pragma: no cover - guarded by run()
-        raise ScenarioError(f"scenario {spec.name!r} has no traffic section")
-    started = time.perf_counter()
-    machine = build_machine(spec)
-    simulator = ServiceSimulator(
-        machine, allocator=spec.runtime.allocator, backend=spec.runtime.backend
-    )
-    result = simulator.run(traffic, max_events=spec.runtime.max_events)
-    wall_s = time.perf_counter() - started
-    metrics = result.metrics
-    tenants_raw = metrics.get("tenants", {})
-    return _envelope(
-        spec,
-        schema=SERVICE_SCHEMA_VERSION,
-        machine=machine,
-        workload=f"service[{len(traffic.tenants)} tenants]",
-        wall_time_s=wall_s,
-        service=ServiceView(
-            duration_us=result.duration_us,
-            makespan_us=result.makespan_us,
-            offered=int(metrics.get("offered", 0)),
-            admitted=int(metrics.get("admitted", 0)),
-            dropped=int(metrics.get("dropped", 0)),
-            completed=int(metrics.get("completed", 0)),
-            drop_rate=float(metrics.get("drop_rate", 0.0)),
-            offered_load_per_ms=float(metrics.get("offered_load_per_ms", 0.0)),
-            delivered_load_per_ms=float(metrics.get("delivered_load_per_ms", 0.0)),
-            latency_p50_us=float(metrics.get("latency_p50_us", 0.0)),
-            latency_p99_us=float(metrics.get("latency_p99_us", 0.0)),
-            wait_p50_us=float(metrics.get("wait_p50_us", 0.0)),
-            wait_p99_us=float(metrics.get("wait_p99_us", 0.0)),
-            max_queue_depth=int(metrics.get("max_queue_depth", 0)),
-            utilisation=dict(result.resource_utilisation),
-            tenants={str(k): dict(v) for k, v in tenants_raw.items()},
-            fidelity=result.fidelity_summary(),
-        ),
     )
 
 

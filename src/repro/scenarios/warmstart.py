@@ -156,9 +156,10 @@ def attach(
 ) -> Dict[str, object]:
     """Adopt the warm-start entry for ``spec`` onto a freshly built machine.
 
-    Returns the attachment info dict also stored on the machine (and from
-    there surfaced in ``SimulationResult``/``ServiceResult`` metadata and the
-    ``warm_start`` trace record).
+    Returns the attachment info dict also stored on the machine as
+    ``machine.warm_start``.  From there a batch run copies it into its
+    ``SimulationResult`` metadata, and both batch and service runs emit it as
+    the ``warm_start`` trace record.
     """
     if cache is None:
         cache = _GLOBAL_CACHE

@@ -22,7 +22,8 @@ The pieces compose the classic open-loop queueing pipeline:
   queue depths and drop rates;
 * :mod:`repro.service.engine` — :class:`ServiceSimulator`, which drives
   either :class:`~repro.sim.transport.TransportBackend` with the generated
-  request stream and returns a :class:`ServiceResult`.
+  request stream and returns a :class:`ServiceView`, the service slot of a
+  :class:`~repro.scenarios.run.RunResult`.
 
 Layering: this package sits *beside* :mod:`repro.sim` (it imports the engine
 and transports downward) and below :mod:`repro.scenarios` (which translates a
@@ -38,7 +39,7 @@ from .admission import (
     register_admission,
 )
 from .arrivals import ServiceRequest, generate_requests
-from .engine import ServiceResult, ServiceSimulator, completion_time_percentiles
+from .engine import ServiceSimulator, ServiceView
 from .metrics import SteadyStateCollector, TenantStats, percentile
 from .schedulers import (
     RequestScheduler,
@@ -52,13 +53,12 @@ __all__ = [
     "AdmissionController",
     "RequestScheduler",
     "ServiceRequest",
-    "ServiceResult",
     "ServiceSimulator",
+    "ServiceView",
     "SteadyStateCollector",
     "TenantStats",
     "admission_descriptions",
     "admission_names",
-    "completion_time_percentiles",
     "create_admission",
     "create_scheduler",
     "generate_requests",

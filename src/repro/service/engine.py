@@ -1,4 +1,4 @@
-"""The open-loop service simulator: traffic in, steady-state metrics out.
+"""The open-loop service simulator: traffic in, a :class:`ServiceView` out.
 
 :class:`ServiceSimulator` composes the pieces of this package around the same
 discrete-event kernel and transport backends batch mode uses: requests are
@@ -11,20 +11,24 @@ Every lifecycle milestone is emitted on the trace bus as a typed record
 (arrive/admit/drop/dispatch/complete) and the
 :class:`~repro.service.metrics.SteadyStateCollector` subscribes to exactly
 those records, so the engine itself holds no metrics state; goldens diff the
-same stream the metrics are computed from.
+same stream the metrics are computed from.  A run returns its
+:class:`ServiceView` — the steady-state metrics, per-class utilisation and
+fidelity summary — which :func:`repro.scenarios.run.run` places in the
+``service`` slot of its :class:`~repro.scenarios.run.RunResult`.  Per-request
+detail (completion order, per-channel fidelities) lives on the trace bus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..errors import ConfigurationError, SimulationError
 from ..network.layout import CommRequest
 from ..sim.control import PlannedCommunication
 from ..sim.engine import SimulationEngine
 from ..sim.machine import QuantumMachine
-from ..sim.results import ChannelRecord
+from ..sim.results import fidelity_summary
 from ..sim.transport import create_transport
 from ..trace import (
     REQUEST_KINDS,
@@ -56,121 +60,48 @@ class _RequestState:
     channels_done: int = 0
 
 
-@dataclass
-class ServiceResult:
-    """Outcome of one open-loop service run.
+@dataclass(frozen=True)
+class ServiceView:
+    """The open-loop outcome: steady-state service metrics over the horizon."""
 
-    Duck-type-compatible with :class:`~repro.sim.results.SimulationResult`
-    where the verify harness and CLI need it (``makespan_us``, ``channels``,
-    ``channel_count``, ``resource_utilisation``, ``backend``,
-    ``fidelity_summary()``), plus the steady-state ``metrics`` summary and
-    the deterministic ``completion_order`` the traffic parity check diffs.
-    """
-
-    machine_description: str
-    backend: str
-    makespan_us: float
     duration_us: float
-    channels: List[ChannelRecord] = field(default_factory=list)
-    resource_utilisation: Dict[str, float] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    completion_order: List[int] = field(default_factory=list)
-    target_fidelity: Optional[float] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
+    makespan_us: float
+    offered: int
+    admitted: int
+    dropped: int
+    completed: int
+    drop_rate: float
+    offered_load_per_ms: float
+    delivered_load_per_ms: float
+    latency_p50_us: float
+    latency_p99_us: float
+    wait_p50_us: float
+    wait_p99_us: float
+    max_queue_depth: int
+    utilisation: Dict[str, float] = field(default_factory=dict)
+    tenants: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    fidelity: Optional[Dict[str, Any]] = None
 
-    @property
-    def channel_count(self) -> int:
-        return len(self.channels)
-
-    @property
-    def operation_count(self) -> int:
-        """Completed requests (the service-mode analogue of operations)."""
-        return self.completed
-
-    @property
-    def offered(self) -> int:
-        return int(self.metrics.get("offered", 0))
-
-    @property
-    def admitted(self) -> int:
-        return int(self.metrics.get("admitted", 0))
-
-    @property
-    def dropped(self) -> int:
-        return int(self.metrics.get("dropped", 0))
-
-    @property
-    def completed(self) -> int:
-        return int(self.metrics.get("completed", 0))
-
-    @property
-    def drop_rate(self) -> float:
-        return float(self.metrics.get("drop_rate", 0.0))
-
-    def delivered_fidelities(self) -> List[float]:
-        return [
-            c.delivered_fidelity for c in self.channels if c.delivered_fidelity is not None
-        ]
-
-    def fidelity_summary(self) -> Optional[Dict[str, object]]:
-        """Flat fidelity summary over serviced channels (None when untracked)."""
-        values = self.delivered_fidelities()
-        if not values:
-            return None
-        summary: Dict[str, object] = {
-            "channels": len(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            "duration_us": self.duration_us,
+            "makespan_us": self.makespan_us,
+            "offered": self.offered,
+            "admitted": self.admitted,
+            "dropped": self.dropped,
+            "completed": self.completed,
+            "drop_rate": self.drop_rate,
+            "offered_load_per_ms": self.offered_load_per_ms,
+            "delivered_load_per_ms": self.delivered_load_per_ms,
+            "latency_p50_us": self.latency_p50_us,
+            "latency_p99_us": self.latency_p99_us,
+            "wait_p50_us": self.wait_p50_us,
+            "wait_p99_us": self.wait_p99_us,
+            "max_queue_depth": self.max_queue_depth,
+            "utilisation": dict(self.utilisation),
+            "tenants": {name: dict(stats) for name, stats in self.tenants.items()},
+            "fidelity": dict(self.fidelity) if self.fidelity is not None else None,
         }
-        if self.target_fidelity is not None:
-            summary["target"] = self.target_fidelity
-            summary["below_target"] = sum(1 for v in values if v < self.target_fidelity)
-        return summary
-
-    def describe(self) -> str:
-        """Human-readable steady-state report (the ``repro serve`` text view)."""
-        m = self.metrics
-        lines = [
-            f"ServiceResult on {self.machine_description} ({self.backend} backend)",
-            f"  horizon             : {self.duration_us:.1f} us offered,"
-            f" drained at {self.makespan_us:.1f} us",
-            f"  requests            : {self.offered} offered / {self.admitted} admitted /"
-            f" {self.dropped} dropped / {self.completed} completed",
-            f"  drop rate           : {self.drop_rate:6.1%}",
-            f"  offered load        : {m.get('offered_load_per_ms', 0.0):.3f} channels/ms",
-            f"  delivered load      : {m.get('delivered_load_per_ms', 0.0):.3f} channels/ms",
-            f"  completion latency  : p50 {m.get('latency_p50_us', 0.0):.1f} us,"
-            f" p99 {m.get('latency_p99_us', 0.0):.1f} us",
-            f"  queueing delay      : p50 {m.get('wait_p50_us', 0.0):.1f} us,"
-            f" p99 {m.get('wait_p99_us', 0.0):.1f} us",
-            f"  peak queue depth    : {m.get('max_queue_depth', 0)}",
-        ]
-        fidelity = self.fidelity_summary()
-        if fidelity is not None:
-            line = (
-                f"  delivered fidelity  : mean {fidelity['mean']:.6f}, "
-                f"min {fidelity['min']:.6f} over {fidelity['channels']} channels"
-            )
-            if "target" in fidelity:
-                line += f" (target {fidelity['target']:.6f}, {fidelity['below_target']} below)"
-            lines.append(line)
-        tenants = m.get("tenants", {})
-        if tenants:
-            lines.append("  tenants:")
-            for name in sorted(tenants):
-                t = tenants[name]
-                lines.append(
-                    f"    {name:16s}: {t['offered']:4d} offered,"
-                    f" {t['drop_rate']:6.1%} dropped,"
-                    f" p99 {t['latency_p99_us']:9.1f} us,"
-                    f" peak queue {t['max_queue_depth']}"
-                )
-        if self.resource_utilisation:
-            lines.append("  resource utilisation:")
-            for name, value in sorted(self.resource_utilisation.items()):
-                lines.append(f"    {name:20s}: {value:6.1%}")
-        return "\n".join(lines)
 
 
 class ServiceSimulator:
@@ -200,11 +131,12 @@ class ServiceSimulator:
         *,
         trace: Optional[TraceBus] = None,
         max_events: Optional[int] = None,
-    ) -> ServiceResult:
+    ) -> ServiceView:
         """Generate, admit, schedule and service ``traffic`` to completion.
 
         Arrivals stop at the traffic horizon; the run then drains — every
-        admitted request completes — so the makespan is horizon plus drain.
+        admitted request completes — so the makespan is horizon plus drain,
+        and the returned :class:`ServiceView` summarises the whole run.
         A caller-provided ``trace`` must accept the request-lifecycle kinds
         (the steady-state metrics are computed from that stream); without
         one, a private non-accumulating bus carries them.  ``max_events``
@@ -223,7 +155,6 @@ class ServiceSimulator:
             bus = trace
         collector = SteadyStateCollector(duration_us=traffic.duration_us)
         bus.subscribe(collector, kinds=REQUEST_KINDS)
-        completion_order: List[int] = []
 
         engine = SimulationEngine(trace=trace)
         transport = create_transport(
@@ -238,12 +169,11 @@ class ServiceSimulator:
         )
         scheduler = create_scheduler(traffic.scheduler)
         inflight = 0
-        tenant_count = len(traffic.tenants)
         if trace is not None:
             trace.emit(
                 machine_record(
                     self.machine,
-                    workload=f"service[{tenant_count} tenants]",
+                    workload=f"service[{len(traffic.tenants)} tenants]",
                     operations=len(requests),
                 )
             )
@@ -292,7 +222,6 @@ class ServiceSimulator:
                 start_channel(state)
                 return
             request = state.request
-            completion_order.append(request.request_id)
             bus.emit(
                 RequestCompleted(
                     t_us=engine.now,
@@ -365,44 +294,22 @@ class ServiceSimulator:
                     channels=len(transport.records),
                 )
             )
-        return ServiceResult(
-            machine_description=self.machine.describe(),
-            backend=transport.name,
-            makespan_us=makespan,
+        metrics = collector.summary(makespan_us=makespan)
+        # The view reports loads; the channel totals behind them stay per tenant.
+        del metrics["offered_channels"], metrics["completed_channels"]
+        return ServiceView(
             duration_us=traffic.duration_us,
-            channels=transport.records,
-            resource_utilisation=transport.utilisation_report(makespan),
-            metrics=collector.summary(makespan_us=makespan),
-            completion_order=completion_order,
-            target_fidelity=(
-                self.machine.params.threshold_fidelity
-                if self.machine.track_fidelity
-                else None
+            makespan_us=makespan,
+            utilisation=transport.utilisation_report(makespan),
+            fidelity=fidelity_summary(
+                transport.records,
+                self.machine.params.threshold_fidelity if self.machine.track_fidelity else None,
             ),
-            metadata={
-                "requests": len(requests),
-                "tenants": tenant_count,
-                "admission": traffic.admission,
-                "scheduler": traffic.scheduler,
-                "max_inflight": traffic.max_inflight,
-                "allocation": self.machine.allocation.label,
-                "layout": self.machine.layout_name,
-                "warm_start": dict(warm_start) if warm_start is not None else None,
-            },
+            **metrics,
         )
 
 
-def completion_time_percentiles(result: ServiceResult) -> Tuple[float, float]:
-    """(p50, p99) request completion latency of a service run, in µs."""
-    metrics = result.metrics
-    return (
-        float(metrics.get("latency_p50_us", 0.0)),
-        float(metrics.get("latency_p99_us", 0.0)),
-    )
-
-
 __all__ = [
-    "ServiceResult",
     "ServiceSimulator",
-    "completion_time_percentiles",
+    "ServiceView",
 ]

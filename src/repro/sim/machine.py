@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # annotation-only imports; no runtime dependency edges
-    from ..trace.records import RunStarted
     from .fidelity import ChannelFidelityModel
 
 from ..core.logical import STEANE_LEVEL_2, LogicalQubitEncoding
@@ -213,19 +212,6 @@ class QuantumMachine:
             f"({self.num_qubits} logical qubits, {self.layout_name} layout, "
             f"{self.allocation.label}, {self.protocol.upper()})"
         )
-
-    def trace_snapshot(
-        self, *, workload: str, operations: int, t_us: float = 0.0
-    ) -> RunStarted:
-        """The typed :class:`~repro.trace.RunStarted` header describing this machine.
-
-        Every trace opens with it, so a golden fixture is self-describing: a
-        diff against a fixture recorded on a different machine or workload
-        fails on line one instead of deep in the event stream.
-        """
-        from ..trace.records import machine_record
-
-        return machine_record(self, workload=workload, operations=operations, t_us=t_us)
 
     # -- fidelity accounting --------------------------------------------------------------
 

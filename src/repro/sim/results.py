@@ -9,7 +9,7 @@ quantity Figure 16 varies resource allocation to expose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
@@ -52,6 +52,31 @@ class OperationRecord:
     @property
     def duration_us(self) -> float:
         return self.complete_us - self.issue_us
+
+
+def fidelity_summary(
+    channels: Sequence[ChannelRecord], target: Optional[float]
+) -> Optional[Dict[str, object]]:
+    """Flat JSON-safe fidelity summary of ``channels``, or None when untracked.
+
+    ``below_target`` counts channels whose delivered fidelity misses the
+    run's ``target`` — the quantity that decides whether the interconnect is
+    usable at all, regardless of its bandwidth.  Batch and service runs both
+    report this summary.
+    """
+    values = [c.delivered_fidelity for c in channels if c.delivered_fidelity is not None]
+    if not values:
+        return None
+    summary: Dict[str, object] = {
+        "channels": len(values),
+        "mean": sum(values) / len(values),
+        "min": min(values),
+        "max": max(values),
+    }
+    if target is not None:
+        summary["target"] = target
+        summary["below_target"] = sum(1 for v in values if v < target)
+    return summary
 
 
 @dataclass
@@ -123,26 +148,8 @@ class SimulationResult:
         ]
 
     def fidelity_summary(self) -> Optional[Dict[str, object]]:
-        """Flat JSON-safe fidelity summary, or None when fidelity was not tracked.
-
-        ``below_target`` counts channels whose delivered fidelity misses the
-        run's target — the quantity that decides whether the interconnect is
-        usable at all, regardless of its bandwidth.
-        """
-        values = self.delivered_fidelities()
-        if not values:
-            return None
-        target = self.target_fidelity
-        summary: Dict[str, object] = {
-            "channels": len(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-        }
-        if target is not None:
-            summary["target"] = target
-            summary["below_target"] = sum(1 for v in values if v < target)
-        return summary
+        """Flat JSON-safe fidelity summary, or None when fidelity was not tracked."""
+        return fidelity_summary(self.channels, self.target_fidelity)
 
     # -- reporting ---------------------------------------------------------------------
 

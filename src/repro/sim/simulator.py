@@ -79,6 +79,10 @@ class CommunicationSimulator:
         and this simulator emit typed records onto it (run header/footer,
         operation issue/retire, channel open/close, flow rate changes).
         Untraced runs skip all of it behind ``is not None`` guards.
+        ``max_events`` caps the events the engine dispatches
+        (``runtime.max_events``); a run it cuts short raises
+        :class:`~repro.errors.SimulationError` naming the budget, while a run
+        whose events drain with operations unfinished reports the stall.
         """
         if stream.num_qubits > self.machine.num_qubits:
             raise SimulationError(
@@ -182,6 +186,14 @@ class CommunicationSimulator:
 
         issue_ready()
         engine.run(max_events=max_events)
+        live_events = engine.pending_events - engine.cancelled_pending
+        if live_events:
+            raise SimulationError(
+                f"simulation stopped at {engine.now:.6g} us by runtime.max_events="
+                f"{max_events} with {scheduler.completed_count}/"
+                f"{scheduler.total_operations} operations completed and "
+                f"{live_events} events still pending"
+            )
         if not scheduler.finished:
             raise SimulationError(
                 f"simulation ended with {scheduler.completed_count}/"

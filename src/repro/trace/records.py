@@ -409,8 +409,10 @@ def machine_record(
     """The :class:`RunStarted` header for a run on ``machine``.
 
     Lives here (rather than on :class:`~repro.sim.machine.QuantumMachine`) so
-    the machine module does not import the trace package; the simulator calls
-    through :meth:`QuantumMachine.trace_snapshot`, which delegates to this.
+    the machine module does not import the trace package.  Every trace opens
+    with it, so a golden fixture is self-describing: a diff against a fixture
+    recorded on a different machine or workload fails on line one instead of
+    deep in the event stream.
     """
     return RunStarted(
         t_us=t_us,

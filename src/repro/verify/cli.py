@@ -8,8 +8,10 @@ Three subcommands over the same scenario selection (catalog names, a
     per-operation completion orders, channel timelines and flow-rate
     (utilisation) timelines.  ``--backends`` additionally replays the
     scenario under both transport backends (fluid and detailed) and holds
-    their makespans and op orders to the documented tolerances.  Exits
-    non-zero on any divergence.
+    their makespans and op orders to the documented tolerances; service
+    scenarios are diffed as traffic instead (identical offers, equal
+    completion sets, request order and delivered load within tolerance, as
+    ``traffic`` checks).  Exits non-zero on any divergence.
 ``record``
     (Re-)serialize each scenario's canonical trace to its golden fixture —
     the one deliberate command that moves the goldens.
@@ -91,7 +93,8 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
         "--backends",
         action="store_true",
         help="also replay each scenario under the fluid and detailed transport "
-        "backends and diff makespans/op order within documented tolerances",
+        "backends and diff makespans/op order within documented tolerances "
+        "(service scenarios: offers, completions and delivered load)",
     )
 
     record = verify_subs.add_parser(

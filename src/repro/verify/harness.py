@@ -6,8 +6,11 @@ produce *bitwise identical* dynamics, and the fluid flow backend must stay
 consistent with the detailed per-pair backend.  This module turns that
 agreement into a harness:
 
-* :func:`traced_run` executes a scenario with a trace bus attached and
-  returns the typed record stream next to the simulation result;
+* :func:`traced_run` is :func:`repro.scenarios.run.run` on a spec with the
+  allocator and backend overridden and a trace bus attached; it returns the
+  same :class:`~repro.scenarios.run.RunResult` every other caller gets next
+  to the typed record stream.  Completion orders, channel counts and
+  per-channel fidelities are read from that stream;
 * :func:`verify_scenario` replays a scenario under every requested allocator
   and diffs four aspects — the makespan (bitwise), the per-operation
   completion order (exact), the per-channel open/close timeline (bitwise) and
@@ -19,27 +22,34 @@ agreement into a harness:
   transport granularities and their makespans and operation completion
   orders must agree within documented tolerances — the two backends share
   only the scheduler/control loop above the transport contract, so
-  agreement is evidence, not tautology;
-* :func:`verify_traffic` extends the cross-check to open-loop service mode:
-  both backends are fed the *bitwise identical* request stream (the arrivals
-  are pre-generated from the spec) and must agree on what was offered, what
-  completed, the request completion order (within the documented disorder
-  tolerance) and the delivered load (within the documented ratio).
+  agreement is evidence, not tautology.  Service scenarios are diffed as
+  traffic (:func:`compare_traffic_runs`);
+* :func:`verify_traffic` is that cross-check restricted to open-loop service
+  scenarios: both backends are fed the *bitwise identical* request stream
+  (the arrivals are pre-generated from the spec) and must agree on what was
+  offered, what completed, the request completion order (within the
+  documented disorder tolerance) and the delivered load (within the
+  documented ratio).
+
+Every ``verify_*`` check but :func:`verify_routing` replays the scenario
+along one axis (allocator or backend) through :func:`_replay` and diffs each
+run against the first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ScenarioError
-from ..scenarios.run import build_machine, build_stream
+from ..scenarios.run import RunResult
+from ..scenarios.run import run as run_spec
 from ..scenarios.spec import ALLOCATOR_NAMES, BACKEND_NAMES, ScenarioSpec
-from ..sim.results import SimulationResult
-from ..sim.simulator import CommunicationSimulator
 from ..trace import (
     CANONICAL_KINDS,
     ChannelClosed,
+    ChannelFidelity,
     ChannelOpened,
     FlowRateChanged,
     OperationRetired,
@@ -50,9 +60,6 @@ from ..trace import (
     TraceBus,
     TraceRecord,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..service.engine import ServiceResult
 
 #: Kinds a differential run records: the canonical stream plus rate changes.
 DIFFERENTIAL_KINDS = frozenset(CANONICAL_KINDS) | {FlowRateChanged.kind}
@@ -112,17 +119,22 @@ def _as_spec(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> ScenarioSpec:
 class TracedRun:
     """One simulated scenario with its trace attached.
 
-    ``result`` is a :class:`~repro.sim.results.SimulationResult` for batch
-    scenarios and a :class:`~repro.service.engine.ServiceResult` for service
-    scenarios — the comparison helpers only touch the members the two share
-    (``makespan_us``, ``channels``, ``resource_utilisation``, counts).
+    ``result`` is the :class:`~repro.scenarios.run.RunResult` of the run and
+    ``spec`` the scenario as it ran (allocator and backend overrides
+    applied); ``records`` is what the trace bus kept.
     """
 
     spec: ScenarioSpec
-    allocator: str
-    result: Union[SimulationResult, "ServiceResult"]
+    result: RunResult
     records: List[TraceRecord]
-    backend: str = "fluid"
+
+    @property
+    def allocator(self) -> str:
+        return self.result.allocator
+
+    @property
+    def backend(self) -> str:
+        return self.result.backend
 
     @property
     def makespan_us(self) -> float:
@@ -139,39 +151,24 @@ def traced_run(
     backend: Optional[str] = None,
     kinds: Optional[Sequence[str]] = None,
 ) -> TracedRun:
-    """Run one scenario with a trace bus attached.
+    """Run one scenario through :func:`repro.scenarios.run.run`, traced.
 
     ``allocator`` and ``backend`` override the spec's runtime choices;
     ``kinds`` limits which record kinds are kept (default: the differential
-    set — canonical plus flow-rate changes).  A spec with a ``traffic``
-    section runs through the open-loop service simulator; everything else
-    runs the workload's instruction stream through the batch simulator.
+    set — canonical plus flow-rate changes).
     """
     spec = _as_spec(spec)
-    allocator = allocator or spec.runtime.allocator
-    backend = backend or spec.runtime.backend
-    machine = build_machine(spec)
+    runtime = spec.runtime
+    spec = replace(
+        spec,
+        runtime=replace(
+            runtime,
+            allocator=allocator or runtime.allocator,
+            backend=backend or runtime.backend,
+        ),
+    )
     bus = TraceBus(kinds=DIFFERENTIAL_KINDS if kinds is None else kinds)
-    if spec.traffic is not None:
-        from ..service import ServiceSimulator
-
-        service_result = ServiceSimulator(machine, allocator=allocator, backend=backend).run(
-            spec.traffic, trace=bus, max_events=spec.runtime.max_events
-        )
-        return TracedRun(
-            spec=spec,
-            allocator=allocator,
-            result=service_result,
-            records=bus.records,
-            backend=backend,
-        )
-    stream = build_stream(spec)
-    result = CommunicationSimulator(machine, allocator=allocator, backend=backend).run(
-        stream, max_events=spec.runtime.max_events, trace=bus
-    )
-    return TracedRun(
-        spec=spec, allocator=allocator, result=result, records=bus.records, backend=backend
-    )
+    return TracedRun(spec=spec, result=run_spec(spec, trace=bus), records=bus.records)
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,39 @@ class ScenarioVerdict:
         return not self.divergences
 
 
-def _op_completion_order(run: TracedRun) -> List[int]:
+def _completion_order(run: TracedRun) -> List[int]:
+    """What the run completed, in order: op indices, or request ids in service mode."""
+    if run.spec.traffic is not None:
+        return [record.request_id for record in run.of_kind(RequestCompleted.kind)]
     return [record.op_index for record in run.of_kind(OperationRetired.kind)]
+
+
+def _replay(
+    spec: ScenarioSpec,
+    axis: str,
+    values: Sequence[str],
+    compare: Callable[[TracedRun, TracedRun], List[Divergence]],
+) -> Tuple[TracedRun, List[Divergence]]:
+    """Run ``spec`` once per value of ``axis`` and diff each run against the first.
+
+    ``axis`` is ``"allocator"`` or ``"backend"``; ``values`` must name at
+    least two registered ones.  Returns the baseline run and every
+    divergence ``compare`` reports.
+    """
+    values = tuple(values)
+    known = ALLOCATOR_NAMES if axis == "allocator" else BACKEND_NAMES
+    if len(values) < 2:
+        raise ScenarioError(
+            f"differential verification needs at least two {axis}s, got {list(values)}"
+        )
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ScenarioError(f"unknown {axis}s {unknown}; available: {sorted(known)}")
+    baseline = traced_run(spec, **{axis: values[0]})
+    divergences: List[Divergence] = []
+    for other in values[1:]:
+        divergences.extend(compare(baseline, traced_run(spec, **{axis: other})))
+    return baseline, divergences
 
 
 def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
@@ -222,7 +250,7 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
             )
         )
 
-    order_a, order_b = _op_completion_order(a), _op_completion_order(b)
+    order_a, order_b = _completion_order(a), _completion_order(b)
     if order_a != order_b:
         first = next(
             (i for i, (x, y) in enumerate(zip(order_a, order_b)) if x != y),
@@ -264,8 +292,8 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
                 )
             )
 
-    util_a = a.result.resource_utilisation
-    util_b = b.result.resource_utilisation
+    util_a = a.result.view.utilisation
+    util_b = b.result.view.utilisation
     if set(util_a) != set(util_b):
         divergences.append(
             Divergence(
@@ -297,25 +325,13 @@ def verify_scenario(
     """Replay ``spec`` under every allocator and diff the dynamics."""
     spec = _as_spec(spec)
     allocators = tuple(allocators)
-    if len(allocators) < 2:
-        raise ScenarioError(
-            f"differential verification needs at least two allocators, got {list(allocators)}"
-        )
-    unknown = sorted(set(allocators) - set(ALLOCATOR_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown allocators {unknown}; available: {sorted(ALLOCATOR_NAMES)}"
-        )
-    baseline = traced_run(spec, allocator=allocators[0])
-    divergences: List[Divergence] = []
-    for other in allocators[1:]:
-        divergences.extend(compare_runs(baseline, traced_run(spec, allocator=other)))
+    baseline, divergences = _replay(spec, "allocator", allocators, compare_runs)
     return ScenarioVerdict(
         scenario=spec.name,
         allocators=allocators,
         makespan_us=baseline.makespan_us,
-        operations=baseline.result.operation_count,
-        channels=baseline.result.channel_count,
+        operations=len(_completion_order(baseline)),
+        channels=len(baseline.of_kind(ChannelClosed.kind)),
         divergences=divergences,
     )
 
@@ -378,7 +394,7 @@ def compare_backend_runs(
             )
         )
 
-    order_a, order_b = _op_completion_order(a), _op_completion_order(b)
+    order_a, order_b = _completion_order(a), _completion_order(b)
     if sorted(order_a) != sorted(order_b):
         divergences.append(
             Divergence(
@@ -413,6 +429,11 @@ def compare_backend_runs(
     return divergences
 
 
+def _backend_comparison(spec: ScenarioSpec) -> Callable[..., List[Divergence]]:
+    """The cross-backend diff for ``spec``: traffic for service runs, else batch."""
+    return compare_traffic_runs if spec.traffic is not None else compare_backend_runs
+
+
 def verify_backends(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     *,
@@ -420,36 +441,22 @@ def verify_backends(
     makespan_ratio: float = BACKEND_MAKESPAN_RATIO,
     order_tolerance: float = BACKEND_ORDER_TOLERANCE,
 ) -> List[Divergence]:
-    """Replay ``spec`` under every backend and diff the runs pairwise.
+    """Replay ``spec`` under every backend and diff each run against the first.
 
-    The first backend is the baseline; every other backend's makespan must
-    agree within ``makespan_ratio`` and its operation completion order
-    within ``order_tolerance`` (see :func:`compare_backend_runs`).  Works on
-    any catalog or file-defined scenario the backends can execute.
+    Batch scenarios go through :func:`compare_backend_runs` (makespans within
+    ``makespan_ratio``, operation completion orders within
+    ``order_tolerance``), service scenarios through
+    :func:`compare_traffic_runs` (identical offers, equal completion sets,
+    request orders and delivered loads within the same tolerances).  Works
+    on any catalog or file-defined scenario the backends can execute.
     """
     spec = _as_spec(spec)
-    backends = tuple(backends)
-    if len(backends) < 2:
-        raise ScenarioError(
-            f"the backend cross-check needs at least two backends, got {list(backends)}"
-        )
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown backends {unknown}; available: {sorted(BACKEND_NAMES)}"
-        )
-    baseline = traced_run(spec, backend=backends[0])
-    divergences: List[Divergence] = []
-    for other in backends[1:]:
-        divergences.extend(
-            compare_backend_runs(
-                baseline,
-                traced_run(spec, backend=other),
-                makespan_ratio=makespan_ratio,
-                order_tolerance=order_tolerance,
-            )
-        )
-    return divergences
+    compare = partial(
+        _backend_comparison(spec),
+        makespan_ratio=makespan_ratio,
+        order_tolerance=order_tolerance,
+    )
+    return _replay(spec, "backend", backends, compare)[1]
 
 
 # -- fidelity parity ----------------------------------------------------------------
@@ -463,9 +470,8 @@ def _fidelity_by_hops(run: TracedRun) -> Dict[int, List[float]]:
     distance alone — so hop count is the stable join key for parity.
     """
     grouped: Dict[int, List[float]] = {}
-    for channel in run.result.channels:
-        if channel.delivered_fidelity is not None:
-            grouped.setdefault(channel.hops, []).append(channel.delivered_fidelity)
+    for record in run.of_kind(ChannelFidelity.kind):
+        grouped.setdefault(record.hops, []).append(record.delivered_fidelity)
     return grouped
 
 
@@ -485,15 +491,14 @@ def compare_fidelity_runs(
     name = a.spec.name
     divergences: List[Divergence] = []
     for run in (a, b):
-        untracked = sum(
-            1 for channel in run.result.channels if channel.delivered_fidelity is None
-        )
+        channels = len(run.of_kind(ChannelClosed.kind))
+        untracked = channels - len(run.of_kind(ChannelFidelity.kind))
         if untracked:
             divergences.append(
                 Divergence(
                     name,
                     "fidelity_missing",
-                    f"{untracked}/{len(run.result.channels)} channels on "
+                    f"{untracked}/{channels} channels on "
                     f"{run.backend} carry no delivered fidelity",
                 )
             )
@@ -553,35 +558,11 @@ def verify_fidelity(
     spec = _as_spec(spec)
     if noise is not None or spec.noise is None:
         spec = spec.with_noise(dict(noise) if noise is not None else dict(PARITY_NOISE))
-    backends = tuple(backends)
-    if len(backends) < 2:
-        raise ScenarioError(
-            f"the fidelity parity check needs at least two backends, got {list(backends)}"
-        )
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown backends {unknown}; available: {sorted(BACKEND_NAMES)}"
-        )
-    baseline = traced_run(spec, backend=backends[0])
-    divergences: List[Divergence] = []
-    for other in backends[1:]:
-        divergences.extend(
-            compare_fidelity_runs(
-                baseline, traced_run(spec, backend=other), tolerance=tolerance
-            )
-        )
-    return divergences
+    compare = partial(compare_fidelity_runs, tolerance=tolerance)
+    return _replay(spec, "backend", backends, compare)[1]
 
 
 # -- routing-policy diff ------------------------------------------------------------
-
-
-def _completion_identity(run: TracedRun) -> List[int]:
-    """What the run completed, order-independent: op indices or request ids."""
-    if run.spec.traffic is not None:
-        return sorted(record.request_id for record in run.of_kind(RequestCompleted.kind))
-    return sorted(record.op_index for record in run.of_kind(OperationRetired.kind))
 
 
 def verify_routing(
@@ -646,9 +627,7 @@ def verify_routing(
             )
 
         if len(backends) > 1:
-            compare = (
-                compare_traffic_runs if spec.traffic is not None else compare_backend_runs
-            )
+            compare = _backend_comparison(spec)
             for other in backends[1:]:
                 divergences.extend(
                     compare(
@@ -660,9 +639,9 @@ def verify_routing(
                 )
 
     baseline_policy = policies[0]
-    completed = _completion_identity(runs[baseline_policy])
+    completed = sorted(_completion_order(runs[baseline_policy]))
     for policy in policies[1:]:
-        other = _completion_identity(runs[policy])
+        other = sorted(_completion_order(runs[policy]))
         if other != completed:
             divergences.append(
                 Divergence(
@@ -689,10 +668,6 @@ def verify_routing(
 
 
 # -- traffic parity -----------------------------------------------------------------
-
-
-def _request_completion_order(run: TracedRun) -> List[int]:
-    return [record.request_id for record in run.of_kind(RequestCompleted.kind)]
 
 
 def _delivered_load_per_ms(run: TracedRun) -> float:
@@ -753,7 +728,7 @@ def compare_traffic_runs(
             )
         )
 
-    order_a, order_b = _request_completion_order(a), _request_completion_order(b)
+    order_a, order_b = _completion_order(a), _completion_order(b)
     if sorted(order_a) != sorted(order_b):
         divergences.append(
             Divergence(
@@ -808,9 +783,8 @@ def verify_traffic(
 ) -> List[Divergence]:
     """Fluid-vs-detailed parity for one open-loop service scenario.
 
-    Requires a spec with a ``traffic`` section.  The scenario is replayed
-    under every backend with the identical pre-generated request stream and
-    the runs are diffed pairwise against the first backend (see
+    Requires a spec with a ``traffic`` section; the check itself is
+    :func:`verify_backends`, which diffs service runs as traffic (see
     :func:`compare_traffic_runs`).
     """
     spec = _as_spec(spec)
@@ -819,25 +793,9 @@ def verify_traffic(
             f"scenario {spec.name!r} has no traffic section; "
             "the traffic parity check needs an open-loop service scenario"
         )
-    backends = tuple(backends)
-    if len(backends) < 2:
-        raise ScenarioError(
-            f"the traffic parity check needs at least two backends, got {list(backends)}"
-        )
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown backends {unknown}; available: {sorted(BACKEND_NAMES)}"
-        )
-    baseline = traced_run(spec, backend=backends[0])
-    divergences: List[Divergence] = []
-    for other in backends[1:]:
-        divergences.extend(
-            compare_traffic_runs(
-                baseline,
-                traced_run(spec, backend=other),
-                makespan_ratio=makespan_ratio,
-                order_tolerance=order_tolerance,
-            )
-        )
-    return divergences
+    return verify_backends(
+        spec,
+        backends=backends,
+        makespan_ratio=makespan_ratio,
+        order_tolerance=order_tolerance,
+    )

@@ -1,0 +1,87 @@
+"""Standing fuzz test: every spec the validator accepts runs or fails fast.
+
+Hypothesis derives specs from the catalog entries, varying the topology kind
+and size, the (t, g, p) allocation, ``generator_bandwidth_scale``, the
+layout, the noise model, the routing policy, the allocator and the backend.
+Each spec goes through :func:`repro.api.run` with warnings raised as errors
+and must either complete with finite results or raise a
+:class:`~repro.errors.ReproError`: the validator or the machine build
+refusing it, an infeasible channel, or the event budget running out.
+
+``runtime.max_events`` is always set.  A run that exhausts it must raise a
+``SimulationError`` naming the field; that is part of the contract under
+test, not a way to skip slow specs.
+"""
+
+import math
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro.errors import ReproError
+from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario, list_scenarios
+from repro.scenarios.spec import ALLOCATOR_NAMES, BACKEND_NAMES
+
+#: Events one fuzzed run may dispatch before it must stop and say so.
+MAX_EVENTS = 50_000
+
+overrides = st.fixed_dictionaries(
+    {
+        "topology.kind": st.sampled_from(
+            ["line", "ring", "mesh", "torus", "fat_tree", "leaf_spine", "dragonfly"]
+        ),
+        "topology.width": st.integers(min_value=3, max_value=12),
+        "physics.teleporters": st.integers(min_value=1, max_value=4),
+        "physics.generators": st.integers(min_value=1, max_value=4),
+        "physics.purifiers": st.integers(min_value=1, max_value=3),
+        "physics.generator_bandwidth_scale": st.sampled_from([0.5, 1.0, 3.0]),
+        "runtime.layout": st.sampled_from(["home_base", "mobile_qubit"]),
+        "runtime.allocator": st.sampled_from(ALLOCATOR_NAMES),
+        "runtime.backend": st.sampled_from(BACKEND_NAMES),
+        "runtime.max_events": st.just(MAX_EVENTS),
+    }
+)
+
+noise_sections = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "base_fidelity": st.sampled_from([0.9, 0.99, 0.999, 0.9999]),
+            "gate_error": st.sampled_from([1e-7, 1e-5, 1e-3]),
+            "measurement_error": st.sampled_from([1e-7, 1e-4, 1e-2]),
+            "target_fidelity": st.sampled_from([0.99, 0.9999]),
+        },
+    ),
+)
+
+routing_policies = st.sampled_from([None, "ecmp", "least_loaded", "adaptive"])
+
+
+def fuzzed_spec(base, changes, noise, policy):
+    """Validate ``base`` with the drawn changes applied (may raise ReproError)."""
+    data = apply_overrides(get_scenario(base).to_dict(), changes)
+    data["noise"] = noise
+    data["network"] = None if policy is None else {"routing": {"policy": policy}}
+    return ScenarioSpec.from_dict(data)
+
+
+@given(
+    base=st.sampled_from(list_scenarios()),
+    changes=overrides,
+    noise=noise_sections,
+    policy=routing_policies,
+)
+@settings(max_examples=30, deadline=None)
+def test_every_valid_spec_runs_or_fails_fast(base, changes, noise, policy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = api.run(fuzzed_spec(base, changes, noise, policy))
+        except ReproError:
+            return
+    assert math.isfinite(result.makespan_us) and result.makespan_us >= 0.0
+    for kind, share in result.view.utilisation.items():
+        assert math.isfinite(share) and 0.0 <= share <= 1.0, (kind, share)

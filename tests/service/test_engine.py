@@ -6,8 +6,8 @@ from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
 from repro.scenarios.run import build_machine
 from repro.scenarios.spec import TrafficSpec
-from repro.service import ServiceResult, ServiceSimulator, completion_time_percentiles
-from repro.trace import CANONICAL_KINDS, TraceBus
+from repro.service import ServiceSimulator, ServiceView
+from repro.trace import CANONICAL_KINDS, ChannelClosed, RequestCompleted, TraceBus
 
 TRAFFIC = TrafficSpec.from_dict(
     {
@@ -30,35 +30,43 @@ def _run(traffic=TRAFFIC, *, backend="fluid", trace=None):
     return ServiceSimulator(_machine(), backend=backend).run(traffic, trace=trace)
 
 
+def _completion_order(backend="fluid"):
+    bus = TraceBus(kinds=CANONICAL_KINDS)
+    _run(backend=backend, trace=bus)
+    return [record.request_id for record in bus.filtered([RequestCompleted.kind])]
+
+
 class TestServiceRun:
     def test_lifecycle_conservation_with_always_admit(self):
-        result = _run()
-        metrics = result.metrics
+        bus = TraceBus(kinds=CANONICAL_KINDS)
+        result = _run(trace=bus)
+        assert isinstance(result, ServiceView)
         assert result.offered > 0
         assert result.admitted == result.offered
         assert result.dropped == 0
         assert result.completed == result.admitted
-        assert metrics["completed_channels"] == metrics["offered_channels"]
-        assert result.channel_count == metrics["completed_channels"]
+        assert 0.0 < result.latency_p50_us <= result.latency_p99_us
+        assert result.utilisation
+        assert all(0.0 <= v <= 1.0 for v in result.utilisation.values())
+        tenants = result.tenants.values()
+        completed_channels = sum(t["completed_channels"] for t in tenants)
+        assert completed_channels == sum(t["offered_channels"] for t in tenants)
+        assert len(bus.filtered([ChannelClosed.kind])) == completed_channels
 
     def test_makespan_covers_the_drain(self):
         result = _run()
         assert result.makespan_us >= result.duration_us or result.completed == 0
-        assert result.delivered_fidelities() == []  # smoke has no noise section
+        assert result.fidelity is None  # smoke has no noise section
 
     def test_completion_order_is_deterministic(self):
-        first = _run()
-        second = _run()
-        assert first.completion_order == second.completion_order
-        assert first.metrics == second.metrics
+        assert _completion_order() == _completion_order()
+        assert _run() == _run()
 
     def test_both_backends_complete_the_same_requests(self):
-        fluid = _run(backend="fluid")
-        detailed = _run(backend="detailed")
-        assert fluid.backend == "fluid"
-        assert detailed.backend == "detailed"
-        assert sorted(fluid.completion_order) == sorted(detailed.completion_order)
-        assert fluid.metrics["offered"] == detailed.metrics["offered"]
+        fluid = _completion_order(backend="fluid")
+        detailed = _completion_order(backend="detailed")
+        assert fluid and sorted(fluid) == sorted(detailed)
+        assert _run(backend="fluid").offered == _run(backend="detailed").offered
 
     def test_queue_bound_admission_drops_under_pressure(self):
         traffic = TrafficSpec.from_dict(
@@ -77,7 +85,7 @@ class TestServiceRun:
         assert result.dropped > 0
         assert result.admitted + result.dropped == result.offered
         assert result.completed == result.admitted
-        reasons = result.metrics["tenants"]["hot"]["drop_reasons"]
+        reasons = result.tenants["hot"]["drop_reasons"]
         assert reasons == {"queue_full": result.dropped}
 
     def test_trace_bus_must_accept_request_kinds(self):
@@ -93,37 +101,13 @@ class TestServiceRun:
         arrivals = [r for r in bus.records if r.kind == "req_arrive"]
         assert len(arrivals) == result.offered
 
-    def test_result_duck_types_simulation_result(self):
-        # The verify harness and CLI lean on these SimulationResult fields.
-        result = _run()
-        assert isinstance(result, ServiceResult)
-        assert result.operation_count == result.completed
-        assert result.channel_count == len(result.channels)
-        assert result.resource_utilisation
-        assert all(0.0 <= v <= 1.0 for v in result.resource_utilisation.values())
-        assert result.fidelity_summary() is None
-        assert "requests" in result.metadata
-
-    def test_percentile_helper_matches_metrics(self):
-        result = _run()
-        p50, p99 = completion_time_percentiles(result)
-        assert p50 == result.metrics["latency_p50_us"]
-        assert p99 == result.metrics["latency_p99_us"]
-        assert 0.0 < p50 <= p99
-
-    def test_describe_renders_the_steady_state(self):
-        text = _run().describe()
-        assert "offered load" in text
-        assert "alpha" in text and "beta" in text
-
 
 class TestNoiseTrackedService:
     def test_noise_section_yields_fidelity_summary(self):
         spec = get_scenario("service_smoke")
         assert spec.traffic is not None
         machine = build_machine(spec)
-        result = ServiceSimulator(machine).run(spec.traffic)
-        summary = result.fidelity_summary()
+        summary = ServiceSimulator(machine).run(spec.traffic).fidelity
         if machine.track_fidelity:
             assert summary is not None
             assert 0.0 < summary["min"] <= summary["mean"] <= 1.0

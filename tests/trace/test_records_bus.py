@@ -18,6 +18,7 @@ from repro.trace import (
     TraceBus,
     record_from_payload,
 )
+from repro.trace.records import machine_record
 
 
 def _sample_records():
@@ -71,7 +72,7 @@ class TestRecords:
 
     def test_machine_snapshot_is_run_header(self):
         machine = QuantumMachine(3, num_qubits=6)
-        header = machine.trace_snapshot(workload="qft_6", operations=15)
+        header = machine_record(machine, workload="qft_6", operations=15)
         assert isinstance(header, RunStarted)
         assert header.width == header.height == 3
         assert header.workload == "qft_6"

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ScenarioError
 from repro.runtime.cli import main
 from repro.scenarios import get_scenario, list_scenarios
+from repro.trace import ChannelClosed, ChannelFidelity
 from repro.verify.harness import (
     FIDELITY_ABS_TOL,
     PARITY_NOISE,
@@ -27,7 +28,8 @@ class TestFidelityParity:
         spec = get_scenario("smoke")
         assert spec.noise is None
         run = traced_run(spec.with_noise(PARITY_NOISE))
-        assert all(c.delivered_fidelity is not None for c in run.result.channels)
+        fidelities = run.of_kind(ChannelFidelity.kind)
+        assert fidelities and len(fidelities) == len(run.of_kind(ChannelClosed.kind))
 
     def test_existing_noise_section_is_respected(self):
         spec = get_scenario("smoke_noisy")
@@ -58,9 +60,9 @@ class TestFidelityParity:
         spec = get_scenario("smoke").with_noise({"target_fidelity": 0.99})
         assert not verify_fidelity(spec)
         for backend in ("fluid", "detailed"):
-            run = traced_run(spec, backend=backend)
-            assert {c.purification_level for c in run.result.channels} == {0}
-            assert all(c.delivered_fidelity >= 0.99 for c in run.result.channels)
+            fidelities = traced_run(spec, backend=backend).of_kind(ChannelFidelity.kind)
+            assert {record.purification_level for record in fidelities} == {0}
+            assert all(record.delivered_fidelity >= 0.99 for record in fidelities)
 
     def test_needs_two_backends(self):
         with pytest.raises(ScenarioError, match="at least two backends"):

@@ -6,11 +6,18 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario
-from repro.trace import CANONICAL_KINDS, FlowRateChanged, OperationRetired, RunStarted
+from repro.trace import (
+    CANONICAL_KINDS,
+    FlowRateChanged,
+    OperationRetired,
+    RequestCompleted,
+    RunStarted,
+)
 from repro.verify import (
     DIFFERENTIAL_KINDS,
     compare_backend_runs,
     compare_runs,
+    harness,
     traced_run,
     verify_backends,
     verify_scenario,
@@ -59,8 +66,8 @@ class TestCompareRuns:
         a = traced_run(get_scenario("smoke"))
         b = traced_run(get_scenario("smoke"))
         # Forge a diverging run: shift the makespan and drop one rate record.
-        forged = dataclasses.replace(b)
-        forged.result.makespan_us += 1.0
+        batch = dataclasses.replace(b.result.batch, makespan_us=b.makespan_us + 1.0)
+        forged = dataclasses.replace(b, result=dataclasses.replace(b.result, batch=batch))
         forged.records = [
             record
             for record in b.records
@@ -101,6 +108,22 @@ class TestBackendCrossCheck:
         spec = ScenarioSpec.from_dict(apply_overrides(spec, {"physics.teleporters": teleporters}))
         divergences = verify_backends(spec)
         assert divergences == [], [str(d) for d in divergences]
+
+    def test_service_scenarios_are_diffed_as_traffic(self, monkeypatch):
+        # Service runs retire no operations, so only the traffic comparison
+        # notices a detailed run that lost its last request completion.
+        real_traced_run = harness.traced_run
+
+        def lossy(spec, **overrides):
+            run = real_traced_run(spec, **overrides)
+            if run.backend == "detailed":
+                last = run.of_kind(RequestCompleted.kind)[-1]
+                run.records = [record for record in run.records if record is not last]
+            return run
+
+        monkeypatch.setattr(harness, "traced_run", lossy)
+        aspects = {d.aspect for d in verify_backends(get_scenario("service_smoke"))}
+        assert "traffic_completion_set" in aspects
 
     def test_traced_run_honours_backend(self):
         run = traced_run(get_scenario("smoke"), backend="detailed")

@@ -17,7 +17,8 @@ class TestVerifyTraffic:
 
     def test_traced_run_carries_the_service_result(self):
         run = traced_run(get_scenario("service_smoke"), backend="fluid")
-        assert run.result.offered > 0
+        assert run.result.mode == "service"
+        assert run.result.service.offered > 0
         assert run.makespan_us > 0
 
     def test_rejects_batch_scenarios(self):
@@ -41,13 +42,11 @@ class TestVerifyTraffic:
     def test_detects_completion_set_mismatch(self):
         a = traced_run(get_scenario("service_smoke"), backend="fluid")
         b = traced_run(get_scenario("service_smoke"), backend="detailed")
+        last = a.of_kind(RequestCompleted.kind)[-1].request_id
         b.records = [
             record
             for record in b.records
-            if not (
-                record.kind == RequestCompleted.kind
-                and record.request_id == a.result.completion_order[-1]
-            )
+            if not (record.kind == RequestCompleted.kind and record.request_id == last)
         ]
         aspects = {d.aspect for d in compare_traffic_runs(a, b)}
         assert "traffic_completion_set" in aspects
