@@ -1,9 +1,9 @@
 """Regenerate every (light) table and figure of the paper in one run.
 
 Prints the full reproduction report: Tables 1/2, the derived text claims, and
-Figures 8-12.  Figure 16 requires a contention simulation sweep and is left to
-``pytest benchmarks/bench_fig16_resource_allocation.py --benchmark-only -s``
-(or pass ``--heavy`` here to include a reduced-scale version).
+Figures 8-12.  Figure 16 requires a contention simulation sweep: pass
+``--heavy`` here to include it at 8x8, or run ``examples/figure16_paper.py``
+for the paper's 16x16 machine.
 
 Run with:  python examples/reproduce_all.py [--heavy]
 """

@@ -68,7 +68,7 @@ from .network import (
     ResourceAllocation,
     dimension_order_route,
 )
-from .sim import CommunicationSimulator, QuantumMachine, SimulationResult
+from .sim import CommunicationSimulator, QuantumMachine
 from .workloads import (
     InstructionStream,
     modular_exponentiation_stream,
@@ -106,7 +106,6 @@ __all__ = [
     "STEANE_LEVEL_2",
     "SchedulingError",
     "SimulationError",
-    "SimulationResult",
     "THRESHOLD_ERROR",
     "THRESHOLD_FIDELITY",
     "between_teleports",

@@ -13,22 +13,23 @@ taking area away from purifiers, while the Mobile Qubit workload is mostly
 nearest-neighbour, leaves the teleporters idle and suffers when the purifiers
 shrink (t = g = 8p worse than t = g = 4p).
 
-Grid size defaults to 8x8 so the sweep is fast enough for a benchmark run;
-pass ``grid_side=16`` and ``num_qubits=256`` for the paper-scale machine.
+:func:`figure16_specs` writes the sweep as scenario specs and
+:func:`figure16_from_records` reduces their flat run records to the figure.
+:func:`figure16` runs the specs in-process: the experiment runner calls it
+from a pool worker, which may not start a pool of its own.  The grid
+defaults to 8x8; ``examples/figure16_paper.py`` runs the paper's 16x16
+machine through :func:`repro.api.sweep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..network.nodes import ResourceAllocation
-from ..physics.parameters import IonTrapParameters
-from ..sim.machine import QuantumMachine
-from ..sim.results import SimulationResult
-from ..sim.simulator import CommunicationSimulator
-from ..workloads.qft import qft_stream
+from ..scenarios.run import run
+from ..scenarios.spec import ScenarioSpec
 from .series import FigureData, Series
 
 #: t = g = ratio x p configurations swept (the paper highlights 1, 2, 4, 8).
@@ -46,7 +47,8 @@ class Fig16Point:
     layout: str
     ratio: int
     allocation: ResourceAllocation
-    result: SimulationResult
+    makespan_us: float
+    utilisation: Dict[str, float]
     normalised_runtime: float
 
 
@@ -68,36 +70,7 @@ def allocation_for_ratio(ratio: int, area_units: int = DEFAULT_AREA_UNITS) -> Re
     )
 
 
-def baseline_allocation(count: int = 1024) -> ResourceAllocation:
-    """The effectively unlimited allocation used for normalisation."""
-    return ResourceAllocation.uniform(count)
-
-
-def run_configuration(
-    layout: str,
-    allocation: ResourceAllocation,
-    *,
-    grid_side: int = 8,
-    num_qubits: Optional[int] = None,
-    params: Optional[IonTrapParameters] = None,
-    logical_gate_us: float = 300.0,
-    allocator: str = "incremental",
-) -> SimulationResult:
-    """Simulate the QFT on one (layout, allocation) configuration."""
-    machine = QuantumMachine(
-        grid_side,
-        allocation=allocation,
-        layout=layout,
-        num_qubits=num_qubits,
-        params=params,
-        logical_gate_us=logical_gate_us,
-    )
-    qubits = num_qubits or (grid_side * grid_side)
-    stream = qft_stream(qubits)
-    return CommunicationSimulator(machine, allocator=allocator).run(stream)
-
-
-def figure16(
+def figure16_specs(
     *,
     grid_side: int = 8,
     num_qubits: Optional[int] = None,
@@ -105,58 +78,93 @@ def figure16(
     area_units: int = DEFAULT_AREA_UNITS,
     layouts: Sequence[str] = DEFAULT_LAYOUTS,
     baseline_count: int = 1024,
-    params: Optional[IonTrapParameters] = None,
-) -> Tuple[FigureData, List[Fig16Point]]:
-    """Regenerate Figure 16: normalised runtime per allocation and layout.
+) -> List[ScenarioSpec]:
+    """One QFT spec per (layout, allocation) on a ``grid_side`` mesh.
 
-    Returns the figure series plus the raw per-configuration points (useful
-    for inspecting utilisation and bottlenecks).
+    Each layout's ``figure16/<layout>/baseline`` spec, at t = g = p =
+    ``baseline_count``, precedes its ``figure16/<layout>/ratio<r>`` specs.
+    ``num_qubits`` defaults to one qubit per tile.
     """
-    points: List[Fig16Point] = []
-    series: List[Series] = []
-    baselines: Dict[str, SimulationResult] = {}
-    for layout in layouts:
-        baselines[layout] = run_configuration(
-            layout,
-            baseline_allocation(baseline_count),
-            grid_side=grid_side,
-            num_qubits=num_qubits,
-            params=params,
+    allocations = [("baseline", ResourceAllocation.uniform(baseline_count))]
+    allocations += [(f"ratio{ratio}", allocation_for_ratio(ratio, area_units)) for ratio in ratios]
+    return [
+        ScenarioSpec.from_dict(
+            {
+                "name": f"figure16/{layout}/{point}",
+                "topology": {"kind": "mesh", "width": grid_side},
+                "workload": {"kind": "qft", "num_qubits": num_qubits or grid_side * grid_side},
+                "physics": {
+                    "teleporters": allocation.teleporters_per_node,
+                    "generators": allocation.generators_per_node,
+                    "purifiers": allocation.purifiers_per_node,
+                },
+                # Rates bit-identical to the other allocators', computed
+                # fastest at this many concurrent channels.
+                "runtime": {"layout": layout, "allocator": "vectorized"},
+            }
         )
-    for layout in layouts:
-        normalised: List[float] = []
-        for ratio in ratios:
-            allocation = allocation_for_ratio(ratio, area_units)
-            result = run_configuration(
-                layout,
-                allocation,
-                grid_side=grid_side,
-                num_qubits=num_qubits,
-                params=params,
+        for layout in layouts
+        for point, allocation in allocations
+    ]
+
+
+def figure16_from_records(
+    records: Sequence[Mapping[str, Any]],
+) -> Tuple[FigureData, List[Fig16Point]]:
+    """Reduce the flat run records of :func:`figure16_specs` to the figure.
+
+    ``records`` come from :meth:`~repro.scenarios.run.RunResult.flat_record`
+    or :func:`repro.api.sweep`, in spec order.  Each makespan is divided by
+    its layout's baseline makespan.
+    """
+    baselines = {r["layout"]: r["makespan_us"] for r in records if r["name"].endswith("/baseline")}
+    points: List[Fig16Point] = []
+    for record in records:
+        if record["name"].endswith("/baseline"):
+            continue
+        physics = record["spec"]["physics"]
+        allocation = ResourceAllocation(
+            physics["teleporters"], physics["generators"], physics["purifiers"]
+        )
+        points.append(
+            Fig16Point(
+                layout=record["layout"],
+                ratio=allocation.teleporters_per_node // allocation.purifiers_per_node,
+                allocation=allocation,
+                makespan_us=record["makespan_us"],
+                utilisation=record["utilisation"],
+                normalised_runtime=record["makespan_us"] / baselines[record["layout"]],
             )
-            value = result.normalised_to(baselines[layout])
-            normalised.append(value)
-            points.append(
-                Fig16Point(
-                    layout=layout,
-                    ratio=ratio,
-                    allocation=allocation,
-                    result=result,
-                    normalised_runtime=value,
-                )
-            )
-        series.append(Series.from_points(layout, list(ratios), normalised))
+        )
+    series = []
+    for layout in baselines:
+        ours = [point for point in points if point.layout == layout]
+        x, y = [p.ratio for p in ours], [p.normalised_runtime for p in ours]
+        series.append(Series.from_points(layout, x, y))
+    spec = next(r for r in records if r["name"].endswith("/baseline"))["spec"]
+    side = spec["topology"]["width"]
     figure = FigureData(
         name="figure16",
         title="QFT runtime vs interconnect resource allocation (fixed area)",
         x_label="t = g = ratio x p",
-        y_label=f"runtime normalised to t=g=p={baseline_count}",
+        y_label=f"runtime normalised to t=g=p={spec['physics']['purifiers']}",
         series=tuple(series),
         log_y=False,
         notes=(
-            f"{grid_side}x{grid_side} grid, area {area_units} units/tile. Home Base is "
-            "teleporter-bound and tolerates small purifiers; Mobile Qubit is "
+            f"{side}x{side} grid, {spec['workload']['num_qubits']}-qubit QFT. Home Base "
+            "is teleporter-bound and tolerates small purifiers; Mobile Qubit is "
             "purifier-bound and degrades as p shrinks."
         ),
     )
     return figure, points
+
+
+def figure16(**sweep: Any) -> Tuple[FigureData, List[Fig16Point]]:
+    """Regenerate Figure 16: normalised runtime per allocation and layout.
+
+    Takes :func:`figure16_specs`' keyword arguments and runs its specs
+    in-process; a point that fails raises its error.  Returns the figure plus
+    the per-configuration points (useful for inspecting utilisation and
+    bottlenecks).
+    """
+    return figure16_from_records([run(spec).flat_record() for spec in figure16_specs(**sweep)])

@@ -7,16 +7,18 @@ the same keyword surface — ``width``, ``height``, ``allocation``,
 ``cells_per_hop`` — and returns a configured topology; 1-D fabrics (line,
 ring) reject an explicit height other than 1.
 
-New fabrics register themselves with :func:`register_topology`::
+New fabrics register themselves with :func:`register_topology`, naming any
+keyword options they take beyond that surface::
 
-    @register_topology("my_fabric")
-    def _build_my_fabric(width, height, *, allocation=None, cells_per_hop=600):
+    @register_topology("my_fabric", options=("hosts_per_switch",))
+    def _build_my_fabric(width, height, *, allocation=None, cells_per_hop=600,
+                         hosts_per_switch=1):
         ...
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .bigfabric import DragonflyTopology, FatTreeTopology, LeafSpineTopology
@@ -27,10 +29,18 @@ from .topology import MeshTopology
 TopologyBuilder = Callable[..., MeshTopology]
 
 _BUILDERS: Dict[str, TopologyBuilder] = {}
+#: The builder-specific keyword options each fabric accepts.
+_OPTIONS: Dict[str, Tuple[str, ...]] = {}
 
 
-def register_topology(name: str) -> Callable[[TopologyBuilder], TopologyBuilder]:
-    """Class/function decorator adding a builder to the fabric registry."""
+def register_topology(
+    name: str, *, options: Tuple[str, ...] = ()
+) -> Callable[[TopologyBuilder], TopologyBuilder]:
+    """Class/function decorator adding a builder to the fabric registry.
+
+    ``options`` names the keyword options the builder takes beyond the
+    shared surface; anything else is rejected before the builder runs.
+    """
     key = name.strip().lower()
     if not key:
         raise ConfigurationError("a topology builder needs a non-empty name")
@@ -39,6 +49,7 @@ def register_topology(name: str) -> Callable[[TopologyBuilder], TopologyBuilder]
         if key in _BUILDERS:
             raise ConfigurationError(f"topology builder {key!r} is already registered")
         _BUILDERS[key] = builder
+        _OPTIONS[key] = tuple(options)
         return builder
 
     return _register
@@ -47,6 +58,20 @@ def register_topology(name: str) -> Callable[[TopologyBuilder], TopologyBuilder]
 def list_topologies() -> List[str]:
     """Registered fabric names, sorted."""
     return sorted(_BUILDERS)
+
+
+def _registered(kind: str) -> str:
+    key = (kind or "").strip().lower()
+    if key not in _BUILDERS:
+        raise ConfigurationError(
+            f"unknown topology kind {kind!r}; known: {list_topologies()}"
+        )
+    return key
+
+
+def topology_options(kind: str) -> Tuple[str, ...]:
+    """The builder-specific options a fabric accepts."""
+    return _OPTIONS[_registered(kind)]
 
 
 def build_topology(
@@ -62,22 +87,19 @@ def build_topology(
 
     ``height`` defaults to ``width`` for 2-D fabrics and to 1 for 1-D ones.
     Extra keyword ``options`` (e.g. ``hosts_per_leaf`` for ``leaf_spine``)
-    pass through to the builder; a builder that does not accept an option
-    rejects it with :class:`ConfigurationError`.
+    pass through to the builder; one the fabric did not register (see
+    :func:`topology_options`) raises :class:`ConfigurationError`.
     """
-    key = (kind or "").strip().lower()
-    if key not in _BUILDERS:
+    key = _registered(kind)
+    unknown = sorted(set(options) - set(_OPTIONS[key]))
+    if unknown:
         raise ConfigurationError(
-            f"unknown topology kind {kind!r}; known: {list_topologies()}"
+            f"topology {key!r} does not take options {unknown}; "
+            f"accepted: {sorted(_OPTIONS[key]) or 'none'}"
         )
-    try:
-        return _BUILDERS[key](
-            width, height, allocation=allocation, cells_per_hop=cells_per_hop, **options
-        )
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"topology {key!r} rejected its options {sorted(options)}: {exc}"
-        ) from exc
+    return _BUILDERS[key](
+        width, height, allocation=allocation, cells_per_hop=cells_per_hop, **options
+    )
 
 
 def _require_flat(kind: str, width: int, height: Optional[int]) -> None:
@@ -169,7 +191,7 @@ def _build_fat_tree(
     return FatTreeTopology(width, allocation, cells_per_hop=cells_per_hop)
 
 
-@register_topology("leaf_spine")
+@register_topology("leaf_spine", options=("hosts_per_leaf",))
 def _build_leaf_spine(
     width: int,
     height: Optional[int] = None,
@@ -188,7 +210,7 @@ def _build_leaf_spine(
     return LeafSpineTopology(width, spines, hosts, allocation, cells_per_hop=cells_per_hop)
 
 
-@register_topology("dragonfly")
+@register_topology("dragonfly", options=("hosts_per_router",))
 def _build_dragonfly(
     width: int,
     height: Optional[int] = None,

@@ -20,9 +20,10 @@ Semantics:
   timeouts alike) up to N extra attempts, at the back of the queue so a
   persistently failing point never starves healthy ones.
 * **Sharding** — pools are created per shard (``shard_size`` tasks), so
-  long sweeps run on periodically restarted workers and the streamed
+  long sweeps run on periodically restarted workers.  The streamed
   ``on_result`` callback (which the runner uses to journal completions)
-  gets called at most a shard behind execution.
+  gets each outcome as soon as it and the points before it in its shard
+  have finished, so a killed sweep keeps them.
 
 Execution is in-process when a single worker suffices and no timeout is
 requested (keeping debuggers and single-core machines happy); a timeout
@@ -38,7 +39,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -149,7 +150,7 @@ class ShardedWorkQueue:
         """Execute every task; outcomes come back in task order.
 
         ``on_result`` streams final outcomes (after retries are exhausted) as
-        they land, in completion order — the runner journals from it.
+        they land, in task order within a shard — the runner journals from it.
         """
         outcomes: List[Optional[PointOutcome]] = [None] * len(tasks)
         pending: Deque[_QueueItem] = deque(
@@ -170,18 +171,19 @@ class ShardedWorkQueue:
 
     def _run_shard(
         self, shard: List[_QueueItem]
-    ) -> List[Tuple[int, Any, int, PointOutcome]]:
-        """Run one shard, restarting the pool after any per-point timeout."""
+    ) -> Iterator[Tuple[int, Any, int, PointOutcome]]:
+        """Run one shard, yielding outcomes in task order as they land.
+
+        The pool restarts after any per-point timeout.
+        """
         pool_size = self._pool_size(len(shard))
         if pool_size == 1 and self.timeout_s is None:
             # In-process: no pickling round-trip, debugger-friendly.  A
             # timeout always forces a pool because an in-process call cannot
             # be preempted.
-            return [
-                (index, task, attempt, _call_guarded(self.worker, task))
-                for index, task, attempt in shard
-            ]
-        completed: List[Tuple[int, Any, int, PointOutcome]] = []
+            for index, task, attempt in shard:
+                yield index, task, attempt, _call_guarded(self.worker, task)
+            return
         remaining = list(shard)
         call = functools.partial(_call_guarded, self.worker)
         while remaining:
@@ -200,13 +202,10 @@ class ShardedWorkQueue:
                         # siblings restart on a fresh pool below (their
                         # attempt counts are untouched — they did not fail).
                         pool.terminate()
-                        completed.append(
-                            (index, task, attempt, _timeout_outcome(self.timeout_s or 0.0))
-                        )
+                        yield index, task, attempt, _timeout_outcome(self.timeout_s or 0.0)
                         timed_out_at = position
                         break
-                    completed.append((index, task, attempt, outcome))
+                    yield index, task, attempt, outcome
             if timed_out_at is None:
                 break
             remaining = remaining[timed_out_at + 1 :]
-        return completed

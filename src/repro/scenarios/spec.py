@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ScenarioError
-from ..network.fabrics import list_topologies
+from ..network.fabrics import list_topologies, topology_options
 from ..network.routing import list_balancers
 from ..workloads.registry import list_workloads, workload_params
 
@@ -138,9 +138,10 @@ class TopologySpec:
 
     ``options`` carries fabric-specific structural knobs (e.g.
     ``hosts_per_leaf`` for ``leaf_spine``, ``hosts_per_router`` for
-    ``dragonfly``) passed straight through to the builder, which rejects
-    names it does not take.  An empty mapping is omitted from the dict form,
-    so pre-existing specs keep their hashes and cache slots.
+    ``dragonfly``) passed straight through to the builder; a name the
+    fabric did not register is rejected here.  An empty mapping is omitted
+    from the dict form, so pre-existing specs keep their hashes and cache
+    slots.
     """
 
     kind: str = "mesh"
@@ -160,6 +161,13 @@ class TopologySpec:
         if height is not None:
             height = _int_field(data, "height", 1, "topology", minimum=1)
         options = _require_mapping(data.get("options"), "topology.options")
+        accepted = topology_options(kind)
+        unknown = sorted(set(options) - set(accepted))
+        if unknown:
+            raise ScenarioError(
+                f"topology.options {unknown} are not taken by topology {kind!r}; "
+                f"accepted: {sorted(accepted) or 'none'}"
+            )
         for opt_key in sorted(options):
             options[opt_key] = _int_field(
                 options, opt_key, 1, "topology.options", minimum=1

@@ -56,6 +56,7 @@ Three allocators are available:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
@@ -609,10 +610,14 @@ class FlowTransport(TransportBackend):
             # The fired event must never be cancelled or kept again.
             flow.completion_event = None
         self._advance_time()
-        remaining = (
-            self._pack.remaining_of(flow.flow_id) if self._pack is not None else flow.remaining
-        )
-        if remaining > _COMPLETION_EPS:
+        if self._pack is not None:
+            remaining = self._pack.remaining_of(flow.flow_id)
+            rate = self._pack.rate_of(flow.flow_id)
+        else:
+            remaining, rate = flow.remaining, flow.rate
+        # On a long clock the finish time ``now + remaining / rate`` rounds,
+        # leaving about ``rate * ulp(now)`` of work when the event fires.
+        if remaining > max(_COMPLETION_EPS, rate * 4 * math.ulp(self.engine.now)):
             # A reallocation slowed the flow after this event was scheduled;
             # let the next reallocation re-arm it.  In chained mode the other
             # flows' completions must stay armed, so re-arm the chain with

@@ -27,27 +27,6 @@ from ..physics.parameters import IonTrapParameters
 
 
 @dataclass(frozen=True)
-class MachineConfig:
-    """Declarative description of a machine (useful for sweeps and reports)."""
-
-    width: int
-    height: int
-    allocation: ResourceAllocation
-    layout_name: str
-    num_qubits: int
-    logical_gate_us: float
-    protocol: str
-    topology_kind: str = "mesh"
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.width}x{self.height} {self.topology_kind} {self.layout_name} "
-            f"{self.allocation.label}"
-        )
-
-
-@dataclass(frozen=True)
 class FlowDemandProfile:
     """Per-hop-count work quantities of one logical communication.
 
@@ -176,34 +155,7 @@ class QuantumMachine:
         self.demand_cache = demand_cache
         self.warm_start = info
 
-    # -- constructors --------------------------------------------------------------
-
-    @classmethod
-    def paper_machine(
-        cls,
-        side: int = 16,
-        *,
-        allocation: Optional[ResourceAllocation] = None,
-        layout: str = "home_base",
-        **kwargs,
-    ) -> "QuantumMachine":
-        """The paper's simulated machine: a square grid of logical qubits."""
-        return cls(side, side, allocation=allocation, layout=layout, **kwargs)
-
     # -- descriptions -----------------------------------------------------------------
-
-    @property
-    def config(self) -> MachineConfig:
-        return MachineConfig(
-            width=self.topology.width,
-            height=self.topology.height,
-            allocation=self.allocation,
-            layout_name=self.layout_name,
-            num_qubits=self.num_qubits,
-            logical_gate_us=self.logical_gate_us,
-            protocol=self.protocol,
-            topology_kind=self.topology_kind,
-        )
 
     def describe(self) -> str:
         return (

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
-
 
 @dataclass(frozen=True)
 class ChannelRecord:
@@ -105,12 +103,6 @@ class SimulationResult:
     def channel_count(self) -> int:
         return len(self.channels)
 
-    def normalised_to(self, baseline: "SimulationResult") -> float:
-        """Makespan relative to a baseline run (Figure 16's y-axis)."""
-        if baseline.makespan_us <= 0:
-            raise SimulationError("baseline makespan must be positive")
-        return self.makespan_us / baseline.makespan_us
-
     # -- channel statistics ------------------------------------------------------
 
     def average_channel_hops(self) -> float:
@@ -140,12 +132,6 @@ class SimulationResult:
         return peak
 
     # -- fidelity statistics ---------------------------------------------------------
-
-    def delivered_fidelities(self) -> List[float]:
-        """Per-channel delivered fidelities, in completion order (may be empty)."""
-        return [
-            c.delivered_fidelity for c in self.channels if c.delivered_fidelity is not None
-        ]
 
     def fidelity_summary(self) -> Optional[Dict[str, object]]:
         """Flat JSON-safe fidelity summary, or None when fidelity was not tracked."""

@@ -5,7 +5,9 @@ trends, crossovers), not absolute values — the same standard EXPERIMENTS.md
 applies when comparing against the paper.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.analysis.experiments import EXPERIMENTS, get_experiment, list_experim
 from repro.analysis.fig10 import figure10
 from repro.analysis.fig11 import figure11
 from repro.analysis.fig12 import breakdown_error_rate, figure12
+from repro.analysis.fig16 import figure16, figure16_from_records, figure16_specs
 from repro.analysis.fig8 import figure8, rounds_to_converge
 from repro.analysis.fig9 import error_amplification, figure9
 from repro.analysis.tables import derived_channel_table, table1, table2
@@ -193,6 +196,61 @@ class TestFigureGoldenValues:
         end = figure.get("DEJMPS protocol only at end")
         assert end.y[0] == pytest.approx(1.0, rel=self.REL)
         assert end.y[5] == pytest.approx(4.010040771995101, rel=self.REL)
+
+
+#: The paper-scale series, written by ``examples/figure16_paper.py``.
+FIGURE16_PAPER = Path(__file__).with_name("figure16_paper.json")
+
+
+@pytest.fixture(scope="module")
+def figure16_6x6():
+    return figure16(grid_side=6, ratios=(1, 4, 8))
+
+
+@pytest.fixture(scope="module", params=["6x6", "16x16"])
+def figure16_any(request):
+    if request.param == "6x6":
+        return request.getfixturevalue("figure16_6x6")
+    return figure16_from_records(json.loads(FIGURE16_PAPER.read_text()))
+
+
+class TestFigure16:
+    """The paper's Figure 16 claims, on 6x6 and on the committed 16x16 series."""
+
+    def test_every_configuration_is_slower_than_baseline(self, figure16_any):
+        figure, _ = figure16_any
+        for layout in ("home_base", "mobile_qubit"):
+            assert all(v >= 1.0 for v in figure.get(layout).y)
+
+    def test_home_base_tolerates_smaller_purifiers(self, figure16_any):
+        figure, _ = figure16_any
+        home, mobile = figure.get("home_base"), figure.get("mobile_qubit")
+        assert mobile.y_at(8) / mobile.y_at(1) > home.y_at(8) / home.y_at(1)
+
+    def test_mobile_is_slower_at_8p_than_at_4p(self, figure16_any):
+        mobile = figure16_any[0].get("mobile_qubit")
+        assert mobile.y_at(8) > mobile.y_at(4)
+
+    def test_mobile_beats_home_base_at_4p(self, figure16_any):
+        makespan = {p.layout: p.makespan_us for p in figure16_any[1] if p.ratio == 4}
+        assert makespan["mobile_qubit"] < makespan["home_base"]
+
+    def test_6x6_makespans_are_pinned(self, figure16_6x6):
+        makespans = {(p.layout, p.ratio): p.makespan_us for p in figure16_6x6[1]}
+        assert makespans == {
+            ("home_base", 1): 2701811.4887583517,
+            ("home_base", 4): 2170322.778151909,
+            ("home_base", 8): 3126195.3008613363,
+            ("mobile_qubit", 1): 740859.186874859,
+            ("mobile_qubit", 4): 1457700.0,
+            ("mobile_qubit", 8): 2895270.0,
+        }
+
+    def test_paper_records_come_from_the_paper_scale_specs(self):
+        records = json.loads(FIGURE16_PAPER.read_text())
+        assert [(r["name"], r["spec_hash"]) for r in records] == [
+            (spec.name, spec.spec_hash) for spec in figure16_specs(grid_side=16)
+        ]
 
 
 class TestTables:

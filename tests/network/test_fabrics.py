@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.fabrics import build_topology, list_topologies, register_topology
+from repro.network import fabrics
+from repro.network.fabrics import (
+    build_topology,
+    list_topologies,
+    register_topology,
+    topology_options,
+)
 from repro.network.geometry import Coordinate
 from repro.network.routing import dimension_order_route
 from repro.network.topology import LinkId
@@ -20,6 +26,21 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
             register_topology("mesh")(lambda *a, **k: None)
+
+    def test_options_are_declared_at_registration(self):
+        assert topology_options("leaf_spine") == ("hosts_per_leaf",)
+        assert topology_options("dragonfly") == ("hosts_per_router",)
+        assert topology_options("mesh") == ()
+        with pytest.raises(ConfigurationError, match=r"does not take options \['hosts_per_leaf'\]"):
+            build_topology("mesh", 4, hosts_per_leaf=2)
+
+    def test_a_type_error_inside_a_builder_is_not_an_option_error(self, monkeypatch):
+        def _broken(width, height=None, *, allocation=None, cells_per_hop=600):
+            raise TypeError("builder bug")
+
+        monkeypatch.setitem(fabrics._BUILDERS, "mesh", _broken)
+        with pytest.raises(TypeError, match="builder bug"):
+            build_topology("mesh", 4)
 
     def test_mesh_matches_direct_construction(self):
         mesh = build_topology("mesh", 4, 3)

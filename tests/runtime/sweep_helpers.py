@@ -36,6 +36,19 @@ def fail_on(value, bad, log_path=None):
     return value * value
 
 
+def interrupt_on(value, bad, marker_path, log_path):
+    """Record the call, then stop the whole sweep at ``bad`` until the marker exists.
+
+    ``KeyboardInterrupt`` is not turned into an error outcome, so it ends
+    the sweep the way killing the process would.
+    """
+    with open(log_path, "a", encoding="utf-8") as handle:
+        handle.write(f"{value}\n")
+    if value == bad and not os.path.exists(marker_path):
+        raise KeyboardInterrupt(f"killed at point {value}")
+    return value * value
+
+
 def fail_until_marker(value, marker_path):
     """Raise until the marker file exists — a transient failure to retry.
 

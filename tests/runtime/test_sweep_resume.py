@@ -75,6 +75,25 @@ class TestJournalResume:
         assert [p.journaled for p in resumed] == [True] * 5 + [False]
         assert journal_status(journal)["complete"] is True
 
+    def test_killed_sweep_keeps_every_finished_point(self, tmp_path):
+        journal = str(tmp_path / "sweep.jsonl")
+        marker = tmp_path / "resume.marker"
+        log_path = str(tmp_path / "calls.log")
+        grid = [
+            {"value": v, "bad": 3, "marker_path": str(marker), "log_path": log_path}
+            for v in range(6)
+        ]
+        runner = _runner(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            runner.sweep_records(sweep_helpers.interrupt_on, grid, journal=journal)
+        # Each point is journaled as it finishes, not when its shard does.
+        assert journal_status(journal)["ok"] == 3
+
+        marker.write_text("resume\n")
+        resumed = runner.sweep_records(sweep_helpers.interrupt_on, grid, journal=journal)
+        assert [p.result for p in resumed] == [v * v for v in range(6)]
+        assert sweep_helpers.executed_values(log_path) == [0, 1, 2, 3, 3, 4, 5]
+
     def test_worker_raising_after_n_points_resumes_missing(self, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
         marker = str(tmp_path / "healed.marker")

@@ -72,6 +72,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="does not take parameters"):
             ScenarioSpec.from_dict(data)
 
+    def test_topology_option_the_fabric_does_not_take(self):
+        data = minimal()
+        data["topology"] = {"kind": "mesh", "options": {"oversubscription": 2}}
+        with pytest.raises(
+            ScenarioError, match=r"topology\.options \['oversubscription'\].*accepted: none"
+        ):
+            ScenarioSpec.from_dict(data)
+        data["topology"] = {"kind": "leaf_spine", "width": 4, "options": {"hosts_per_router": 2}}
+        with pytest.raises(ScenarioError, match=r"accepted: \['hosts_per_leaf'\]"):
+            ScenarioSpec.from_dict(data)
+
     def test_bad_types_rejected(self):
         data = minimal()
         data["topology"]["width"] = "wide"

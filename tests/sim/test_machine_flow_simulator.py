@@ -17,8 +17,8 @@ def make_stream(pairs, num_qubits=16):
 
 
 class TestQuantumMachine:
-    def test_paper_machine_dimensions(self):
-        machine = QuantumMachine.paper_machine(16)
+    def test_16x16_machine_dimensions(self):
+        machine = QuantumMachine(16)
         assert machine.topology.node_count == 256
         assert machine.num_qubits == 256
 
@@ -41,9 +41,10 @@ class TestQuantumMachine:
         machine = QuantumMachine(4, placement=virtual_wire(1))
         assert machine.planner.placement.virtual_wire_rounds == 1
 
-    def test_config_label(self):
+    def test_describe_names_size_and_allocation(self):
         machine = QuantumMachine(4, allocation=ResourceAllocation.uniform(2))
-        assert "4x4" in machine.config.label
+        assert "4x4" in machine.describe()
+        assert "t=g=p=2" in machine.describe()
 
     def test_rejects_negative_gate_time(self):
         from repro.errors import ConfigurationError
@@ -129,7 +130,7 @@ class TestSimulatorBasics:
         stream = qft_stream(16)
         result = CommunicationSimulator(machine).run(stream)
         baseline = CommunicationSimulator(baseline_machine).run(stream)
-        assert result.normalised_to(baseline) > 1.0
+        assert result.makespan_us > baseline.makespan_us
 
     def test_describe_contains_makespan(self):
         machine = QuantumMachine(4, allocation=ResourceAllocation.uniform(8))
@@ -139,20 +140,6 @@ class TestSimulatorBasics:
 
 class TestFigure16Behaviour:
     """The key contention findings behind Figure 16, at reduced scale."""
-
-    def test_home_base_tolerates_fewer_purifiers_than_mobile(self):
-        from repro.analysis.fig16 import allocation_for_ratio
-
-        stream = qft_stream(36)
-        results = {}
-        for layout in ("home_base", "mobile_qubit"):
-            times = []
-            for ratio in (1, 8):
-                machine = QuantumMachine(6, allocation=allocation_for_ratio(ratio, 18), layout=layout)
-                times.append(CommunicationSimulator(machine).run(stream).makespan_us)
-            results[layout] = times[1] / times[0]  # slowdown of 8p relative to 1p
-        # Shrinking the purifiers hurts the Mobile Qubit layout more than Home Base.
-        assert results["mobile_qubit"] > results["home_base"]
 
     def test_purifier_utilisation_higher_for_mobile(self):
         stream = qft_stream(16)
@@ -213,3 +200,31 @@ class TestCompletionEpsilonUnification:
                 break
         assert completed == [True]
         assert transport.active_flows == 0
+
+
+class TestLongClock:
+    """A flow finishing on a long clock must not be taken for a stale one.
+
+    At a large ``engine.now`` the finish time ``now + remaining / rate``
+    rounds, so about ``rate * ulp(now)`` of work is left when the completion
+    event fires — far above ``_COMPLETION_EPS`` once the clock passes about
+    1e11 us.  The handler used to treat that flow as slowed down and wait for
+    a reallocation that never came, ending the run short of its operations.
+    """
+
+    @pytest.mark.parametrize("allocator", ["incremental", "reference", "vectorized"])
+    def test_all_operations_complete(self, allocator):
+        from repro.scenarios.catalog import get_scenario
+        from repro.scenarios.run import run
+        from repro.scenarios.spec import apply_overrides
+
+        for scenario in ("smoke", "ring_qft", "paper_mobile"):
+            spec = apply_overrides(
+                get_scenario(scenario).to_dict(), {"runtime.allocator": allocator}
+            )
+            operations = run(spec).batch.operations
+            for clock in (1e11, 1e12, 1e13):
+                # A run that loses a completion raises SimulationError here.
+                result = run(apply_overrides(spec, {"physics.logical_gate_us": clock}))
+                assert result.batch.operations == operations
+                assert result.makespan_us > clock
