@@ -48,6 +48,10 @@ ADMISSION_NAMES = ("always", "token_bucket", "queue_bound")
 SCHEDULER_NAMES = ("fifo", "priority", "fidelity")
 ARRIVAL_PROCESSES = ("poisson", "fixed", "mmpp")
 SIZE_DISTRIBUTIONS = ("constant", "pareto")
+#: Accepted ``physics.generator_bandwidth_scale`` values, ends included.  The
+#: scale divides channel times, so far outside this range a run overflows
+#: its clock or stalls on rates too small to resolve.
+GENERATOR_BANDWIDTH_SCALE_RANGE = (1e-6, 1e6)
 
 
 def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
@@ -80,7 +84,7 @@ def _int_field(data: Mapping[str, Any], key: str, default: int, where: str, *, m
 
 def _float_field(
     data: Mapping[str, Any], key: str, default: float, where: str, *, minimum: float,
-    exclusive: bool = False,
+    exclusive: bool = False, maximum: float = math.inf,
 ) -> float:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -94,6 +98,8 @@ def _float_field(
         raise ScenarioError(f"{where}.{key} must be > {minimum}, got {value}")
     if not exclusive and value < minimum:
         raise ScenarioError(f"{where}.{key} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ScenarioError(f"{where}.{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -253,8 +259,8 @@ class PhysicsSpec:
                 "generator_bandwidth_scale",
                 cls.generator_bandwidth_scale,
                 "physics",
-                minimum=0.0,
-                exclusive=True,
+                minimum=GENERATOR_BANDWIDTH_SCALE_RANGE[0],
+                maximum=GENERATOR_BANDWIDTH_SCALE_RANGE[1],
             ),
         )
 

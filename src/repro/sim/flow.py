@@ -49,9 +49,13 @@ Three allocators are available:
   lowest flow id, which is also the event-priority order the per-flow heap
   uses), and keeps one pending event instead of N.
 * ``reference`` recomputes every rate by scanning every flow for every
-  resource on every event (the original seed behaviour).  It is kept as the
+  resource on every solve (the original seed behaviour).  It is kept as the
   oracle the benchmarks and property tests compare the fast allocators
   against.
+
+Under every allocator the transport solves once per change to the set of
+live flows.  Rates depend on nothing else, so when a completion's callback
+starts the next flow, the solve in ``start`` covers the completion too.
 """
 
 from __future__ import annotations
@@ -171,14 +175,13 @@ class FlowTransport(TransportBackend):
         #: reallocation (mirrors the per-flow heap, where a fired event is
         #: spent until the next reallocation re-schedules it).
         self._spent_completions: Set[int] = set()
+        #: Whether a flow finished since the last solve.  Rates depend only
+        #: on the live flow set, so re-solving an unchanged set is a no-op.
+        self._flow_set_changed = False
         if self._vectorized:
-            try:
-                from .flowpack import FlowPack
-            except ImportError as exc:  # pragma: no cover - env without numpy
-                raise SimulationError(
-                    "the 'vectorized' allocator requires numpy; install it or "
-                    "use the 'incremental' allocator"
-                ) from exc
+            # Imported here so that ``import repro`` does not load numpy.
+            from .flowpack import FlowPack
+
             self._pack = FlowPack(self._capacity, RESOURCE_KINDS)
 
     # -- public API ---------------------------------------------------------------
@@ -365,6 +368,7 @@ class FlowTransport(TransportBackend):
 
     def _reallocate(self) -> None:
         """Recompute max-min fair rates and reschedule completion events."""
+        self._flow_set_changed = False
         if self._pack is not None:
             self._reallocate_vectorized()
             return
@@ -627,6 +631,7 @@ class FlowTransport(TransportBackend):
                 self._schedule_next_completion()
             return
         del self._flows[flow.flow_id]
+        self._flow_set_changed = True
         if self._pack is not None:
             self._pack.remove_flow(flow.flow_id)
         for key in flow.demands:
@@ -646,4 +651,7 @@ class FlowTransport(TransportBackend):
             pairs_transited=flow.pairs_transited,
         )
         flow.done(flow)
-        self._reallocate()
+        # A callback that started a flow (the next operation, a service
+        # dispatch) has already solved the new flow set.
+        if self._flow_set_changed:
+            self._reallocate()

@@ -291,14 +291,17 @@ class FlowPack:
     def max_min_rates(self, saturation_eps: float) -> np.ndarray:
         """Progressive-filling max-min rates, bitwise-equal to the dict loop.
 
-        Per iteration: mask entries of frozen rows to exact 0.0 work, sum
-        per-column demand with ``bincount`` (sequential, flow-id order),
-        take the min ``cap_left / denom`` bottleneck delta (min over floats
-        is order-independent), credit every unfrozen row, charge every
-        contended column, and freeze the member rows of columns that crossed
-        the saturation epsilon.  No NaNs can occur while every work is
-        finite: only columns with denom > 0 are divided by.  An infinite work
-        would meet a zero delta and make NaN, which is why
+        Per round: sum per-column demand over the unfrozen rows' entries with
+        ``bincount`` (sequential, flow-id order), take the bottleneck delta as
+        the min of ``cap_left / denom`` over contended columns (min over
+        floats is order-independent), raise the fill level by it, charge
+        ``delta * denom`` to every column, and freeze at the current level
+        the member rows of contended columns that crossed the saturation
+        epsilon.  Carrying the level as one scalar gives each row the bits
+        ``rates[alive] += delta`` would, and charging every column is exact
+        because ``x - delta * 0.0`` is ``x``.  No NaN can occur while every
+        work is finite: only contended columns are divided by.  An infinite
+        work would meet a zero delta and make NaN, which is why
         ``TransportBackend._open_channel`` rejects infeasible channels.
         """
         n, e = self.n_rows, self.n_entries
@@ -309,6 +312,7 @@ class FlowPack:
             return rates
         n_cols = self.n_cols
         cap_left = self._col_cap[:n_cols].copy()
+        ratio = np.empty(n_cols, dtype=np.float64)
         # Working copies of the entry arrays, shrunk to live-row entries as
         # rows freeze so each round costs O(live entries), not O(all
         # entries).  Dropping a dead entry is bitwise-neutral: it would have
@@ -319,26 +323,31 @@ class FlowPack:
         erow = self._entry_row[:e][keep]
         ecol = self._entry_col[:e][keep]
         ework = self._entry_work[:e][keep]
+        level = 0.0
         for _ in range(active + 1):
             denom = np.bincount(ecol, weights=ework, minlength=n_cols)
             contended = denom > 0.0
-            if not contended.any():
-                rates[alive] += 1.0
+            if not np.count_nonzero(contended):
+                level += 1.0
                 break
-            best_delta = np.min(cap_left[contended] / denom[contended])
-            rates[alive] += best_delta
-            cap_left[contended] -= best_delta * denom[contended]
+            # Uncontended columns must read +inf, not an earlier round's ratio.
+            ratio.fill(np.inf)
+            delta = np.divide(cap_left, denom, out=ratio, where=contended).min()
+            level += delta
+            cap_left -= delta * denom
             saturated = contended & (cap_left <= saturation_eps)
-            if not saturated.any():
-                break
             frozen_rows = erow[saturated[ecol]]
+            if not frozen_rows.size:
+                break
+            rates[frozen_rows] = level
             alive[frozen_rows] = False
-            if not alive.any():
+            if not np.count_nonzero(alive):
                 break
             keep = alive[erow]
             erow = erow[keep]
             ecol = ecol[keep]
             ework = ework[keep]
+        rates[alive] = level
         return rates
 
     def reallocate(

@@ -48,11 +48,13 @@ class CommunicationSimulator:
     ``"fluid"`` (the default) services communications as max-min fair flows,
     ``"detailed"`` simulates every EPR pair through the shared node hardware.
     ``allocator`` selects the fluid backend's rate allocator: the default
-    ``"incremental"`` recomputes only the affected component of flows on each
-    event, ``"vectorized"`` runs the same filling as numpy kernels over flat
+    ``"incremental"`` fills over a persistent resource→flows index, summing
+    each resource's demand over its registered flows only,
+    ``"vectorized"`` runs the same filling as numpy kernels over flat
     arrays, and ``"reference"`` recomputes every rate from scratch (the
     original, much slower behaviour kept as a correctness oracle).  All three
-    produce bitwise-identical rates.
+    re-solve every rate whenever the set of live flows changes and produce
+    bitwise-identical rates.
     """
 
     def __init__(

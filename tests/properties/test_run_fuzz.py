@@ -1,8 +1,9 @@
 """Standing fuzz test: every spec the validator accepts runs or fails fast.
 
 Hypothesis derives specs from the catalog entries, varying the topology kind
-and size, the (t, g, p) allocation, ``generator_bandwidth_scale``, the
-layout, the noise model, the routing policy, the allocator and the backend.
+and size, the (t, g, p) allocation, ``generator_bandwidth_scale`` (both ends
+of its accepted range included), the layout, the noise model, the routing
+policy, the allocator and the backend.
 Each spec goes through :func:`repro.api.run` with warnings raised as errors
 and must either complete with finite results or raise a
 :class:`~repro.errors.ReproError`: the validator or the machine build
@@ -22,7 +23,11 @@ from hypothesis import strategies as st
 from repro import api
 from repro.errors import ReproError
 from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario, list_scenarios
-from repro.scenarios.spec import ALLOCATOR_NAMES, BACKEND_NAMES
+from repro.scenarios.spec import (
+    ALLOCATOR_NAMES,
+    BACKEND_NAMES,
+    GENERATOR_BANDWIDTH_SCALE_RANGE,
+)
 
 #: Events one fuzzed run may dispatch before it must stop and say so.
 MAX_EVENTS = 50_000
@@ -36,7 +41,9 @@ overrides = st.fixed_dictionaries(
         "physics.teleporters": st.integers(min_value=1, max_value=4),
         "physics.generators": st.integers(min_value=1, max_value=4),
         "physics.purifiers": st.integers(min_value=1, max_value=3),
-        "physics.generator_bandwidth_scale": st.sampled_from([0.5, 1.0, 3.0]),
+        "physics.generator_bandwidth_scale": st.sampled_from(
+            [GENERATOR_BANDWIDTH_SCALE_RANGE[0], 0.5, 1.0, 3.0, GENERATOR_BANDWIDTH_SCALE_RANGE[1]]
+        ),
         "runtime.layout": st.sampled_from(["home_base", "mobile_qubit"]),
         "runtime.allocator": st.sampled_from(ALLOCATOR_NAMES),
         "runtime.backend": st.sampled_from(BACKEND_NAMES),

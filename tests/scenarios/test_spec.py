@@ -4,7 +4,13 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import NoiseSpec, ScenarioSpec, apply_overrides, deep_merge
-from repro.scenarios.spec import PhysicsSpec, RuntimeSpec, TopologySpec, WorkloadSpec
+from repro.scenarios.spec import (
+    GENERATOR_BANDWIDTH_SCALE_RANGE,
+    PhysicsSpec,
+    RuntimeSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 
 
 def minimal(name="t"):
@@ -154,6 +160,21 @@ class TestValidation:
         data["physics"] = {"generator_bandwidth_scale": 0}
         with pytest.raises(ScenarioError, match="generator_bandwidth_scale"):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-7, 2e6])
+    def test_bandwidth_scale_outside_its_range_rejected(self, scale):
+        # At 1e-310 the fluid completion times overflow and a run ends with
+        # no operation completed.
+        data = minimal()
+        data["physics"] = {"generator_bandwidth_scale": scale}
+        with pytest.raises(ScenarioError, match="physics.generator_bandwidth_scale"):
+            ScenarioSpec.from_dict(data)
+
+    def test_bandwidth_scale_range_ends_accepted(self):
+        for scale in GENERATOR_BANDWIDTH_SCALE_RANGE:
+            data = minimal()
+            data["physics"] = {"generator_bandwidth_scale": scale}
+            assert ScenarioSpec.from_dict(data).physics.generator_bandwidth_scale == scale
 
 
 class TestNoiseSpec:

@@ -228,3 +228,33 @@ class TestLongClock:
                 result = run(apply_overrides(spec, {"physics.logical_gate_us": clock}))
                 assert result.batch.operations == operations
                 assert result.makespan_us > clock
+
+
+class TestOneSolvePerFlowSetChange:
+    """Rates are a pure function of the live flow set, so the transport
+    solves once per change to it.  A completion whose callback starts the
+    next flow leaves the solve to ``start`` instead of solving the same set
+    again at the end of ``_complete``."""
+
+    SOLVES = {"smoke": 49, "service_smoke": 17, "paper_baseline": 381}
+
+    @pytest.mark.parametrize("allocator", ["incremental", "reference", "vectorized"])
+    @pytest.mark.parametrize("scenario", sorted(SOLVES))
+    def test_no_two_consecutive_solves_see_the_same_flows(self, monkeypatch, scenario, allocator):
+        from repro.scenarios.catalog import get_scenario
+        from repro.scenarios.run import run
+        from repro.scenarios.spec import apply_overrides
+        from repro.sim.flow import FlowTransport
+
+        solved = []
+        reallocate = FlowTransport._reallocate
+
+        def recording(transport):
+            solved.append(frozenset(transport._flows))
+            reallocate(transport)
+
+        monkeypatch.setattr(FlowTransport, "_reallocate", recording)
+        run(apply_overrides(get_scenario(scenario).to_dict(), {"runtime.allocator": allocator}))
+        repeats = [i for i in range(1, len(solved)) if solved[i] == solved[i - 1]]
+        assert repeats == []
+        assert len(solved) == self.SOLVES[scenario]
