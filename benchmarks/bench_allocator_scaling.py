@@ -15,21 +15,15 @@ arrays and runs progressive filling as numpy kernels.  This benchmark pins:
   channel records at a smaller scale (the bitwise contract has no
   tolerance — the property suite and ``repro verify`` pin it elsewhere).
 
-Set ``BENCH_ALLOC_OUT`` to a path to emit a ``BENCH_<sha>_alloc.json``-style
-payload (CI does; the artifact records the measured walls, the speedup and
-the warm-start hit counters for the perf trajectory).
-
 Run with:  pytest benchmarks/bench_allocator_scaling.py -s -q
 """
 
-import os
 import random
 import time
 
 from repro.network.geometry import Coordinate
 from repro.network.layout import CommRequest
 from repro.scenarios import build_machine, get_scenario
-from repro.scenarios.bench import bench_payload, write_bench_file
 from repro.scenarios.spec import ScenarioSpec, apply_overrides
 from repro.sim.control import PlannedCommunication
 from repro.sim.engine import SimulationEngine
@@ -48,8 +42,7 @@ REQUIRED_VECTORIZED_SPEEDUP = 5.0
 
 
 def _contention_spec(width=CONTENTION_GRID):
-    """The contention machine as a ScenarioSpec, so ``build_machine`` routes
-    it through the warm-start cache (the payload records those counters)."""
+    """The contention machine as a ScenarioSpec, built by ``build_machine``."""
     base = get_scenario("smoke").to_dict()
     data = apply_overrides(
         base,
@@ -125,7 +118,6 @@ def test_vectorized_speedup_at_1000_concurrent_flows():
     assert states["vectorized"][0] == states["incremental"][0]
     assert states["vectorized"][1] == states["incremental"][1]
     assert speedup >= REQUIRED_VECTORIZED_SPEEDUP
-    _maybe_emit(walls, speedup)
 
 
 def test_full_run_bitwise_parity_at_200_flows():
@@ -146,38 +138,3 @@ def test_full_run_bitwise_parity_at_200_flows():
     assert finals["vectorized"][1] == finals["incremental"][1]
     print(f"\n200-flow full run: makespan={finals['vectorized'][0]:.3f} us (bitwise equal)")
 
-
-def _maybe_emit(walls, speedup):
-    """Emit the trajectory payload when CI asks for it (BENCH_ALLOC_OUT)."""
-    out = os.environ.get("BENCH_ALLOC_OUT")
-    if not out:
-        return
-    write_bench_file(out, allocator_payload(walls, speedup))
-    print(f"  payload    : {out}")
-
-
-def allocator_payload(walls, speedup):
-    """The flat bench record for the allocator-scaling gate.
-
-    ``bench_payload`` attaches the process-global warm-start counters; the
-    two ``build_machine`` calls above share one structural entry, so the
-    payload demonstrates cross-run warm-start hits alongside the speedup.
-    """
-    record = {
-        "scenario": "alloc_contention_1k",
-        "flows": FLOW_COUNT,
-        "grid": CONTENTION_GRID,
-        "wall_time_s": walls["vectorized"],
-        "incremental_wall_time_s": walls["incremental"],
-        "vectorized_speedup": speedup,
-    }
-    return bench_payload([record])
-
-
-def test_allocator_payload_records_speedup_and_warm_start(tmp_path):
-    """The payload writer is deterministic plumbing — cover it without the storm."""
-    payload = allocator_payload({"incremental": 10.0, "vectorized": 1.0}, 10.0)
-    assert payload["scenarios"][0]["vectorized_speedup"] == 10.0
-    assert set(payload["warm_start"]) == {"hits", "misses", "entries"}
-    path = write_bench_file(str(tmp_path / "BENCH_test_alloc.json"), payload)
-    assert os.path.exists(path)

@@ -20,20 +20,14 @@ A second test pins the routing-policy makespan ordering end to end on a
 small fat tree: ``least_loaded`` never loses to ``ecmp`` beyond tolerance,
 and every balanced policy beats the unbalanced single-path baseline.
 
-Set ``BENCH_FABRIC_OUT`` to a path to emit a ``BENCH_<sha>_fabric.json``
-payload (CI does; the artifact records walls, the speedup and the per-policy
-makespans for the perf trajectory).
-
 Run with:  pytest benchmarks/bench_fabric_scaling.py -s -q
 """
 
-import os
 import random
 import time
 
 from repro.network.layout import CommRequest
 from repro.scenarios import run
-from repro.scenarios.bench import bench_payload, write_bench_file
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.control import PlannedCommunication
 from repro.sim.engine import SimulationEngine
@@ -142,7 +136,6 @@ def test_vectorized_speedup_at_10k_flows_on_1024_host_fat_tree():
     assert states["vectorized"][0] == states["incremental"][0]
     assert states["vectorized"][1] == states["incremental"][1]
     assert speedup >= REQUIRED_VECTORIZED_SPEEDUP
-    _maybe_emit(walls, speedup, _policy_makespans_cached())
 
 
 def _policy_spec(policy):
@@ -158,21 +151,13 @@ def _policy_spec(policy):
     return ScenarioSpec.from_dict(data)
 
 
-_POLICY_MAKESPANS = {}
-
-
-def _policy_makespans_cached():
-    if not _POLICY_MAKESPANS:
-        for policy in (None, "ecmp", "least_loaded", "adaptive"):
-            result = run(_policy_spec(policy))
-            _POLICY_MAKESPANS[policy or "none"] = result.batch.makespan_us
-    return dict(_POLICY_MAKESPANS)
-
-
 def test_policy_makespan_ordering_on_small_fat_tree():
     """End-to-end policy sanity on the k=4 fat tree: load-aware routing
     helps, ECMP helps, and nothing loses to the single-path baseline."""
-    makespans = _policy_makespans_cached()
+    makespans = {
+        policy or "none": run(_policy_spec(policy)).batch.makespan_us
+        for policy in (None, "ecmp", "least_loaded", "adaptive")
+    }
     print("\nfat-tree k=4 qft-12 makespans (us):")
     for policy, makespan in makespans.items():
         print(f"  {policy:12s} {makespan:14.3f}")
@@ -180,36 +165,3 @@ def test_policy_makespan_ordering_on_small_fat_tree():
     for policy in ("ecmp", "least_loaded", "adaptive"):
         assert makespans[policy] <= makespans["none"]
 
-
-def _maybe_emit(walls, speedup, makespans):
-    """Emit the trajectory payload when CI asks for it (BENCH_FABRIC_OUT)."""
-    out = os.environ.get("BENCH_FABRIC_OUT")
-    if not out:
-        return
-    write_bench_file(out, fabric_payload(walls, speedup, makespans))
-    print(f"  payload    : {out}")
-
-
-def fabric_payload(walls, speedup, makespans):
-    record = {
-        "scenario": "fabric_fattree_10k",
-        "flows": FLOW_COUNT,
-        "arity": FAT_TREE_ARITY,
-        "hosts": FAT_TREE_ARITY**3 // 4,
-        "wall_time_s": walls["vectorized"],
-        "incremental_wall_time_s": walls["incremental"],
-        "vectorized_speedup": speedup,
-        "policy_makespans_us": makespans,
-    }
-    return bench_payload([record])
-
-
-def test_fabric_payload_records_speedup_and_policies(tmp_path):
-    """The payload writer is deterministic plumbing — cover it without the storm."""
-    payload = fabric_payload(
-        {"incremental": 1.0, "vectorized": 0.1}, 10.0, {"ecmp": 123.0}
-    )
-    assert payload["scenarios"][0]["vectorized_speedup"] == 10.0
-    assert payload["scenarios"][0]["policy_makespans_us"] == {"ecmp": 123.0}
-    path = write_bench_file(str(tmp_path / "BENCH_test_fabric.json"), payload)
-    assert os.path.exists(path)

@@ -1,9 +1,10 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one of the paper's tables or figures, prints the
-reproduced rows/series (so ``pytest benchmarks/ --benchmark-only -s`` doubles
-as the reproduction report) and asserts the qualitative shape the paper
-claims.  Timing is measured by pytest-benchmark.
+Each file here is a speed-ratio gate: it times two allocators on the same
+work with ``time.perf_counter``, asserts the faster one's minimum speedup and
+their bitwise or tolerance-bound parity, and prints the walls (run with
+``-s``).  CI runs all three by path; tier-1 does not collect them.  The
+paper's table and figure claims are tier-1 tests under ``tests/``.
 """
 
 import os

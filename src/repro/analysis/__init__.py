@@ -4,7 +4,7 @@ Each ``figN.py`` module exposes a ``figureN()`` function that returns a
 :class:`~repro.analysis.series.FigureData` (a set of named series plus axis
 metadata) and the per-figure parameters match the paper's.  ``tables.py``
 renders Tables 1 and 2 plus the derived quantities, and ``experiments.py``
-keeps the registry used by the benchmark harness and EXPERIMENTS.md.
+keeps the registry behind ``python -m repro experiments``.
 """
 
 from .series import FigureData, Series, TableData
@@ -19,7 +19,6 @@ from .fidelity_bandwidth import fidelity_bandwidth_tradeoff, scenario_fidelity_t
 from .service_metrics import service_load_sweep, service_metrics_table
 from .tables import table1, table2, derived_channel_table
 from .experiments import EXPERIMENTS, Experiment, get_experiment, list_experiments
-from .journaled import journal_records, journal_series
 from .report import reproduction_report, run_experiments
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "figure9",
     "geometric_space",
     "get_experiment",
-    "journal_records",
-    "journal_series",
     "linear_space",
     "list_experiments",
     "reproduction_report",

@@ -1,8 +1,9 @@
 """Registry of reproduced experiments (tables, figures, text claims).
 
 Maps experiment identifiers to the callables that regenerate them, with the
-paper's qualitative expectation attached.  The benchmark harness iterates this
-registry, and EXPERIMENTS.md documents the measured outcome for each entry.
+paper's qualitative expectation attached.  ``python -m repro experiments``
+iterates this registry, and EXPERIMENTS.md documents the measured outcome for
+each entry.
 """
 
 from __future__ import annotations

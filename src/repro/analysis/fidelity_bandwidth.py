@@ -12,8 +12,8 @@ which bandwidth buys nothing.  This module quantifies that trade-off:
   purification levels 0..N (the curve a scenario's ``noise.target_fidelity``
   implicitly walks when it selects a level).
 * :func:`scenario_fidelity_table` — reduces ``run_record`` result records
-  (both backends) to a per-scenario fidelity/bandwidth table, the shape the
-  benchmark trajectory and reports consume.
+  (both backends) to a per-scenario fidelity/bandwidth table, the shape
+  reports consume.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Containers for regenerated figures and tables, with text rendering.
 
-The benchmark harness prints the same rows/series the paper reports; these
+``python -m repro experiments`` prints the rows/series the paper reports; these
 containers keep the data structured (so tests can assert on shapes and
 orderings) and render compact ASCII views for humans.
 """

@@ -99,8 +99,7 @@ def service_metrics_table(records: Iterable[Dict[str, object]]) -> TableData:
     """Per-scenario steady-state summary from service-mode flat records.
 
     Batch records (no ``offered`` count) are skipped; the remaining rows are
-    the headline numbers ``repro serve`` prints, in table form for reports
-    and the benchmark trajectory.
+    the headline numbers ``repro serve`` prints, in table form for reports.
     """
     rows = []
     for record in records:

@@ -13,7 +13,7 @@ compatibility surface:
 * :func:`serve` — execute an open-loop service scenario (a ``traffic``
   section is required) and return its :class:`RunResult`;
 * :func:`sweep` — fan many scenarios across the cached process pool and
-  return their flat benchmark records.
+  return their flat result records.
 
 >>> from repro import api
 >>> result = api.run(api.load_scenario("smoke"))
@@ -132,8 +132,8 @@ def sweep(
 ) -> List[Dict[str, Any]]:
     """Fan scenarios across the cached process pool; flat records back.
 
-    Each record is the scenario's :meth:`RunResult.flat_record` (the
-    benchmark payload shape) plus ``cached``/``journaled`` provenance flags.
+    Each record is the scenario's :meth:`RunResult.flat_record` plus
+    ``cached``/``journaled`` provenance flags.
     Pool payloads are canonical (name/description stripped) so equivalent
     specs share a cache slot; records are re-labelled with caller-side
     identity.

@@ -49,13 +49,14 @@ class SchedulingError(ReproError):
 
 
 class SweepError(ReproError):
-    """One or more sweep points failed after fault isolation and retries.
+    """One or more registry experiments failed after fault isolation.
 
-    The sharded work queue never lets a poisoned grid point abort its
-    siblings: every other point completes (and is journaled) first, then the
-    collected failures surface as one exception.  ``errors`` maps each failed
-    point's cache key to its structured error record (type, message,
-    formatted traceback).
+    The sharded work queue never lets a poisoned experiment abort its
+    siblings: every other experiment completes (and is cached) first, then
+    :meth:`~repro.runtime.runner.ExperimentRunner.run` raises the collected
+    failures as one exception.  ``errors`` maps each failed experiment's
+    cache key to its structured error record (type, message, formatted
+    traceback).
     """
 
     def __init__(self, message: str, errors: "dict[str, dict[str, object]] | None" = None):

@@ -9,10 +9,9 @@ The command surface is noun-verb:
     The declarative scenario engine: list the catalog, run named or
     file-defined scenarios, or fan a topology x workload grid across the
     pool.  ``--backend NAME`` re-runs the selection on another transport
-    granularity; ``--emit-bench out.json`` writes the machine-readable
-    benchmark payload the CI perf trajectory records.  Scenarios with a
-    ``traffic`` section run in open-loop service mode and report steady-state
-    metrics in place of batch counters.  ``--journal FILE`` makes the run
+    granularity.  Scenarios with a ``traffic`` section run in open-loop
+    service mode and report steady-state metrics in place of batch
+    counters.  ``--journal FILE`` makes the run
     crash-resumable (completed points stream into one JSONL store and are
     never recomputed on restart); ``--point-timeout``/``--retries`` bound a
     poisoned point's damage to its own structured error record; and
@@ -144,12 +143,6 @@ def _add_scenario_io_options(sub: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help="run every selected scenario on this transport backend "
         "(see `python -m repro backends`; overrides runtime.backend)",
-    )
-    sub.add_argument(
-        "--emit-bench",
-        default=None,
-        metavar="OUT",
-        help="write the machine-readable benchmark payload to OUT (JSON)",
     )
 
 
@@ -292,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="transport backend to serve on (fluid or detailed; "
         "overrides runtime.backend)",
-    )
-    serve.add_argument(
-        "--emit-bench",
-        default=None,
-        metavar="OUT",
-        help="write the machine-readable benchmark payload to OUT (JSON)",
     )
     _add_format_option(serve)
 
@@ -460,7 +447,7 @@ def _scenario_table_line(record: Dict[str, Any], width: int) -> str:
 
 
 def _execute_scenarios(specs, args: argparse.Namespace) -> int:
-    """Run specs through :func:`repro.api.sweep`, print the table, emit the payload.
+    """Run specs through :func:`repro.api.sweep` and print the table.
 
     A failed point (worker exception or per-point timeout) prints as an
     ``ERROR`` row and makes the exit code 1, but never aborts its siblings:
@@ -468,7 +455,6 @@ def _execute_scenarios(specs, args: argparse.Namespace) -> int:
     is durably recorded and retried on the next invocation.
     """
     from .. import api
-    from ..scenarios.bench import bench_payload, write_bench_file
 
     _require_specs(specs, "the scenario selection")
     records = api.sweep(
@@ -483,23 +469,12 @@ def _execute_scenarios(specs, args: argparse.Namespace) -> int:
         retries=args.retries,
         progress=args.progress,
     )
-    as_json = args.format == "json"
-    if as_json:
+    if args.format == "json":
         _emit_json(records)
     else:
         width = max(len(record["name"]) for record in records)
         for record in records:
             print(_scenario_table_line(record, width))
-    if args.emit_bench:
-        payload = bench_payload(records)
-        path = write_bench_file(args.emit_bench, payload)
-        print(
-            f"wrote {path}: {payload['scenario_count']} scenarios, "
-            f"{payload['cache_hits']} cache hits, "
-            f"{payload['resume_hits']} journal hits, "
-            f"{payload['computed_wall_time_s']:.2f}s computed",
-            file=sys.stderr if as_json else sys.stdout,
-        )
     return 1 if any("error" in record for record in records) else 0
 
 
@@ -647,17 +622,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _emit_json(result.to_dict())
     else:
         print(_render_service_text(result))
-    if args.emit_bench:
-        from ..scenarios.bench import bench_payload, write_bench_file
-
-        record = {**result.flat_record(), "cached": False}
-        path = write_bench_file(args.emit_bench, bench_payload([record]))
-        view = result.service
-        print(
-            f"wrote {path}: p99={view.latency_p99_us:.1f} us, "
-            f"drop rate {view.drop_rate:.1%}",
-            file=sys.stderr if args.format == "json" else sys.stdout,
-        )
     return 0
 
 

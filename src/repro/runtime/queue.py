@@ -19,8 +19,8 @@ Semantics:
 * **Bounded retry** — ``retries`` re-queues failed points (exceptions and
   timeouts alike) up to N extra attempts, at the back of the queue so a
   persistently failing point never starves healthy ones.
-* **Sharding** — pools are created per shard (``shard_size`` tasks), so
-  long sweeps run on periodically restarted workers.  The streamed
+* **Sharding** — pools are created per shard of ``DEFAULT_SHARD_SIZE``
+  tasks, so long sweeps run on periodically restarted workers.  The streamed
   ``on_result`` callback (which the runner uses to journal completions)
   gets each outcome as soon as it and the points before it in its shard
   have finished, so a killed sweep keeps them.
@@ -115,7 +115,6 @@ class ShardedWorkQueue:
         workers: Optional[int] = None,
         timeout_s: Optional[float] = None,
         retries: int = 0,
-        shard_size: Optional[int] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -123,13 +122,10 @@ class ShardedWorkQueue:
             raise ConfigurationError(f"timeout_s must be positive, got {timeout_s}")
         if retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {retries}")
-        if shard_size is not None and shard_size < 1:
-            raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
         self.worker = worker
         self.workers = workers
         self.timeout_s = timeout_s
         self.retries = retries
-        self.shard_size = shard_size or DEFAULT_SHARD_SIZE
 
     # -- sizing -------------------------------------------------------------------
 
@@ -157,7 +153,7 @@ class ShardedWorkQueue:
             (index, task, 1) for index, task in enumerate(tasks)
         )
         while pending:
-            shard = [pending.popleft() for _ in range(min(self.shard_size, len(pending)))]
+            shard = [pending.popleft() for _ in range(min(DEFAULT_SHARD_SIZE, len(pending)))]
             for index, task, attempt, outcome in self._run_shard(shard):
                 outcome = replace(outcome, attempts=attempt)
                 if not outcome.ok and attempt <= self.retries:

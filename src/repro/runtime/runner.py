@@ -186,7 +186,6 @@ class ExperimentRunner:
         journal_meta: Optional[Dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
         retries: int = 0,
-        shard_size: Optional[int] = None,
         progress: bool = False,
     ) -> Dict[str, _Resolved]:
         """Run (cache_key, task) pairs, satisfying what it can from storage.
@@ -244,7 +243,6 @@ class ExperimentRunner:
                     workers=self.workers,
                     timeout_s=timeout_s,
                     retries=retries,
-                    shard_size=shard_size,
                 )
 
                 def _store(index: int, outcome: PointOutcome) -> None:
@@ -280,7 +278,7 @@ class ExperimentRunner:
         return results
 
     @staticmethod
-    def _raise_on_errors(results: Dict[str, _Resolved], what: str) -> None:
+    def _raise_on_errors(results: Dict[str, _Resolved]) -> None:
         failures = {
             key: resolved.error
             for key, resolved in results.items()
@@ -293,7 +291,7 @@ class ExperimentRunner:
         detail = f"{first.get('type', 'Error')}: {first.get('message', '')}"
         tb = first.get("traceback")
         raise SweepError(
-            f"{len(failures)} of {len(results)} {what} failed; "
+            f"{len(failures)} of {len(results)} experiments failed; "
             f"first failure ({key}): {detail}"
             + (f"\n{tb}" if tb else ""),
             errors=failures,
@@ -329,52 +327,10 @@ class ExperimentRunner:
             for identifier in identifiers
         ]
         by_key = self._run_keyed(_execute_experiment, keyed, force=force)
-        self._raise_on_errors(by_key, "experiments")
+        self._raise_on_errors(by_key)
         return {identifier: by_key[key].value for key, identifier in keyed}
 
     # -- parameter sweeps ---------------------------------------------------------------
-
-    def sweep(
-        self,
-        func: Callable[..., Any],
-        param_grid: Sequence[Dict[str, Any]],
-        *,
-        force: bool = False,
-        journal: Optional[str] = None,
-        timeout_s: Optional[float] = None,
-        retries: int = 0,
-        shard_size: Optional[int] = None,
-        progress: bool = False,
-    ) -> List[Any]:
-        """Run ``func(**params)`` for every point of ``param_grid``.
-
-        ``func`` must be an importable module-level callable (workers re-import
-        it by name).  Results come back in grid order.  Fault isolation still
-        applies — every healthy point completes (and is stored) first — but
-        this results-only surface then raises :class:`SweepError` if any
-        point ultimately failed; use :meth:`sweep_records` to consume
-        structured per-point errors instead.
-        """
-        points = self.sweep_records(
-            func,
-            param_grid,
-            force=force,
-            journal=journal,
-            timeout_s=timeout_s,
-            retries=retries,
-            shard_size=shard_size,
-            progress=progress,
-        )
-        self._raise_on_errors(
-            {
-                point.cache_key: _Resolved(
-                    point.result, error=point.error, attempts=point.attempts
-                )
-                for point in points
-            },
-            "sweep points",
-        )
-        return [point.result for point in points]
 
     def sweep_records(
         self,
@@ -385,18 +341,18 @@ class ExperimentRunner:
         journal: Optional[str] = None,
         timeout_s: Optional[float] = None,
         retries: int = 0,
-        shard_size: Optional[int] = None,
         progress: bool = False,
     ) -> List[SweepPoint]:
-        """Like :meth:`sweep`, but each point also reports its provenance.
+        """Run ``func(**params)`` for every point of ``param_grid``, with provenance.
 
-        A point is ``cached``/``journaled`` when its value was actually
-        served from storage (a corrupt on-disk entry counts as a miss) —
-        which is what lets the scenario CLI show (and the benchmark payload
-        record) which grid points were free.  A failed point comes back with
-        ``result=None`` and a structured ``error`` record instead of raising;
-        with ``journal`` set the failure is durably recorded and retried on
-        the next run.
+        ``func`` must be an importable module-level callable (workers re-import
+        it by name).  Points come back in grid order.  A point is
+        ``cached``/``journaled`` when its value was actually served from
+        storage (a corrupt on-disk entry counts as a miss) — which is what
+        lets the scenario CLI show which grid points were free.  A failed
+        point comes back with ``result=None`` and a structured ``error``
+        record instead of raising; with ``journal`` set the failure is
+        durably recorded and retried on the next run.
         """
         module_name, qualname = _callable_path(func)
         source = source_fingerprint()
@@ -414,7 +370,6 @@ class ExperimentRunner:
             journal_meta={"func": f"{module_name}:{qualname}", "source": source},
             timeout_s=timeout_s,
             retries=retries,
-            shard_size=shard_size,
             progress=progress,
         )
         return [

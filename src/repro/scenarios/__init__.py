@@ -7,8 +7,7 @@ scenarios, bundles and sweep grids from JSON/YAML with inheritance
 (``extends``); and :func:`run` executes a spec — batch mode through the
 communication simulator, service mode (a ``traffic`` section) through the
 open-loop service simulator — returning a typed :class:`RunResult`.
-:func:`run_record` is the flat-record form the benchmark trajectory, sweep
-cache and CLI consume.
+:func:`run_record` is the flat-record form the sweep cache and CLI consume.
 ``python -m repro scenarios`` is the front end.
 """
 
@@ -44,7 +43,6 @@ from .run import (
     run,
     run_record,
 )
-from .bench import bench_payload, current_git_sha, write_bench_file
 
 __all__ = [
     "BatchView",
@@ -61,10 +59,8 @@ __all__ = [
     "TrafficSpec",
     "WorkloadSpec",
     "apply_overrides",
-    "bench_payload",
     "build_machine",
     "build_stream",
-    "current_git_sha",
     "deep_merge",
     "default_grid",
     "expand_grid",
@@ -77,5 +73,4 @@ __all__ = [
     "run",
     "run_record",
     "select_scenarios",
-    "write_bench_file",
 ]

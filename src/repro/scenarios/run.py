@@ -18,9 +18,9 @@ the same :class:`RunResult`, traced or not.
 
 :func:`run_record` is the flat-dict entry point sweeps and the CLI use: it is
 a module-level callable taking only the spec mapping, so
-:meth:`repro.runtime.ExperimentRunner.sweep` can fan a scenario grid across
-its multiprocessing pool and cache each point under the spec's hash.  For
-batch scenarios its output is byte-for-byte the historical schema-2 record.
+:meth:`repro.runtime.ExperimentRunner.sweep_records` can fan a scenario grid
+across its multiprocessing pool and cache each point under the spec's hash.
+For batch scenarios its output is byte-for-byte the historical schema-2 record.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from ..workloads.registry import build_workload
 from .spec import NoiseSpec, ScenarioSpec
 from .warmstart import attach as attach_warm_start
 
-#: Results carry a schema version so downstream consumers (the CI benchmark
-#: trajectory) can evolve without guessing.  Version 2 added the fidelity
+#: Results carry a schema version so downstream consumers (the sweep cache
+#: and journal) can evolve without guessing.  Version 2 added the fidelity
 #: accounting columns (``noise``, ``fidelity``); batch records stay at 2.
 RESULT_SCHEMA_VERSION = 2
 #: Flat records of open-loop service runs (new in the service-mode release).
@@ -162,7 +162,7 @@ class RunResult:
     ``batch`` is set for closed batch runs, ``service`` for open-loop service
     runs; never both.  :meth:`to_dict` is the nested JSON form ``serve
     --format json`` prints, and :meth:`flat_record` produces the flat dict the
-    sweep cache, benchmark trajectory and CLI tables consume (byte-identical
+    sweep cache, journal and CLI tables consume (byte-identical
     to the historical schema-2 record for batch runs).
     """
 
@@ -228,7 +228,7 @@ class RunResult:
     # -- the flat record ---------------------------------------------------------------
 
     def flat_record(self) -> Dict[str, Any]:
-        """The flat dict the sweep cache and benchmark trajectory consume.
+        """The flat dict the sweep cache, journal and CLI tables consume.
 
         Batch runs reproduce the historical schema-2 record byte-for-byte
         (same keys, same order, same values); service runs produce the flat
@@ -361,9 +361,9 @@ def run(
 def run_record(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Dict[str, Any]:
     """Run one scenario and return its flat record (the sweep/cache unit).
 
-    This is the module-level callable :meth:`ExperimentRunner.sweep` ships to
-    pool workers.  For batch scenarios the record is byte-identical to the
-    historical schema-2 record.
+    This is the module-level callable :meth:`ExperimentRunner.sweep_records`
+    ships to pool workers.  For batch scenarios the record is byte-identical
+    to the historical schema-2 record.
     """
     return run(spec).flat_record()
 

@@ -52,6 +52,17 @@ SIZE_DISTRIBUTIONS = ("constant", "pareto")
 #: scale divides channel times, so far outside this range a run overflows
 #: its clock or stalls on rates too small to resolve.
 GENERATOR_BANDWIDTH_SCALE_RANGE = (1e-6, 1e6)
+#: Longest accepted ``physics.logical_gate_us``.  A run's clock reaches a few
+#: gate times; at 1e13 us a float still resolves it to about 0.02 us, while
+#: near 1e20 us whole channel times round away.
+LOGICAL_GATE_US_MAX = 1e13
+#: Most requests a traffic spec may expect to offer: the sum over tenants of
+#: ``duration_us / mean_interarrival_us``, times ``burst_factor`` under
+#: ``mmpp``.  Service mode draws every request before the engine starts, so
+#: ``runtime.max_events`` cannot stop a longer stream; 1e5 requests take about
+#: a second to draw.  An ``mmpp`` tenant's ``duration_us / phase_us`` is
+#: bounded alike.
+MAX_OFFERED_REQUESTS = 1e5
 
 
 def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
@@ -252,7 +263,12 @@ class PhysicsSpec:
             purifiers=_int_field(data, "purifiers", cls.purifiers, "physics", minimum=1),
             protocol=protocol.strip().lower(),
             logical_gate_us=_float_field(
-                data, "logical_gate_us", cls.logical_gate_us, "physics", minimum=0.0
+                data,
+                "logical_gate_us",
+                cls.logical_gate_us,
+                "physics",
+                minimum=0.0,
+                maximum=LOGICAL_GATE_US_MAX,
             ),
             generator_bandwidth_scale=_float_field(
                 data,
@@ -408,6 +424,46 @@ class TenantSpec:
         )
 
 
+def _check_offered_requests(tenants: Mapping[str, TenantSpec], duration_us: float) -> None:
+    """Reject traffic whose request stream cannot be drawn up front.
+
+    Each arrival gap the generator draws must have a finite, non-zero rate,
+    and the expected requests over ``duration_us`` (and an ``mmpp`` tenant's
+    phase switches) must stay within :data:`MAX_OFFERED_REQUESTS`.
+    """
+    offered = 0.0
+    busiest = ("", 0.0)
+    for name, tenant in tenants.items():
+        where = f"traffic.tenants.{name}"
+        mean = tenant.mean_interarrival_us
+        mmpp = tenant.arrival_process == "mmpp"
+        burst = tenant.burst_factor if mmpp else 1.0
+        mean_field = f"{where}.mean_interarrival_us (now {mean:g})"
+        burst_field = f"{where}.burst_factor (now {burst:g})"
+        # The generator draws gaps at these means: both phases under mmpp.
+        gap_means = (mean / burst, mean * burst) if mmpp else (mean,)
+        if not all(0.0 < gap < math.inf and 1.0 / gap < math.inf for gap in gap_means):
+            named = f"{mean_field} and {burst_field} give" if mmpp else f"{mean_field} gives"
+            raise ScenarioError(f"{named} an arrival rate outside the float range")
+        if mmpp and duration_us / tenant.phase_us > MAX_OFFERED_REQUESTS:
+            raise ScenarioError(
+                f"traffic.duration_us / {where}.phase_us must be <= "
+                f"{MAX_OFFERED_REQUESTS:g}, got {duration_us / tenant.phase_us:.4g}"
+            )
+        share = duration_us / mean * burst
+        offered += share
+        if share > busiest[1]:
+            remedy = f", raise {mean_field} or lower {burst_field}" if mmpp else f" or raise {mean_field}"
+            busiest = (remedy, share)
+    if offered > MAX_OFFERED_REQUESTS:
+        raise ScenarioError(
+            f"traffic would offer about {offered:.4g} requests, but service mode "
+            f"draws them all before the run and accepts at most "
+            f"{MAX_OFFERED_REQUESTS:g}; lower traffic.duration_us (now "
+            f"{duration_us:g}){busiest[0]}"
+        )
+
+
 @dataclass(frozen=True)
 class TrafficSpec:
     """Open-loop service-mode traffic: arrivals, admission and scheduling.
@@ -464,11 +520,13 @@ class TrafficSpec:
             name: TenantSpec.from_dict(raw_tenants[name], where=f"traffic.tenants.{name}")
             for name in sorted(raw_tenants)
         }
+        duration_us = _float_field(
+            data, "duration_us", cls.duration_us, "traffic", minimum=0.0, exclusive=True
+        )
+        _check_offered_requests(tenants, duration_us)
         return cls(
             tenants=tenants,
-            duration_us=_float_field(
-                data, "duration_us", cls.duration_us, "traffic", minimum=0.0, exclusive=True
-            ),
+            duration_us=duration_us,
             seed=_int_field(data, "seed", cls.seed, "traffic", minimum=0),
             max_inflight=_int_field(
                 data, "max_inflight", cls.max_inflight, "traffic", minimum=1

@@ -126,7 +126,7 @@ class WarmStartCache:
             return entry, False
 
     def stats(self) -> Dict[str, int]:
-        """Counters for bench payloads and result metadata."""
+        """Counters for result metadata."""
         with self._lock:
             return {
                 "hits": self.hits,

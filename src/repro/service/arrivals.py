@@ -76,9 +76,10 @@ def _request_channels(tenant: "TenantSpec", rng: random.Random) -> int:
         return tenant.channels
     if tenant.size_dist == "pareto":
         # Heavy tail scaled by the nominal size, floored at one channel and
-        # capped so a single draw cannot monopolise the run.
-        drawn = int(tenant.channels * rng.paretovariate(tenant.alpha))
-        return min(tenant.max_channels, max(1, drawn))
+        # capped so a single draw cannot monopolise the run.  The cap applies
+        # before int(): a tiny alpha draws inf.
+        drawn = int(min(tenant.channels * rng.paretovariate(tenant.alpha), tenant.max_channels))
+        return max(1, drawn)
     raise ScenarioError(f"unknown size distribution {tenant.size_dist!r}")
 
 

@@ -209,31 +209,3 @@ class SimulationEngine:
         self._heap.clear()
         self._cancelled_pending = 0
 
-
-class Timer:
-    """Convenience wrapper: a cancellable one-shot timer on an engine."""
-
-    def __init__(self, engine: SimulationEngine) -> None:
-        self._engine = engine
-        self._event: Optional[Event] = None
-
-    def start(self, delay: float, callback: Callable[[], None]) -> None:
-        """(Re)arm the timer; any previously armed timer is cancelled."""
-        self.cancel()
-
-        def _fire() -> None:
-            # Disarm before invoking so ``armed`` is accurate inside the
-            # callback and a callback may re-arm the timer.
-            self._event = None
-            callback()
-
-        self._event = self._engine.schedule(delay, _fire)
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled

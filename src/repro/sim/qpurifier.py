@@ -10,7 +10,7 @@ minimal.  The price is latency: rounds at a level are serialised.
 Two views are provided:
 
 * :class:`QueuePurifierModel` — closed-form throughput/latency/served-rounds
-  numbers used by the flow simulator and the ablation benchmarks;
+  numbers used by the flow simulator and the ablation tests;
 * :class:`QueuePurifier` — an event-driven process on a
   :class:`~repro.sim.engine.SimulationEngine` that consumes raw pairs and
   emits good pairs, used by the detailed channel simulation and the tests.

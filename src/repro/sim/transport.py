@@ -151,7 +151,8 @@ class TransportBackend(ABC):
                 f"pairs arrive with error {budget.arrival_error:.4g}, which "
                 f"{budget.endpoint_rounds} purification rounds cannot bring to "
                 f"{params.threshold_fidelity:.6g}; raise noise.base_fidelity (now "
-                f"{params.zero_prep_fidelity:.6g}) or lower noise.target_fidelity"
+                f"{params.zero_prep_fidelity:.6g}), lower noise.target_fidelity, or "
+                f"lower topology.cells_per_hop (now {self.machine.topology.cells_per_hop})"
             )
         if self.fidelity is not None:
             self.fidelity.profile(planned.hops)

@@ -116,6 +116,9 @@ class TestCrossover:
         crossover = crossover_distance_cells()
         assert latency_comparison(crossover + 10).teleportation_faster
         assert not latency_comparison(crossover - 100).teleportation_faster
+        # Ballistic movement wins at half the crossover, teleportation at twice it.
+        assert not latency_comparison(300).teleportation_faster
+        assert latency_comparison(1200).teleportation_faster
 
     def test_comparison_ratio(self):
         comparison = latency_comparison(1220)

@@ -12,15 +12,32 @@ from repro.core.budget import EPRBudgetModel
 from repro.core.crossover import crossover_distance_cells, recommended_hop_cells
 from repro.core.logical import STEANE_LEVEL_2, pairs_per_logical_communication
 from repro.core.placement import endpoint_only, virtual_wire
+from repro.network.layout import HomeBaseLayout, MobileQubitLayout
+from repro.network.routing import DimensionOrder, dimension_order_route, link_load, node_load
+from repro.network.topology import square_mesh
 from repro.physics.ballistic import ballistic_error
 from repro.physics.parameters import IonTrapParameters
 from repro.physics.purification import get_protocol
 from repro.physics.states import BellDiagonalState
+from repro.sim.engine import SimulationEngine
+from repro.sim.qpurifier import QueuePurifier, QueuePurifierModel
+from repro.workloads.qft import qft_pairs
 
 
 @pytest.fixture(scope="module")
 def params():
     return IonTrapParameters.default()
+
+
+def _qft_paths(layout_cls, order, side=8):
+    """Dimension-order routes of every non-local QFT communication."""
+    layout = layout_cls(square_mesh(side), side * side)
+    return [
+        dimension_order_route(request.source, request.dest, order=order)
+        for a, b in qft_pairs(side * side)
+        for request in layout.communications_for(a, b)
+        if not request.is_local
+    ]
 
 
 class TestSection1Introduction:
@@ -34,6 +51,29 @@ class TestSection1Introduction:
         # single data communication."
         budget = EPRBudgetModel(params).budget(15)
         assert budget.pairs_per_logical_communication(STEANE_LEVEL_2) > 100
+
+
+class TestSection3Routing:
+    def test_xy_and_yx_routing_are_mirror_images(self):
+        # Section 3.2 fixes XY dimension-order routing; YX gives the same hop
+        # total and the same peak link load, so the choice is arbitrary.
+        xy = _qft_paths(HomeBaseLayout, DimensionOrder.XY, side=6)
+        yx = _qft_paths(HomeBaseLayout, DimensionOrder.YX, side=6)
+        assert sum(p.hops for p in xy) == sum(p.hops for p in yx)
+        assert max(link_load(xy).values()) == max(link_load(yx).values())
+
+    def test_home_base_traffic_travels_farther_and_concentrates_load(self):
+        # Home Base QFT traffic travels much farther and loads the busiest
+        # router more than Mobile Qubit, which is why it is teleporter-bound
+        # in Figure 16.
+        home = _qft_paths(HomeBaseLayout, DimensionOrder.XY)
+        mobile = _qft_paths(MobileQubitLayout, DimensionOrder.XY)
+
+        def mean_hops(paths):
+            return sum(p.hops for p in paths) / len(paths)
+
+        assert mean_hops(home) > 2 * mean_hops(mobile)
+        assert max(node_load(home).values()) > max(node_load(mobile).values())
 
 
 class TestSection4Models:
@@ -80,6 +120,15 @@ class TestSection4Models:
         breakdown = breakdown_error_rate(error_rates=[1e-7, 3e-6, 1e-5, 3e-5, 1e-4])
         assert 3e-6 < breakdown <= 1e-4
 
+    def test_bbpssw_budget_teleports_over_10x_dejmps_pairs(self, params):
+        # Section 4.7 budgets with DEJMPS because BBPSSW needs more rounds and
+        # so exponentially more pairs through the channel.
+        for hops in (10, 20, 30):
+            dejmps = EPRBudgetModel(params, protocol="dejmps").budget(hops)
+            bbpssw = EPRBudgetModel(params, protocol="bbpssw").budget(hops)
+            assert bbpssw.endpoint_rounds > dejmps.endpoint_rounds
+            assert bbpssw.pairs_teleported > 10 * dejmps.pairs_teleported
+
     def test_final_design_uses_virtual_wire_plus_endpoint_purification(self, params):
         # Section 4.7 design decision: purifying the virtual wires reduces the
         # pairs that must move through the teleporters relative to endpoint-only.
@@ -102,6 +151,29 @@ class TestSection5Simulation:
 
         assert hardware_purifiers_for_tree(3, queue_based=True) == 3
         assert hardware_purifiers_for_tree(3, queue_based=False) == 7
+
+    def test_queue_purifier_depth_doubles_raw_pairs(self):
+        # Section 5.1: each extra tree level doubles the raw pairs per good
+        # pair; a depth-4 naive tree needs 2^4 - 1 units where the queue needs 4.
+        depth3 = QueuePurifierModel(units=1, depth=3)
+        depth4 = QueuePurifierModel(units=1, depth=4)
+        assert depth4.raw_pairs_per_good_pair == 2 * depth3.raw_pairs_per_good_pair
+        assert depth4.hardware_units_naive_tree() == 15
+
+    def test_event_driven_purifier_matches_model_throughput(self, params):
+        # Section 5.1: the event-driven queue purifier delivers good pairs at
+        # the closed-form model's period.
+        engine = SimulationEngine()
+        purifier = QueuePurifier(engine, units=2, depth=3, params=params)
+        for _ in range(8 * 20):
+            purifier.accept_raw_pair()
+        engine.run()
+        model = QueuePurifierModel(
+            units=2, depth=3, round_time_us=params.times.purify_round(0.0)
+        )
+        assert purifier.good_pairs_produced == 20
+        period = engine.now / purifier.good_pairs_produced
+        assert 0.8 * model.good_pair_period_us <= period <= 1.5 * model.good_pair_period_us
 
     def test_storage_is_4t_per_teleporter_node(self):
         # Section 5.3: "yielding 4t storage cells per T' node."

@@ -1,9 +1,12 @@
 """Standing fuzz test: every spec the validator accepts runs or fails fast.
 
 Hypothesis derives specs from the catalog entries, varying the topology kind
-and size, the (t, g, p) allocation, ``generator_bandwidth_scale`` (both ends
-of its accepted range included), the layout, the noise model, the routing
-policy, the allocator and the backend.
+and size, the (t, g, p) allocation, ``generator_bandwidth_scale`` and
+``logical_gate_us`` (both ends of each accepted range included), the layout,
+the noise model, the routing policy, the allocator and the backend.  Service
+scenarios also draw their traffic: the horizon, each tenant's arrival process
+and size distribution, and gaps, bursts, phases and tails at, inside and just
+past the bounds on offered requests and MMPP phases.
 Each spec goes through :func:`repro.api.run` with warnings raised as errors
 and must either complete with finite results or raise a
 :class:`~repro.errors.ReproError`: the validator or the machine build
@@ -25,8 +28,12 @@ from repro.errors import ReproError
 from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario, list_scenarios
 from repro.scenarios.spec import (
     ALLOCATOR_NAMES,
+    ARRIVAL_PROCESSES,
     BACKEND_NAMES,
     GENERATOR_BANDWIDTH_SCALE_RANGE,
+    LOGICAL_GATE_US_MAX,
+    MAX_OFFERED_REQUESTS,
+    SIZE_DISTRIBUTIONS,
 )
 
 #: Events one fuzzed run may dispatch before it must stop and say so.
@@ -44,6 +51,7 @@ overrides = st.fixed_dictionaries(
         "physics.generator_bandwidth_scale": st.sampled_from(
             [GENERATOR_BANDWIDTH_SCALE_RANGE[0], 0.5, 1.0, 3.0, GENERATOR_BANDWIDTH_SCALE_RANGE[1]]
         ),
+        "physics.logical_gate_us": st.sampled_from([0.0, 300.0, LOGICAL_GATE_US_MAX]),
         "runtime.layout": st.sampled_from(["home_base", "mobile_qubit"]),
         "runtime.allocator": st.sampled_from(ALLOCATOR_NAMES),
         "runtime.backend": st.sampled_from(BACKEND_NAMES),
@@ -65,6 +73,46 @@ noise_sections = st.one_of(
 )
 
 routing_policies = st.sampled_from([None, "ecmp", "least_loaded", "adaptive"])
+
+SERVICE_SCENARIOS = [name for name in list_scenarios() if get_scenario(name).traffic is not None]
+
+#: Fractions of a traffic bound: inside it, exactly at it, and just past it
+#: (repeated entries weight the draws towards specs that run to the end).
+BOUND_FRACTIONS = [1e-4, 1e-3, 1e-3, 1.0, 1.0 + 1e-9]
+
+
+@st.composite
+def traffic_changes(draw, tenants):
+    """Overrides for a service spec's horizon and every tenant's traffic.
+
+    The tenants offer equal shares of a drawn fraction of
+    ``MAX_OFFERED_REQUESTS``, and each ``mmpp`` tenant switches phases a
+    drawn fraction of the bound's times.  Now and then the first tenant
+    draws a gap so small or so large that its rate leaves the float range.
+    """
+    duration = draw(st.sampled_from([1.0, 4000.0, 1e9]))
+    changes = {"traffic.duration_us": duration}
+    offered = draw(st.sampled_from(BOUND_FRACTIONS)) * MAX_OFFERED_REQUESTS / len(tenants)
+    for name in tenants:
+        where = f"traffic.tenants.{name}."
+        process = draw(st.sampled_from(ARRIVAL_PROCESSES))
+        burst = draw(st.sampled_from([1.0, 4.0, 1e300]))
+        scale = burst if process == "mmpp" else 1.0
+        phases = draw(st.sampled_from(BOUND_FRACTIONS)) * MAX_OFFERED_REQUESTS
+        changes.update(
+            {
+                where + "arrival_process": process,
+                where + "burst_factor": burst,
+                where + "mean_interarrival_us": duration * scale / offered,
+                where + "phase_us": duration / phases,
+                where + "size_dist": draw(st.sampled_from(SIZE_DISTRIBUTIONS)),
+                where + "alpha": draw(st.sampled_from([5e-324, 1.5, 1e300])),
+            }
+        )
+    extreme_gap = draw(st.sampled_from([None, None, None, 5e-324, 1e300]))
+    if extreme_gap is not None:
+        changes[f"traffic.tenants.{tenants[0]}.mean_interarrival_us"] = extreme_gap
+    return changes
 
 
 def fuzzed_spec(base, changes, noise, policy):
@@ -92,3 +140,26 @@ def test_every_valid_spec_runs_or_fails_fast(base, changes, noise, policy):
     assert math.isfinite(result.makespan_us) and result.makespan_us >= 0.0
     for kind, share in result.view.utilisation.items():
         assert math.isfinite(share) and 0.0 <= share <= 1.0, (kind, share)
+
+
+@given(
+    data=st.data(),
+    backend=st.sampled_from(BACKEND_NAMES),
+    allocator=st.sampled_from(ALLOCATOR_NAMES),
+)
+@settings(max_examples=15, deadline=None)
+def test_every_valid_traffic_spec_runs_or_fails_fast(data, backend, allocator):
+    spec = get_scenario(data.draw(st.sampled_from(SERVICE_SCENARIOS))).to_dict()
+    changes = data.draw(traffic_changes(sorted(spec["traffic"]["tenants"])))
+    changes["runtime.backend"] = backend
+    changes["runtime.allocator"] = allocator
+    changes["runtime.max_events"] = MAX_EVENTS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = api.run(ScenarioSpec.from_dict(apply_overrides(spec, changes)))
+        except ReproError:
+            return
+    assert math.isfinite(result.makespan_us) and result.makespan_us >= 0.0
+    view = result.service
+    assert view.offered == view.admitted + view.dropped

@@ -49,17 +49,6 @@ class TestServe:
         assert main(["serve", "--scenario", "smoke"]) == 2
         assert "traffic" in capsys.readouterr().err
 
-    def test_serve_emit_bench_records_service_columns(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        assert main(
-            ["serve", "--scenario", "service_smoke", "--emit-bench", str(bench)]
-        ) == 0
-        payload = json.loads(bench.read_text())
-        (record,) = payload["scenarios"]
-        assert record["name"] == "service_smoke"
-        assert record["cached"] is False
-        assert "latency_p99_us" in record and "drop_rate" in record
-
 
 class TestFormatOption:
     def test_scenarios_run_format_json(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 import sweep_helpers
 from repro.errors import ConfigurationError
+from repro.runtime import queue as queue_module
 from repro.runtime.queue import ShardedWorkQueue
 
 
@@ -35,8 +36,9 @@ class TestFaultIsolation:
         assert [o.status for o in outcomes] == ["ok", "ok", "ok", "error", "ok"]
         assert outcomes[3].error["type"] == "ValueError"
 
-    def test_results_stream_through_on_result(self):
-        queue = ShardedWorkQueue(_square_task, workers=1, shard_size=2)
+    def test_results_stream_through_on_result(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "DEFAULT_SHARD_SIZE", 2)
+        queue = ShardedWorkQueue(_square_task, workers=1)
         seen = []
         queue.run([(v, -1) for v in range(5)], on_result=lambda i, o: seen.append(i))
         assert sorted(seen) == [0, 1, 2, 3, 4]
@@ -59,8 +61,9 @@ class TestRetries:
         assert [o.value for o in outcomes] == [1, 4]
         assert all(o.attempts == 2 for o in outcomes)
 
-    def test_retry_does_not_block_healthy_points(self):
-        queue = ShardedWorkQueue(_square_task, workers=1, retries=5, shard_size=2)
+    def test_retry_does_not_block_healthy_points(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "DEFAULT_SHARD_SIZE", 2)
+        queue = ShardedWorkQueue(_square_task, workers=1, retries=5)
         order = []
         queue.run(
             [(0, 0), (1, -1), (2, -1)],
@@ -96,8 +99,6 @@ class TestValidation:
             ShardedWorkQueue(_square_task, timeout_s=0)
         with pytest.raises(ConfigurationError):
             ShardedWorkQueue(_square_task, retries=-1)
-        with pytest.raises(ConfigurationError):
-            ShardedWorkQueue(_square_task, shard_size=0)
 
     def test_empty_task_list(self):
         assert ShardedWorkQueue(_square_task).run([]) == []

@@ -204,27 +204,28 @@ class TestExperimentRunner:
     def test_sweep_runs_grid_in_order(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path))
         grid = [{"start": 0.0, "stop": 1.0, "count": n} for n in (2, 3)]
-        results = runner.sweep(linear_space, grid)
-        assert results == [[0.0, 1.0], [0.0, 0.5, 1.0]]
+        points = runner.sweep_records(linear_space, grid)
+        assert [point.result for point in points] == [[0.0, 1.0], [0.0, 0.5, 1.0]]
 
     def test_sweep_caches_points(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path))
         grid = [{"ratio": 1}, {"ratio": 8}]
-        first = runner.sweep(allocation_for_ratio, grid)
+        first = runner.sweep_records(allocation_for_ratio, grid)
         assert len(runner.cache) == 2
-        second = runner.sweep(allocation_for_ratio, grid)
-        assert second == first
+        second = runner.sweep_records(allocation_for_ratio, grid)
+        assert all(point.cached for point in second)
+        assert [point.result for point in second] == [point.result for point in first]
 
     def test_sweep_rejects_unimportable_callables(self, tmp_path):
         runner = ExperimentRunner(cache_dir=str(tmp_path))
         with pytest.raises(ConfigurationError):
-            runner.sweep(lambda x: x, [{"x": 1}])
+            runner.sweep_records(lambda x: x, [{"x": 1}])
 
     def test_pool_path_with_multiple_workers(self, tmp_path):
         runner = ExperimentRunner(workers=2, cache_dir=str(tmp_path))
         grid = [{"start": 0.0, "stop": 2.0, "count": n} for n in (2, 3, 5)]
-        results = runner.sweep(linear_space, grid)
-        assert [len(r) for r in results] == [2, 3, 5]
+        points = runner.sweep_records(linear_space, grid)
+        assert [len(point.result) for point in points] == [2, 3, 5]
 
 
 class TestCli:

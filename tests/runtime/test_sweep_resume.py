@@ -9,11 +9,14 @@ The scenarios the ISSUE demands, end to end through ExperimentRunner:
   failure captured as a structured error record (and retried on resume).
 """
 
+import functools
 import json
 
 import pytest
 
 import sweep_helpers
+from repro.analysis import experiments
+from repro.analysis.experiments import Experiment
 from repro.errors import SweepError
 from repro.runtime.journal import journal_status, read_journal
 from repro.runtime.runner import ExperimentRunner
@@ -178,12 +181,24 @@ class TestFaultIsolation:
         )
         assert healed[0].result == 4
 
-    def test_sweep_results_surface_raises_after_isolation(self, tmp_path):
+    def test_sweep_results_surface_raises_after_isolation(self, tmp_path, monkeypatch):
+        # ExperimentRunner.run is the results-only surface: it raises
+        # SweepError once any experiment failed, but only after the rest ran.
         log_path, _ = _grid(tmp_path, [])
-        grid = [{"value": v, "bad": 1, "log_path": log_path} for v in range(3)]
+        probes = {
+            f"probe{v}": Experiment(
+                identifier=f"probe{v}",
+                kind="claim",
+                description="fault-isolation probe",
+                expectation="",
+                runner=functools.partial(sweep_helpers.fail_on, v, 1, log_path),
+            )
+            for v in range(3)
+        }
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {**experiments.EXPERIMENTS, **probes})
         runner = _runner(tmp_path)
-        with pytest.raises(SweepError, match="1 of 3 sweep points failed"):
-            runner.sweep(sweep_helpers.fail_on, grid)
+        with pytest.raises(SweepError, match="1 of 3 experiments failed"):
+            runner.run(list(probes))
         # Fault isolation still ran the siblings before raising.
         assert sorted(sweep_helpers.executed_values(log_path)) == [0, 1, 2]
 

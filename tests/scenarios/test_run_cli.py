@@ -54,7 +54,7 @@ class TestRunScenario:
         assert record["makespan_us"] > 0
         assert record["operations"] == 15  # QFT on 6 qubits
         assert record["channel_count"] == 30  # two communications per op
-        # The record round-trips through JSON (what --emit-bench relies on)
+        # The record round-trips through JSON (what --format json prints)
         # and through the spec codec.
         assert json.loads(json.dumps(record))["spec"] == spec.to_dict()
         assert ScenarioSpec.from_dict(record["spec"]) == spec
@@ -161,13 +161,13 @@ class TestCli:
                 "--backend",
                 "detailed",
                 "--no-cache",
-                "--emit-bench",
-                str(tmp_path / "bench.json"),
+                "--format",
+                "json",
             ]
         )
         assert code == 0
-        payload = json.loads((tmp_path / "bench.json").read_text())
-        assert payload["scenarios"][0]["backend"] == "detailed"
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["backend"] == "detailed"
 
     def test_scenarios_run_unknown_backend_fails_cleanly(self, tmp_path, capsys):
         code = main(
@@ -181,8 +181,7 @@ class TestCli:
         assert code == 2
         assert "unknown scenario names" in capsys.readouterr().err
 
-    def test_scenarios_sweep_emits_bench_and_caches(self, tmp_path, capsys):
-        bench_path = tmp_path / "BENCH_test.json"
+    def test_scenarios_sweep_reports_cache_hits(self, tmp_path, capsys):
         argv = [
             "scenarios",
             "sweep",
@@ -192,22 +191,23 @@ class TestCli:
             "permutation",
             "--cache-dir",
             str(tmp_path / "cache"),
-            "--emit-bench",
-            str(bench_path),
+            "--format",
+            "json",
         ]
         assert main(argv) == 0
-        payload = json.loads(bench_path.read_text())
-        assert payload["schema"] == 1
-        assert payload["scenario_count"] == 2
-        assert payload["cache_hits"] == 0
-        assert {s["topology_kind"] for s in payload["scenarios"]} == {"mesh", "torus"}
-        assert all(s["makespan_us"] > 0 for s in payload["scenarios"])
-        # Second run: everything is served from the cache and the payload
-        # records it (the CI trajectory separates free points from computed).
+        records = json.loads(capsys.readouterr().out)
+        assert len(records) == 2
+        assert not any(record["cached"] for record in records)
+        assert {record["topology_kind"] for record in records} == {"mesh", "torus"}
+        assert all(record["makespan_us"] > 0 for record in records)
+        # Second run: every point is served from the cache, and each record
+        # says so.
         assert main(argv) == 0
-        payload = json.loads(bench_path.read_text())
-        assert payload["cache_hits"] == 2
-        assert payload["computed_wall_time_s"] == 0.0
+        again = json.loads(capsys.readouterr().out)
+        assert all(record["cached"] for record in again)
+        assert [record["makespan_us"] for record in again] == [
+            record["makespan_us"] for record in records
+        ]
 
     def test_scenarios_sweep_from_spec_file(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"

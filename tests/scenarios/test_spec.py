@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import NoiseSpec, ScenarioSpec, apply_overrides, deep_merge
+from repro.scenarios import NoiseSpec, ScenarioSpec, apply_overrides, deep_merge, get_scenario
 from repro.scenarios.spec import (
     GENERATOR_BANDWIDTH_SCALE_RANGE,
+    LOGICAL_GATE_US_MAX,
+    MAX_OFFERED_REQUESTS,
     PhysicsSpec,
     RuntimeSpec,
     TopologySpec,
@@ -175,6 +177,84 @@ class TestValidation:
             data = minimal()
             data["physics"] = {"generator_bandwidth_scale": scale}
             assert ScenarioSpec.from_dict(data).physics.generator_bandwidth_scale == scale
+
+
+    def test_logical_gate_time_is_bounded_above(self):
+        # At 1e20 us the clock no longer resolves a channel's time.
+        data = minimal()
+        data["physics"] = {"logical_gate_us": 1e20}
+        with pytest.raises(ScenarioError, match="physics.logical_gate_us"):
+            ScenarioSpec.from_dict(data)
+        data["physics"] = {"logical_gate_us": LOGICAL_GATE_US_MAX}
+        assert ScenarioSpec.from_dict(data).physics.logical_gate_us == LOGICAL_GATE_US_MAX
+
+
+def _service(overrides):
+    """service_smoke (tenants ``bulk``, poisson, and ``latency``, fixed) with overrides."""
+    return ScenarioSpec.from_dict(apply_overrides(get_scenario("service_smoke").to_dict(), overrides))
+
+
+class TestTrafficBounds:
+    """Service mode draws every request before the engine starts, so a spec
+    whose stream would not fit must fail validation, naming its fields."""
+
+    def test_endless_horizon_rejected(self):
+        with pytest.raises(ScenarioError, match=r"traffic\.duration_us \(now 1e\+300\)"):
+            _service({"traffic.duration_us": 1e300})
+
+    def test_zero_width_gap_rejected(self):
+        # expovariate(1 / 5e-324) is 0.0: the arrival clock would never move.
+        with pytest.raises(ScenarioError, match=r"traffic\.tenants\.bulk\.mean_interarrival_us"):
+            _service({"traffic.tenants.bulk.mean_interarrival_us": 5e-324})
+
+    def test_mmpp_burst_factor_counts_towards_the_bound(self):
+        with pytest.raises(ScenarioError, match=r"traffic\.tenants\.bulk\.burst_factor \(now 1e\+300\)"):
+            _service(
+                {
+                    "traffic.tenants.bulk.arrival_process": "mmpp",
+                    "traffic.tenants.bulk.burst_factor": 1e300,
+                }
+            )
+
+    def test_mmpp_quiet_phase_must_keep_a_rate(self):
+        # 1e160 * 1e150 overflows: the quiet phase would draw at rate 0.
+        with pytest.raises(ScenarioError, match="outside the float range"):
+            _service(
+                {
+                    "traffic.tenants.bulk.arrival_process": "mmpp",
+                    "traffic.tenants.bulk.mean_interarrival_us": 1e160,
+                    "traffic.tenants.bulk.burst_factor": 1e150,
+                }
+            )
+
+    def test_mmpp_phase_count_is_bounded(self):
+        with pytest.raises(ScenarioError, match=r"traffic\.tenants\.bulk\.phase_us"):
+            _service(
+                {
+                    "traffic.tenants.bulk.arrival_process": "mmpp",
+                    "traffic.tenants.bulk.phase_us": 5e-324,
+                }
+            )
+
+    def test_both_ends_of_the_offered_bound(self):
+        # One fixed tenant offers exactly duration / mean requests.
+        at_bound = {
+            "traffic.duration_us": 1e6,
+            "traffic.tenants.latency.mean_interarrival_us": 1e6 / (MAX_OFFERED_REQUESTS - 1),
+            "traffic.tenants.bulk.mean_interarrival_us": 1e6,
+        }
+        assert _service(at_bound).traffic.duration_us == 1e6
+        past = {**at_bound, "traffic.tenants.bulk.mean_interarrival_us": 1e6 / 1.5}
+        with pytest.raises(ScenarioError, match="traffic.duration_us"):
+            _service(past)
+
+    def test_both_ends_of_the_phase_bound(self):
+        mmpp = {"traffic.tenants.bulk.arrival_process": "mmpp", "traffic.duration_us": 4000.0}
+        at_bound = {**mmpp, "traffic.tenants.bulk.phase_us": 4000.0 / MAX_OFFERED_REQUESTS}
+        assert _service(at_bound).traffic.tenants["bulk"].phase_us == 4000.0 / MAX_OFFERED_REQUESTS
+        past = {**mmpp, "traffic.tenants.bulk.phase_us": 4000.0 / (2 * MAX_OFFERED_REQUESTS)}
+        with pytest.raises(ScenarioError, match="phase_us"):
+            _service(past)
 
 
 class TestNoiseSpec:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime import ExperimentRunner
-from repro.scenarios import bench_payload, build_machine, build_stream, get_scenario, run_record
+from repro.scenarios import build_machine, build_stream, get_scenario, run_record
 from repro.scenarios.spec import ScenarioSpec, apply_overrides
 from repro.scenarios.warmstart import (
     WarmStartCache,
@@ -123,17 +123,11 @@ class TestSweepPlumbing:
             for s in (1.0, 1.25, 1.5)
         ]
         runner = ExperimentRunner(workers=1, cache_dir=str(tmp_path / "cache"))
-        records = runner.sweep(run_record, grid)
-        assert len(records) == 3
+        points = runner.sweep_records(run_record, grid)
+        assert [point.ok for point in points] == [True, True, True]
         stats = global_cache().stats()
         assert stats["hits"] >= 2
         assert stats["entries"] >= 1
-
-    def test_bench_payload_records_warm_start_counters(self):
-        explicit = bench_payload([], warm_start={"hits": 3, "misses": 1, "entries": 1})
-        assert explicit["warm_start"] == {"hits": 3, "misses": 1, "entries": 1}
-        ambient = bench_payload([])
-        assert set(ambient["warm_start"]) == {"hits", "misses", "entries"}
 
 
 if __name__ == "__main__":

@@ -62,6 +62,20 @@ class TestTenantStreams:
         sizes = {r.channels for r in requests}
         assert sizes and all(1 <= size <= 4 for size in sizes)
 
+    def test_pareto_infinite_draw_is_capped(self):
+        # With a tiny alpha every draw is inf; the cap must apply before int().
+        tenant = TenantSpec.from_dict(
+            {
+                "arrival_process": "fixed",
+                "mean_interarrival_us": 500.0,
+                "size_dist": "pareto",
+                "max_channels": 6,
+                "alpha": 5e-324,
+            }
+        )
+        requests = tenant_requests("tail", tenant, NODES, duration_us=2600.0, seed=3)
+        assert [r.channels for r in requests] == [6] * 5
+
     def test_endpoints_are_distinct_nodes(self):
         for request in generate_requests(_traffic(), NODES):
             assert request.source != request.dest

@@ -1,6 +1,6 @@
 """Heap compaction: cancelled events must not accumulate."""
 
-from repro.sim.engine import _COMPACT_MIN_HEAP, SimulationEngine, Timer
+from repro.sim.engine import _COMPACT_MIN_HEAP, SimulationEngine
 
 
 class TestHeapCompaction:
@@ -90,8 +90,12 @@ class TestHeapCompaction:
         assert engine.pending_events == 0
 
     def test_timer_rearm_churn_stays_bounded(self):
+        # One re-armed timeout: cancel the pending event, schedule its
+        # replacement, 5k times over.  Only one event is ever live.
         engine = SimulationEngine()
-        timer = Timer(engine)
+        event = engine.schedule(1.0, lambda: None)
         for i in range(5_000):
-            timer.start(float(i % 13 + 1), lambda: None)
+            event.cancel()
+            event = engine.schedule(float(i % 13 + 1), lambda: None)
         assert engine.pending_events <= _COMPACT_MIN_HEAP
+        assert engine.pending_events - engine.cancelled_pending == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimulationEngine, Timer
+from repro.sim.engine import SimulationEngine
 from repro.sim.resources import ResourcePool, ServiceCenter
 
 
@@ -72,50 +72,6 @@ class TestEngine:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             SimulationEngine().schedule(-1.0, lambda: None)
-
-    def test_timer_rearm_cancels_previous(self):
-        engine = SimulationEngine()
-        fired = []
-        timer = Timer(engine)
-        timer.start(1.0, lambda: fired.append("first"))
-        timer.start(2.0, lambda: fired.append("second"))
-        engine.run()
-        assert fired == ["second"]
-
-    def test_timer_disarms_after_firing(self):
-        # Regression: ``armed`` used to stay True forever after the timer
-        # fired because the internal event was never cleared.
-        engine = SimulationEngine()
-        fired = []
-        timer = Timer(engine)
-        timer.start(1.0, lambda: fired.append(engine.now))
-        assert timer.armed
-        engine.run()
-        assert fired == [1.0]
-        assert not timer.armed
-
-    def test_timer_can_rearm_from_its_own_callback(self):
-        engine = SimulationEngine()
-        fired = []
-        timer = Timer(engine)
-
-        def on_fire():
-            fired.append(engine.now)
-            if len(fired) < 3:
-                timer.start(1.0, on_fire)
-
-        timer.start(1.0, on_fire)
-        engine.run()
-        assert fired == [1.0, 2.0, 3.0]
-        assert not timer.armed
-
-    def test_timer_cancel_after_firing_is_noop(self):
-        engine = SimulationEngine()
-        timer = Timer(engine)
-        timer.start(1.0, lambda: None)
-        engine.run()
-        timer.cancel()
-        assert not timer.armed
 
 
 class TestResourcePool:

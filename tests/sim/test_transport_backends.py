@@ -302,6 +302,16 @@ class TestInfeasibleChannel:
         assert "noise.base_fidelity (now 0.5)" in message
         assert "noise.target_fidelity" in message
 
+    @pytest.mark.parametrize("backend", ["fluid", "detailed"])
+    def test_long_hops_fail_naming_cells_per_hop(self, backend):
+        # smoke has no noise section; a channel too long for its pairs to be
+        # purified must still name the field that made it so.
+        data = get_scenario("smoke").to_dict()
+        data["topology"]["cells_per_hop"] = 1_000_000_000
+        data["runtime"]["backend"] = backend
+        with pytest.raises(InfeasibleError, match=r"topology\.cells_per_hop \(now 1000000000\)"):
+            run(ScenarioSpec.from_dict(data))
+
     def test_cli_exits_2_with_the_message(self, tmp_path, capsys):
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps(_infeasible_smoke()), encoding="utf-8")
