@@ -55,7 +55,7 @@ def fidelity_bandwidth_tradeoff(
     model = EPRBudgetModel(params, protocol=protocol)
     series = []
     for distance in hops:
-        arrival, _ = model.arrival_trajectory(distance)
+        arrival = model.budget(distance).arrival_state
         outcomes = model.protocol.iterate(arrival, max_level)
         costs = [1.0]
         errors = [arrival.error]

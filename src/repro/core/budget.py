@@ -30,15 +30,16 @@ Accounting conventions (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
 from ..physics.parameters import IonTrapParameters
 from ..physics.purification import PurificationProtocol, get_protocol
 from ..physics.purification_tree import expected_pairs_for_rounds
 from ..physics.states import BellDiagonalState
-from ..physics.teleportation import teleport_state
 from .distribution import ChainedTeleportationDistribution
 from .logical import STEANE_LEVEL_2, LogicalQubitEncoding
 from .placement import PurificationPlacement, endpoint_only
@@ -55,14 +56,23 @@ class ChannelBudget:
     link_error_raw: float
     link_error: float
     link_cost: float
-    arrival_error: float
     endpoint_rounds: int
     endpoint_pairs: float
     pairs_teleported: float
     teleport_operations: float
     total_pairs: float
     setup_latency_us: float
+    #: Pair state reaching the endpoint purifiers after generation, chained
+    #: teleportation and the local moves.
+    arrival_state: BellDiagonalState
+    #: State after ``endpoint_rounds`` purification rounds (the arrival state
+    #: at 0 rounds); ``None`` when no depth clears the threshold.
+    delivered_state: Optional[BellDiagonalState]
     per_hop_costs: Tuple[float, ...] = ()
+
+    @property
+    def arrival_error(self) -> float:
+        return self.arrival_state.error
 
     @property
     def arrival_fidelity(self) -> float:
@@ -111,57 +121,20 @@ class EPRBudgetModel:
             self.params, protocol=protocol, placement=self.placement
         )
 
-    # -- intermediate quantities -------------------------------------------------
-
-    def raw_link_state(self) -> BellDiagonalState:
-        """Raw virtual-wire pair state (generation plus one hop of movement)."""
-        return self._distribution.raw_link_state()
-
-    def link_state(self) -> BellDiagonalState:
-        """Virtual-wire pair state after any mandated link purification."""
-        return self._distribution.link_state()
-
-    def link_cost(self) -> float:
-        """Expected raw generated pairs per usable link pair."""
-        return self._distribution.link_cost()
-
-    def arrival_trajectory(self, hops: int) -> Tuple[BellDiagonalState, List[float]]:
-        """Arrival state at the endpoints plus per-hop purification cost factors."""
-        if hops < 0:
-            raise ConfigurationError(f"hops must be non-negative, got {hops}")
-        link = self.link_state()
-        state = link
-        per_hop_costs: List[float] = []
-        overhead = self.params.router_overhead_cells
-        for _ in range(max(hops - 1, 0)):
-            state = state.movement_decay(self.params.errors.move_cell, overhead)
-            state = teleport_state(state, link, self.params)
-            if self.placement.per_hop_rounds:
-                outcomes = self.protocol.iterate(state, self.placement.per_hop_rounds)
-                cost = 1.0
-                for outcome in outcomes:
-                    cost *= 2.0 / outcome.success_probability
-                per_hop_costs.append(cost)
-                state = outcomes[-1].state
-            else:
-                per_hop_costs.append(1.0)
-        state = state.movement_decay(
-            self.params.errors.move_cell, 2 * self.params.endpoint_local_cells
-        )
-        return state, per_hop_costs
-
     # -- the budget ---------------------------------------------------------------
 
     def budget(self, hops: int) -> ChannelBudget:
         """Full resource budget for a channel of ``hops`` teleportation hops."""
-        arrival, per_hop_costs = self.arrival_trajectory(hops)
-        raw_link = self.raw_link_state()
-        link = self.link_state()
-        link_cost = self.link_cost()
+        distribution = self._distribution
+        arrival, per_hop_costs = distribution.arrival_trajectory(hops)
+        raw_link = distribution.raw_link_state()
+        link = distribution.link_state()
+        link_cost = distribution.link_cost()
 
         feasible = True
         endpoint_rounds = 0
         endpoint_pairs = 1.0
+        delivered: Optional[BellDiagonalState] = arrival
         if self.placement.endpoint_to_threshold:
             rounds = self.protocol.rounds_to_fidelity(
                 arrival, self.params.threshold_fidelity, max_rounds=self.max_endpoint_rounds
@@ -170,28 +143,29 @@ class EPRBudgetModel:
                 feasible = False
                 endpoint_rounds = self.max_endpoint_rounds
                 endpoint_pairs = float("inf")
+                delivered = None
             else:
                 endpoint_rounds = rounds
                 outcomes = self.protocol.iterate(arrival, rounds)
                 endpoint_pairs = expected_pairs_for_rounds(outcomes)
+                if outcomes:
+                    delivered = outcomes[-1].state
 
         # Pairs that must *enter* the channel per delivered good pair: the
         # endpoint tree's expected inputs, inflated by every per-hop
         # purification stage they must survive on the way.
-        hop_growth = 1.0
-        for cost in per_hop_costs:
-            hop_growth *= cost
-        pairs_teleported = endpoint_pairs * hop_growth
+        pairs_teleported = endpoint_pairs * math.prod(per_hop_costs)
 
         # transit(j): pairs performing hop j (j = 1 is the first swap away from
         # the generator).  Later hops carry fewer pairs because per-hop
-        # purification has already consumed some.
-        teleport_operations = 0.0
-        suffix = 1.0
-        for cost in reversed(per_hop_costs):
-            suffix *= cost
-            teleport_operations += endpoint_pairs * suffix
-        if not per_hop_costs:
+        # purification has already consumed some.  The transits are added
+        # last hop first, one by one (``sum`` compensates on Python >= 3.12).
+        if per_hop_costs:
+            suffixes = accumulate(reversed(per_hop_costs), operator.mul)
+            teleport_operations = reduce(
+                operator.add, (endpoint_pairs * suffix for suffix in suffixes), 0.0
+            )
+        else:
             teleport_operations = endpoint_pairs * max(hops - 1, 0)
 
         total_pairs = (
@@ -210,13 +184,14 @@ class EPRBudgetModel:
             link_error_raw=raw_link.error,
             link_error=link.error,
             link_cost=link_cost,
-            arrival_error=arrival.error,
             endpoint_rounds=endpoint_rounds,
             endpoint_pairs=endpoint_pairs,
             pairs_teleported=pairs_teleported,
             teleport_operations=teleport_operations,
             total_pairs=total_pairs,
             setup_latency_us=latency,
+            arrival_state=arrival,
+            delivered_state=delivered,
             per_hop_costs=tuple(per_hop_costs),
         )
 

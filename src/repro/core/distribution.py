@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..physics.ballistic import ballistic_time
@@ -141,25 +141,40 @@ class ChainedTeleportationDistribution(DistributionMethod):
 
     # -- chained transport -----------------------------------------------------
 
-    def distribute(self, hops: int) -> DistributionResult:
+    def arrival_trajectory(self, hops: int) -> Tuple[BellDiagonalState, List[float]]:
+        """Arrival state at the endpoints plus per-hop purification cost factors."""
         if hops < 0:
             raise ConfigurationError(f"hops must be non-negative, got {hops}")
         link = self.link_state()
-        state = link  # The delivered pair starts life as a link pair at the midpoint.
-        teleports = 0
-        link_pairs = 1.0 * self.link_cost()
+        state = link
+        per_hop_costs: List[float] = []
         overhead = self.params.router_overhead_cells
         for _ in range(max(hops - 1, 0)):
             state = state.movement_decay(self.params.errors.move_cell, overhead)
             state = teleport_state(state, link, self.params)
-            teleports += 1
-            link_pairs += self.link_cost()
             if self.placement.per_hop_rounds:
                 outcomes = self.protocol.iterate(state, self.placement.per_hop_rounds)
+                cost = 1.0
+                for outcome in outcomes:
+                    cost *= 2.0 / outcome.success_probability
+                per_hop_costs.append(cost)
                 state = outcomes[-1].state
+            else:
+                per_hop_costs.append(1.0)
         state = state.movement_decay(
             self.params.errors.move_cell, 2 * self.params.endpoint_local_cells
         )
+        return state, per_hop_costs
+
+    def distribute(self, hops: int) -> DistributionResult:
+        # The delivered pair starts life as a link pair at the midpoint; every
+        # teleport along the chain consumes one more.
+        state, _ = self.arrival_trajectory(hops)
+        teleports = max(hops - 1, 0)
+        link_cost = self.link_cost()
+        link_pairs = link_cost
+        for _ in range(teleports):
+            link_pairs += link_cost
         # Latency: the links are pre-distributed, so the chained swaps happen in
         # one teleportation round; correction bits then ride the classical
         # network over the whole path.
@@ -171,14 +186,15 @@ class ChainedTeleportationDistribution(DistributionMethod):
         if self.placement.per_hop_rounds:
             latency += (
                 self.placement.per_hop_rounds
-                * max(hops - 1, 0)
+                * teleports
                 * self.params.times.purify_round(self.params.cells_per_hop)
             )
         return DistributionResult(
             arrival_state=state,
             latency_us=latency,
             teleport_operations=teleports,
-            ballistic_cells=overhead * max(hops - 1, 0) + 2 * self.params.endpoint_local_cells,
+            ballistic_cells=self.params.router_overhead_cells * teleports
+            + 2 * self.params.endpoint_local_cells,
             link_pairs_consumed=link_pairs,
         )
 

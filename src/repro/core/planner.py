@@ -82,7 +82,6 @@ class ChannelPlanner:
             self.params, protocol=protocol, placement=self.placement
         )
         self._budget_cache: dict = {}
-        self._arrival_cache: dict = {}
         self._plan_cache: dict = {}
         # Instance-local memos for multi-path fabrics; deliberately NOT part
         # of the warm-start exchange (budgets — the expensive part — are).
@@ -114,18 +113,6 @@ class ChannelPlanner:
         if hops not in self._budget_cache:
             self._budget_cache[hops] = self._budget_model.budget(hops)
         return self._budget_cache[hops]
-
-    def arrival_state(self, hops: int):
-        """Bell-diagonal endpoint arrival state for ``hops`` (cached per distance).
-
-        This is the state the endpoint queue purifiers receive — generation,
-        chained teleportation and the local moves already applied — and the
-        input the fidelity-accounting pipeline purifies, analytically on the
-        fluid backend and pair by pair on the detailed one.
-        """
-        if hops not in self._arrival_cache:
-            self._arrival_cache[hops] = self._budget_model.arrival_trajectory(hops)[0]
-        return self._arrival_cache[hops]
 
     @property
     def protocol_instance(self):
@@ -184,16 +171,13 @@ class ChannelPlanner:
         self._path_plan_cache[key] = plan
         return plan
 
-    def adopt_caches(
-        self, *, budgets: dict, arrivals: dict, plans: dict
-    ) -> None:
+    def adopt_caches(self, *, budgets: dict, plans: dict) -> None:
         """Share memo dicts owned by a cross-run warm-start entry.
 
-        All three caches hold pure functions of the planner configuration
-        (which the warm-start key covers), so adoption only skips recompute.
+        Both caches hold pure functions of the planner configuration (which
+        the warm-start key covers), so adoption only skips recompute.
         """
         self._budget_cache = budgets
-        self._arrival_cache = arrivals
         self._plan_cache = plans
 
     def plan_many(

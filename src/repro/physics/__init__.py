@@ -24,7 +24,7 @@ from .parameters import ErrorRates, IonTrapParameters, OperationTimes
 from .fidelity import error_to_fidelity, fidelity_to_error, validate_fidelity
 from .states import BellDiagonalState, WernerState
 from .ballistic import ballistic_fidelity, ballistic_move_state, ballistic_time
-from .epr import EPRPair, generation_fidelity, generation_time, generate_pair
+from .epr import generation_fidelity, generation_time
 from .teleportation import (
     chained_teleportation_fidelity,
     teleportation_fidelity,
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_ERROR_RATES",
     "DEFAULT_OPERATION_TIMES",
     "DEJMPSProtocol",
-    "EPRPair",
     "ErrorRates",
     "IonTrapParameters",
     "OperationTimes",
@@ -63,7 +62,6 @@ __all__ = [
     "error_to_fidelity",
     "expected_pairs_for_rounds",
     "fidelity_to_error",
-    "generate_pair",
     "generation_fidelity",
     "generation_time",
     "get_protocol",

@@ -52,10 +52,12 @@ SIZE_DISTRIBUTIONS = ("constant", "pareto")
 #: scale divides channel times, so far outside this range a run overflows
 #: its clock or stalls on rates too small to resolve.
 GENERATOR_BANDWIDTH_SCALE_RANGE = (1e-6, 1e6)
-#: Longest accepted ``physics.logical_gate_us``.  A run's clock reaches a few
-#: gate times; at 1e13 us a float still resolves it to about 0.02 us, while
-#: near 1e20 us whole channel times round away.
-LOGICAL_GATE_US_MAX = 1e13
+#: Longest time a run's clock must resolve: the cap on
+#: ``physics.logical_gate_us`` and on ``traffic.duration_us``.  A run's clock
+#: reaches a few gate times or the traffic horizon; at 1e13 us a float still
+#: resolves it to about 0.002 us, while near 1e20 us whole channel times
+#: round away.
+CLOCK_US_MAX = 1e13
 #: Most requests a traffic spec may expect to offer: the sum over tenants of
 #: ``duration_us / mean_interarrival_us``, times ``burst_factor`` under
 #: ``mmpp``.  Service mode draws every request before the engine starts, so
@@ -268,7 +270,7 @@ class PhysicsSpec:
                 cls.logical_gate_us,
                 "physics",
                 minimum=0.0,
-                maximum=LOGICAL_GATE_US_MAX,
+                maximum=CLOCK_US_MAX,
             ),
             generator_bandwidth_scale=_float_field(
                 data,
@@ -521,7 +523,13 @@ class TrafficSpec:
             for name in sorted(raw_tenants)
         }
         duration_us = _float_field(
-            data, "duration_us", cls.duration_us, "traffic", minimum=0.0, exclusive=True
+            data,
+            "duration_us",
+            cls.duration_us,
+            "traffic",
+            minimum=0.0,
+            exclusive=True,
+            maximum=CLOCK_US_MAX,
         )
         _check_offered_requests(tenants, duration_us)
         return cls(

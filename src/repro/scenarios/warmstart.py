@@ -10,7 +10,8 @@ are keyed by a **structural hash** — the scenario's canonical dict minus the
 knobs proven not to affect the cached state — and carry the memo dicts the
 machine stack consults:
 
-* the planner's per-distance EPR budgets and arrival states,
+* the planner's per-distance EPR budgets, which carry the arrival and
+  delivered pair states,
 * the planner's per-endpoint-pair channel plans,
 * the machine's per-distance flow demand profiles, and
 * the fluid transport's per-endpoint-pair demand vectors — exactly the row
@@ -90,7 +91,6 @@ class WarmStartEntry:
 
     key: str
     budget_cache: Dict[int, Any] = field(default_factory=dict)
-    arrival_cache: Dict[int, Any] = field(default_factory=dict)
     plan_cache: Dict[Tuple[Any, Any], Any] = field(default_factory=dict)
     flow_profiles: Dict[int, Any] = field(default_factory=dict)
     demand_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[Any, float]] = field(
@@ -165,11 +165,7 @@ def attach(
         cache = _GLOBAL_CACHE
     key = structural_key(spec)
     entry, hit = cache.entry_for(key)
-    machine.planner.adopt_caches(
-        budgets=entry.budget_cache,
-        arrivals=entry.arrival_cache,
-        plans=entry.plan_cache,
-    )
+    machine.planner.adopt_caches(budgets=entry.budget_cache, plans=entry.plan_cache)
     info: Dict[str, object] = {
         "key": key,
         "hit": hit,

@@ -3,10 +3,8 @@
 The paper built a Java event-driven simulator to study how resource allocation
 (teleporters *t*, generators *g*, queue purifiers *p*) and contention affect
 the runtime of communication-heavy kernels.  This subpackage is the Python
-equivalent, with two fidelity levels:
-
-Both fidelity levels are :class:`~repro.sim.transport.TransportBackend`
-implementations selectable by name:
+equivalent, at two granularities, each a
+:class:`~repro.sim.transport.TransportBackend` selectable by name:
 
 * **``fluid``** (:mod:`repro.sim.flow`) — every active logical communication
   is a fluid flow whose rate is limited by its fair share of the teleporter,
@@ -19,11 +17,14 @@ implementations selectable by name:
   validate the fluid model end to end.
 
 :class:`repro.sim.simulator.CommunicationSimulator` is the public entry
-point; its ``backend`` argument selects the granularity.
+point; its ``backend`` argument selects the granularity.  On runs with a
+noise model both backends report the fidelity each channel delivered, read
+from the channel's per-distance EPR budget
+(:class:`~repro.core.budget.ChannelBudget`): its arrival and delivered pair
+states and its purification level.
 """
 
 from .engine import Event, SimulationEngine
-from .fidelity import ChannelFidelityModel, ChannelFidelityProfile
 from .resources import ResourcePool, ServiceCenter
 from .machine import QuantumMachine
 from .results import ChannelRecord, OperationRecord, SimulationResult
@@ -40,8 +41,6 @@ from .transport import (
 )
 
 __all__ = [
-    "ChannelFidelityModel",
-    "ChannelFidelityProfile",
     "ChannelRecord",
     "CommunicationSimulator",
     "Event",

@@ -128,14 +128,14 @@ class _DetailedChannel:
         # charges zero purifier work at level 0 — and one raw pair yields one
         # good pair.  detailed_pair_budget's depth clamp only applies to the
         # purifying regime.
-        self.purifier_depth = machine.planner.budget_for_hops(plan.hops).endpoint_rounds
+        self.purifier_depth = plan.budget.endpoint_rounds
         # With fidelity accounting on, every queued pair carries its
         # Bell-diagonal arrival state and each purification round runs the
         # protocol's exact recurrence — the sampled counterpart of the fluid
         # backend's analytical Werner algebra.
         input_state = protocol = None
-        if transport.fidelity is not None:
-            input_state = transport.fidelity.profile(plan.hops).arrival_state
+        if transport.track_fidelity:
+            input_state = plan.budget.arrival_state
             protocol = machine.planner.protocol_instance
         self._input_fidelity = input_state.fidelity if input_state is not None else None
         if self.purifier_depth == 0:
@@ -347,7 +347,7 @@ class DetailedTransport(TransportBackend):
         _DetailedChannel(self, flow_id, planned, done).begin()
 
     def _finish_channel(self, channel: _DetailedChannel) -> None:
-        sampled = channel.sampled_fidelity() if self.fidelity is not None else None
+        sampled = channel.sampled_fidelity() if self.track_fidelity else None
         self._close_channel(
             channel.flow_id,
             channel.planned,

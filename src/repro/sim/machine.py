@@ -10,10 +10,7 @@ flow model shares between concurrent channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # annotation-only imports; no runtime dependency edges
-    from .fidelity import ChannelFidelityModel
+from typing import Dict, Optional, Tuple
 
 from ..core.logical import STEANE_LEVEL_2, LogicalQubitEncoding
 from ..core.placement import PurificationPlacement, endpoint_only
@@ -89,8 +86,9 @@ class QuantumMachine:
                     f"target_fidelity must be in (0, 1), got {target_fidelity}"
                 )
             self.params = replace(self.params, threshold_error=1.0 - target_fidelity)
+        #: Whether channels report the fidelity they deliver; scenarios switch
+        #: it on by carrying a ``noise`` section (see :mod:`repro.scenarios.spec`).
         self.track_fidelity = track_fidelity
-        self._fidelity_model = None
         self.placement = placement or endpoint_only()
         self.encoding = encoding
         self.protocol = protocol
@@ -165,7 +163,7 @@ class QuantumMachine:
             f"{self.allocation.label}, {self.protocol.upper()})"
         )
 
-    # -- fidelity accounting --------------------------------------------------------------
+    # -- routing ----------------------------------------------------------------------------
 
     def load_balancer(self):
         """The configured :class:`~repro.network.routing.LoadBalancer`, or None.
@@ -176,21 +174,6 @@ class QuantumMachine:
         pre-multi-path behaviour.
         """
         return self._load_balancer
-
-    def fidelity_model(self) -> Optional[ChannelFidelityModel]:
-        """The shared per-channel fidelity model, or None when not tracking.
-
-        Transport backends call this once at construction; scenarios switch
-        tracking on by carrying a ``noise`` section (see
-        :mod:`repro.scenarios.spec`), which sets ``track_fidelity``.
-        """
-        if not self.track_fidelity:
-            return None
-        if self._fidelity_model is None:
-            from .fidelity import ChannelFidelityModel
-
-            self._fidelity_model = ChannelFidelityModel(self)
-        return self._fidelity_model
 
     # -- flow-model bandwidths ------------------------------------------------------------
     #

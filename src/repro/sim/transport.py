@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.routing import LoadBalancer
     from .control import PlannedCommunication
     from .engine import SimulationEngine
-    from .fidelity import ChannelFidelityModel
     from .machine import QuantumMachine
 
 
@@ -62,9 +61,10 @@ class TransportBackend(ABC):
         self.machine = machine
         self._records: List[ChannelRecord] = []
         self._next_flow_id = 0
-        #: Shared per-channel fidelity model; None unless the machine carries
-        #: a noise model, so untracked runs pay nothing on any path below.
-        self.fidelity: Optional["ChannelFidelityModel"] = machine.fidelity_model()
+        #: Whether channels report their delivered fidelity; off unless the
+        #: machine carries a noise model, so untracked runs pay nothing on any
+        #: path below.
+        self.track_fidelity = machine.track_fidelity
         #: Load balancer; None unless the scenario carries a
         #: ``network.routing`` section, so unbalanced runs pay nothing.
         self.balancer: Optional["LoadBalancer"] = machine.load_balancer()
@@ -105,14 +105,12 @@ class TransportBackend(ABC):
         :class:`~repro.trace.RouteChosen` record precedes the open).  Without
         a balancer the planner's deterministic route stands untouched.
 
-        On noise-tracked runs this is also where the channel's purification
-        level is selected: the fidelity profile for the channel's hop count is
-        resolved (and memoized) here, at channel-open time, so both backends
-        commit to the same threshold-driven level before servicing begins.
-
-        A channel whose pairs no purification depth can bring to the target
-        fidelity raises :class:`~repro.errors.InfeasibleError` here: its
-        budget asks for infinitely many pairs, so servicing it would stall.
+        The channel's purification level and pair states come with its
+        per-distance EPR budget (``planned.plan.budget``), which both backends
+        read.  A channel whose pairs no purification depth can bring to the
+        target fidelity raises :class:`~repro.errors.InfeasibleError` here,
+        before any backend reads its budget: it asks for infinitely many
+        pairs, so servicing it would stall.
         """
         if planned.plan is None:
             raise SimulationError("local communications do not need the transport backend")
@@ -154,8 +152,6 @@ class TransportBackend(ABC):
                 f"{params.zero_prep_fidelity:.6g}), lower noise.target_fidelity, or "
                 f"lower topology.cells_per_hop (now {self.machine.topology.cells_per_hop})"
             )
-        if self.fidelity is not None:
-            self.fidelity.profile(planned.hops)
         if trace is not None:
             trace.emit(
                 ChannelOpened(
@@ -186,7 +182,7 @@ class TransportBackend(ABC):
         the close.  A backend that measures fidelity itself (the detailed
         model's per-pair purification outcomes) passes ``delivered_fidelity``
         and ``purification_level``; backends that do not (the fluid model)
-        inherit the analytical profile values.
+        inherit the analytical values of the channel's budget.
         """
         links = self._flow_links.pop(flow_id, None)
         if links is not None:
@@ -197,13 +193,12 @@ class TransportBackend(ABC):
                 else:
                     self._link_flows.pop(link, None)
         request = planned.request
-        profile = None
-        if self.fidelity is not None:
-            profile = self.fidelity.profile(planned.hops)
+        budget = planned.plan.budget
+        if self.track_fidelity:
             if delivered_fidelity is None:
-                delivered_fidelity = profile.delivered_fidelity
+                delivered_fidelity = budget.delivered_state.fidelity
             if purification_level is None:
-                purification_level = profile.purification_level
+                purification_level = budget.endpoint_rounds
         self._records.append(
             ChannelRecord(
                 source=request.source.as_tuple(),
@@ -230,17 +225,18 @@ class TransportBackend(ABC):
                     pairs_transited=pairs_transited,
                 )
             )
-            if profile is not None:
+            if self.track_fidelity:
+                target = self.machine.params.threshold_fidelity
                 trace.emit(
                     ChannelFidelity(
                         t_us=self.engine.now,
                         flow_id=flow_id,
                         hops=planned.hops,
                         purification_level=purification_level,
-                        arrival_fidelity=profile.arrival_fidelity,
+                        arrival_fidelity=budget.arrival_state.fidelity,
                         delivered_fidelity=delivered_fidelity,
-                        target_fidelity=profile.target_fidelity,
-                        meets_target=delivered_fidelity >= profile.target_fidelity,
+                        target_fidelity=target,
+                        meets_target=delivered_fidelity >= target,
                     )
                 )
 

@@ -40,7 +40,6 @@ _EXPORTS = {
     "verify_fidelity": "harness",
     "verify_routing": "harness",
     "verify_scenario": "harness",
-    "verify_traffic": "harness",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,6 +1,6 @@
 """``python -m repro verify`` — differential verification and golden traces.
 
-Three subcommands over the same scenario selection (catalog names, a
+Five subcommands over the same scenario selection (catalog names, a
 ``--spec`` file, or ``--all-catalog``):
 
 ``run``
@@ -9,9 +9,11 @@ Three subcommands over the same scenario selection (catalog names, a
     (utilisation) timelines.  ``--backends`` additionally replays the
     scenario under both transport backends (fluid and detailed) and holds
     their makespans and op orders to the documented tolerances; service
-    scenarios are diffed as traffic instead (identical offers, equal
-    completion sets, request order and delivered load within tolerance, as
-    ``traffic`` checks).  Exits non-zero on any divergence.
+    scenarios are diffed as traffic instead: the offered request streams
+    must be bitwise identical, the completed request sets equal, the
+    completion orders within the documented disorder tolerance and the
+    delivered loads within the documented ratio.  Exits non-zero on any
+    divergence.
 ``record``
     (Re-)serialize each scenario's canonical trace to its golden fixture —
     the one deliberate command that moves the goldens.
@@ -23,12 +25,6 @@ Three subcommands over the same scenario selection (catalog names, a
     accounting on (scenarios without a ``noise`` section get the documented
     parity noise applied) and hold the delivered per-channel fidelities to
     the documented tolerance.  Exits non-zero on any divergence.
-``traffic``
-    Replay each open-loop service scenario (one with a ``traffic`` section)
-    under the fluid and detailed backends: the offered request streams must
-    be bitwise identical, the completed request sets equal, the completion
-    orders within the documented disorder tolerance and the delivered loads
-    within the documented ratio.  Exits non-zero on any divergence.
 ``routing``
     Replay each scenario under every load-balancing policy: every opened
     channel must emit exactly one well-formed ``route`` record, the set of
@@ -133,13 +129,6 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
         "FIDELITY_ABS_TOL)",
     )
 
-    traffic = verify_subs.add_parser(
-        "traffic",
-        help="fluid-vs-detailed parity on open-loop service traffic "
-        "(delivered load and request completion order)",
-    )
-    _common(traffic)
-
     routing = verify_subs.add_parser(
         "routing",
         help="load-balancing policy equivalence (completion sets, makespan "
@@ -174,8 +163,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _cmd_diff(args)
     if args.verify_command == "fidelity":
         return _cmd_fidelity(args)
-    if args.verify_command == "traffic":
-        return _cmd_traffic(args)
     if args.verify_command == "routing":
         return _cmd_routing(args)
     raise AssertionError(  # pragma: no cover
@@ -240,35 +227,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     print(
         f"fidelity parity on {total} scenario{'s' if total != 1 else ''}: "
         f"{total - failures} agreed, {failures} diverged (tolerance {tolerance:g})"
-    )
-    return 1 if failures else 0
-
-
-def _cmd_traffic(args: argparse.Namespace) -> int:
-    from .harness import verify_traffic
-
-    specs = _selected_specs(args)
-    service_specs = [spec for spec in specs if spec.traffic is not None]
-    if not service_specs:
-        raise ScenarioError(
-            "no selected scenario has a traffic section; the traffic parity "
-            "check needs open-loop service scenarios"
-        )
-    skipped = len(specs) - len(service_specs)
-    width = max(len(spec.name) for spec in service_specs)
-    failures = 0
-    for spec in service_specs:
-        divergences = verify_traffic(spec)
-        status = "ok" if not divergences else f"DIVERGED ({len(divergences)})"
-        print(f"{spec.name:{width}s}  fluid vs detailed service traffic  {status}")
-        for divergence in divergences:
-            print(f"  {divergence}")
-        failures += bool(divergences)
-    total = len(service_specs)
-    print(
-        f"traffic parity on {total} scenario{'s' if total != 1 else ''}: "
-        f"{total - failures} agreed, {failures} diverged"
-        + (f" ({skipped} batch scenario{'s' if skipped != 1 else ''} skipped)" if skipped else "")
     )
     return 1 if failures else 0
 

@@ -23,13 +23,11 @@ agreement into a harness:
   orders must agree within documented tolerances — the two backends share
   only the scheduler/control loop above the transport contract, so
   agreement is evidence, not tautology.  Service scenarios are diffed as
-  traffic (:func:`compare_traffic_runs`);
-* :func:`verify_traffic` is that cross-check restricted to open-loop service
-  scenarios: both backends are fed the *bitwise identical* request stream
-  (the arrivals are pre-generated from the spec) and must agree on what was
-  offered, what completed, the request completion order (within the
-  documented disorder tolerance) and the delivered load (within the
-  documented ratio).
+  traffic (:func:`compare_traffic_runs`): both backends are fed the *bitwise
+  identical* request stream (the arrivals are pre-generated from the spec)
+  and must agree on what was offered, what completed, the request completion
+  order (within the documented disorder tolerance) and the delivered load
+  (within the documented ratio);
 
 Every ``verify_*`` check but :func:`verify_routing` replays the scenario
 along one axis (allocator or backend) through :func:`_replay` and diffs each
@@ -772,30 +770,3 @@ def compare_traffic_runs(
                 )
             )
     return divergences
-
-
-def verify_traffic(
-    spec: Union[ScenarioSpec, Mapping[str, Any]],
-    *,
-    backends: Sequence[str] = BACKEND_NAMES,
-    makespan_ratio: float = BACKEND_MAKESPAN_RATIO,
-    order_tolerance: float = BACKEND_ORDER_TOLERANCE,
-) -> List[Divergence]:
-    """Fluid-vs-detailed parity for one open-loop service scenario.
-
-    Requires a spec with a ``traffic`` section; the check itself is
-    :func:`verify_backends`, which diffs service runs as traffic (see
-    :func:`compare_traffic_runs`).
-    """
-    spec = _as_spec(spec)
-    if spec.traffic is None:
-        raise ScenarioError(
-            f"scenario {spec.name!r} has no traffic section; "
-            "the traffic parity check needs an open-loop service scenario"
-        )
-    return verify_backends(
-        spec,
-        backends=backends,
-        makespan_ratio=makespan_ratio,
-        order_tolerance=order_tolerance,
-    )

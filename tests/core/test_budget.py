@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.budget import EPRBudgetModel, compare_placements
+from repro.core.distribution import ChainedTeleportationDistribution
 from repro.core.logical import STEANE_LEVEL_2
 from repro.core.placement import between_teleports, endpoint_only, standard_schemes, virtual_wire
 from repro.errors import ConfigurationError
@@ -142,3 +143,38 @@ class TestFeasibility:
             budget = EPRBudgetModel(IonTrapParameters.uniform_error(error)).budget(32)
             values.append(budget.pairs_teleported)
         assert values == sorted(values)
+
+
+class TestPairStates:
+    """The budget owns the channel's arrival and delivered pair states."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            IonTrapParameters.default(),
+            IonTrapParameters(threshold_error=0.01),
+            IonTrapParameters.uniform_error(1e-5),
+        ],
+        ids=["default", "loose_target", "uniform_1e-5"],
+    )
+    @pytest.mark.parametrize("protocol", ["dejmps", "bbpssw"])
+    def test_delivered_state_is_the_reference_recurrence(self, params, protocol):
+        # The loose target reaches 0 rounds; BBPSSW at 1e-5 is infeasible.
+        for placement in standard_schemes():
+            model = EPRBudgetModel(params, protocol=protocol, placement=placement)
+            distribution = ChainedTeleportationDistribution(
+                params, protocol=protocol, placement=placement
+            )
+            for hops in (0, 1, 2, 8, 32):
+                budget = model.budget(hops)
+                assert budget.arrival_state == distribution.distribute(hops).arrival_state
+                if not budget.feasible:
+                    assert budget.delivered_state is None
+                    continue
+                rounds = budget.endpoint_rounds
+                if rounds == 0:
+                    expected = budget.arrival_state
+                else:
+                    expected = model.protocol.iterate(budget.arrival_state, rounds)[-1].state
+                assert budget.delivered_state == expected
+                assert budget.delivered_state.fidelity >= params.threshold_fidelity

@@ -4,9 +4,10 @@ Hypothesis derives specs from the catalog entries, varying the topology kind
 and size, the (t, g, p) allocation, ``generator_bandwidth_scale`` and
 ``logical_gate_us`` (both ends of each accepted range included), the layout,
 the noise model, the routing policy, the allocator and the backend.  Service
-scenarios also draw their traffic: the horizon, each tenant's arrival process
-and size distribution, and gaps, bursts, phases and tails at, inside and just
-past the bounds on offered requests and MMPP phases.
+scenarios also draw their traffic: the horizon (at and just past the clock
+bound too), each tenant's arrival process and size distribution, and gaps,
+bursts, phases and tails at, inside and just past the bounds on offered
+requests and MMPP phases.
 Each spec goes through :func:`repro.api.run` with warnings raised as errors
 and must either complete with finite results or raise a
 :class:`~repro.errors.ReproError`: the validator or the machine build
@@ -30,8 +31,8 @@ from repro.scenarios.spec import (
     ALLOCATOR_NAMES,
     ARRIVAL_PROCESSES,
     BACKEND_NAMES,
+    CLOCK_US_MAX,
     GENERATOR_BANDWIDTH_SCALE_RANGE,
-    LOGICAL_GATE_US_MAX,
     MAX_OFFERED_REQUESTS,
     SIZE_DISTRIBUTIONS,
 )
@@ -51,7 +52,7 @@ overrides = st.fixed_dictionaries(
         "physics.generator_bandwidth_scale": st.sampled_from(
             [GENERATOR_BANDWIDTH_SCALE_RANGE[0], 0.5, 1.0, 3.0, GENERATOR_BANDWIDTH_SCALE_RANGE[1]]
         ),
-        "physics.logical_gate_us": st.sampled_from([0.0, 300.0, LOGICAL_GATE_US_MAX]),
+        "physics.logical_gate_us": st.sampled_from([0.0, 300.0, CLOCK_US_MAX]),
         "runtime.layout": st.sampled_from(["home_base", "mobile_qubit"]),
         "runtime.allocator": st.sampled_from(ALLOCATOR_NAMES),
         "runtime.backend": st.sampled_from(BACKEND_NAMES),
@@ -90,7 +91,9 @@ def traffic_changes(draw, tenants):
     drawn fraction of the bound's times.  Now and then the first tenant
     draws a gap so small or so large that its rate leaves the float range.
     """
-    duration = draw(st.sampled_from([1.0, 4000.0, 1e9]))
+    duration = draw(
+        st.sampled_from([1.0, 4000.0, 1e9, CLOCK_US_MAX, math.nextafter(CLOCK_US_MAX, math.inf)])
+    )
     changes = {"traffic.duration_us": duration}
     offered = draw(st.sampled_from(BOUND_FRACTIONS)) * MAX_OFFERED_REQUESTS / len(tenants)
     for name in tenants:

@@ -1,12 +1,14 @@
 """Scenario spec codec: round-trips, validation errors, overrides, hashing."""
 
+import math
+
 import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import NoiseSpec, ScenarioSpec, apply_overrides, deep_merge, get_scenario
 from repro.scenarios.spec import (
+    CLOCK_US_MAX,
     GENERATOR_BANDWIDTH_SCALE_RANGE,
-    LOGICAL_GATE_US_MAX,
     MAX_OFFERED_REQUESTS,
     PhysicsSpec,
     RuntimeSpec,
@@ -185,8 +187,8 @@ class TestValidation:
         data["physics"] = {"logical_gate_us": 1e20}
         with pytest.raises(ScenarioError, match="physics.logical_gate_us"):
             ScenarioSpec.from_dict(data)
-        data["physics"] = {"logical_gate_us": LOGICAL_GATE_US_MAX}
-        assert ScenarioSpec.from_dict(data).physics.logical_gate_us == LOGICAL_GATE_US_MAX
+        data["physics"] = {"logical_gate_us": CLOCK_US_MAX}
+        assert ScenarioSpec.from_dict(data).physics.logical_gate_us == CLOCK_US_MAX
 
 
 def _service(overrides):
@@ -199,8 +201,23 @@ class TestTrafficBounds:
     whose stream would not fit must fail validation, naming its fields."""
 
     def test_endless_horizon_rejected(self):
-        with pytest.raises(ScenarioError, match=r"traffic\.duration_us \(now 1e\+300\)"):
+        with pytest.raises(ScenarioError, match=r"traffic\.duration_us must be <= 10000000000000\.0, got 1e\+300"):
             _service({"traffic.duration_us": 1e300})
+
+    def test_horizon_is_bounded_by_the_clock(self):
+        # Gaps at 1/1000 of the horizon keep the offered load at 2,000
+        # requests, so only the clock bound can refuse these horizons.
+        def horizon(duration):
+            return {
+                "traffic.duration_us": duration,
+                "traffic.tenants.bulk.mean_interarrival_us": duration / 1000,
+                "traffic.tenants.latency.mean_interarrival_us": duration / 1000,
+            }
+
+        for duration in (1e300, math.nextafter(CLOCK_US_MAX, math.inf)):
+            with pytest.raises(ScenarioError, match=r"traffic\.duration_us must be <= 10000000000000\.0"):
+                _service(horizon(duration))
+        assert _service(horizon(CLOCK_US_MAX)).traffic.duration_us == CLOCK_US_MAX
 
     def test_zero_width_gap_rejected(self):
         # expovariate(1 / 5e-324) is 0.0: the arrival clock would never move.

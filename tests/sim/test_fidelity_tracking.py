@@ -1,10 +1,10 @@
 """Fidelity accounting through the simulation stack.
 
-Covers the tentpole wiring below the verify layer: the per-channel fidelity
-model, the transport base's open-time level selection and close-time
-reporting, the queue purifier's per-pair state tracking, the result columns
-and the ``fidelity`` trace records — plus the guarantee that runs without a
-noise model stay untouched.
+Covers the wiring below the verify layer: the target fidelity folding into
+the budget's level selection, the transport base's close-time reporting from
+the channel budget, the queue purifier's per-pair state tracking, the result
+columns and the ``fidelity`` trace records — plus the guarantee that runs
+without a noise model stay untouched.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.physics.states import BellDiagonalState
 from repro.scenarios import get_scenario, run_record
 from repro.scenarios.run import build_machine, build_stream
 from repro.sim.engine import SimulationEngine
-from repro.sim.fidelity import ChannelFidelityModel
 from repro.sim.machine import QuantumMachine
 from repro.sim.qpurifier import QueuePurifier
 from repro.sim.simulator import CommunicationSimulator
@@ -26,35 +25,15 @@ def tracked_machine(**kwargs):
     return QuantumMachine(3, num_qubits=6, track_fidelity=True, **kwargs)
 
 
-class TestChannelFidelityModel:
-    def test_profile_matches_budget_selection(self):
-        machine = tracked_machine()
-        model = machine.fidelity_model()
-        assert isinstance(model, ChannelFidelityModel)
-        for hops in (1, 2, 3):
-            profile = model.profile(hops)
-            budget = machine.planner.budget_for_hops(hops)
-            assert profile.purification_level == budget.endpoint_rounds
-            assert profile.arrival_fidelity == pytest.approx(budget.arrival_fidelity)
-            assert profile.expected_pairs >= 1.0
-            assert profile.meets_target
-            assert profile.delivered_fidelity >= profile.target_fidelity
-
-    def test_profiles_are_memoized(self):
-        model = tracked_machine().fidelity_model()
-        assert model.profile(2) is model.profile(2)
-
-    def test_untracked_machine_has_no_model(self):
-        assert QuantumMachine(3, num_qubits=6).fidelity_model() is None
-
+class TestTargetFidelity:
     def test_target_fidelity_folds_into_threshold(self):
         machine = tracked_machine(target_fidelity=0.99)
         assert machine.params.threshold_fidelity == pytest.approx(0.99)
-        profile = machine.fidelity_model().profile(2)
-        assert profile.target_fidelity == pytest.approx(0.99)
+        budget = machine.planner.budget_for_hops(2)
+        assert budget.delivered_state.fidelity >= 0.99
         # A looser target needs fewer purification rounds than the default.
-        default_level = tracked_machine().fidelity_model().profile(2).purification_level
-        assert profile.purification_level <= default_level
+        default_rounds = tracked_machine().planner.budget_for_hops(2).endpoint_rounds
+        assert budget.endpoint_rounds < default_rounds
 
     def test_invalid_target_fidelity_rejected(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
@@ -191,3 +170,37 @@ class TestRunLevelAccounting:
         ] == [(c.source, c.destination, c.start_us, c.end_us) for c in baseline.channels]
         assert all(c.delivered_fidelity is not None for c in tracked.channels)
         assert all(c.delivered_fidelity is None for c in baseline.channels)
+
+
+class TestBudgetStatesReported:
+    """Both backends report the pair states the channel's budget carries."""
+
+    @pytest.mark.parametrize("backend", ["fluid", "detailed"])
+    def test_fidelity_records_read_the_budget(self, backend):
+        spec = get_scenario("smoke_noisy")
+        machine = build_machine(spec)
+        bus = TraceBus(kinds=CANONICAL_KINDS)
+        CommunicationSimulator(machine, backend=backend).run(build_stream(spec), trace=bus)
+        records = bus.filtered([ChannelFidelity.kind])
+        assert records
+        for record in records:
+            budget = machine.planner.budget_for_hops(record.hops)
+            assert record.arrival_fidelity == budget.arrival_state.fidelity
+            assert record.purification_level == budget.endpoint_rounds
+            assert record.target_fidelity == machine.params.threshold_fidelity
+            if backend == "fluid":
+                assert record.delivered_fidelity == budget.delivered_state.fidelity
+
+    @pytest.mark.parametrize("backend", ["fluid", "detailed"])
+    def test_level_zero_delivers_the_arrival_state(self, backend):
+        # A loose target needs no purification: the arrival pairs are good.
+        spec = get_scenario("smoke").with_noise({"target_fidelity": 0.99})
+        machine = build_machine(spec)
+        result = CommunicationSimulator(machine, backend=backend).run(build_stream(spec))
+        assert result.channels
+        for channel in result.channels:
+            budget = machine.planner.budget_for_hops(channel.hops)
+            assert budget.endpoint_rounds == 0
+            assert budget.delivered_state is budget.arrival_state
+            assert channel.purification_level == 0
+            assert channel.delivered_fidelity == budget.arrival_state.fidelity

@@ -1,18 +1,21 @@
-"""Fluid-vs-detailed traffic parity: open-loop service runs must agree."""
+"""Fluid-vs-detailed traffic parity: open-loop service runs must agree.
+
+``verify_backends`` diffs a service scenario's two runs as traffic
+(:func:`~repro.verify.harness.compare_traffic_runs`).
+"""
 
 import pytest
 
 from repro.errors import ScenarioError
-from repro.runtime.cli import main
 from repro.scenarios import get_scenario
 from repro.trace import RequestCompleted
-from repro.verify import compare_traffic_runs, verify_traffic
+from repro.verify import compare_traffic_runs, verify_backends
 from repro.verify.harness import traced_run
 
 
 class TestVerifyTraffic:
     def test_catalog_service_scenario_passes_parity(self):
-        divergences = verify_traffic(get_scenario("service_smoke"))
+        divergences = verify_backends(get_scenario("service_smoke"))
         assert divergences == [], [str(d) for d in divergences]
 
     def test_traced_run_carries_the_service_result(self):
@@ -21,17 +24,13 @@ class TestVerifyTraffic:
         assert run.result.service.offered > 0
         assert run.makespan_us > 0
 
-    def test_rejects_batch_scenarios(self):
-        with pytest.raises(ScenarioError, match="no traffic section"):
-            verify_traffic(get_scenario("smoke"))
-
     def test_rejects_single_backend(self):
         with pytest.raises(ScenarioError, match="at least two backends"):
-            verify_traffic(get_scenario("service_smoke"), backends=["fluid"])
+            verify_backends(get_scenario("service_smoke"), backends=["fluid"])
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ScenarioError, match="unknown backends"):
-            verify_traffic(get_scenario("service_smoke"), backends=["fluid", "bogus"])
+            verify_backends(get_scenario("service_smoke"), backends=["fluid", "bogus"])
 
     def test_tight_order_tolerance_still_holds_on_identical_runs(self):
         # Same backend twice is bitwise identical, so even zero tolerance holds.
@@ -59,19 +58,3 @@ class TestVerifyTraffic:
         # A corrupted offer invalidates everything downstream: the diff must
         # report exactly the arrival divergence and nothing else.
         assert [d.aspect for d in divergences] == ["traffic_arrivals"]
-
-
-class TestVerifyTrafficCli:
-    def test_cli_reports_parity(self, capsys):
-        assert main(["verify", "traffic", "service_smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "service_smoke" in out and "ok" in out
-
-    def test_cli_skips_batch_scenarios_in_a_mixed_selection(self, capsys):
-        assert main(["verify", "traffic", "smoke", "service_smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "batch" in out and "skipped" in out
-
-    def test_cli_rejects_batch_only_selection(self, capsys):
-        assert main(["verify", "traffic", "smoke"]) == 2
-        assert "traffic" in capsys.readouterr().err
