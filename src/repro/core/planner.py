@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import RoutingError
 from ..network.geometry import Coordinate
-from ..network.routing import DimensionOrder, Path, candidate_paths
+from ..network.routing import CandidatePaths, DimensionOrder, Path, candidate_paths
 from ..network.topology import MeshTopology
 from ..physics.parameters import IonTrapParameters
 from .budget import ChannelBudget, EPRBudgetModel
@@ -97,13 +97,12 @@ class ChannelPlanner:
         """
         return self.candidates(source, destination)[0]
 
-    def candidates(self, source: Coordinate, destination: Coordinate) -> Tuple[Path, ...]:
+    def candidates(self, source: Coordinate, destination: Coordinate) -> CandidatePaths:
         """All candidate paths for the pair (memoized per endpoint pair)."""
         key = (source, destination)
         cached = self._candidate_cache.get(key)
         if cached is None:
-            self.topology.validate_node(source)
-            self.topology.validate_node(destination)
+            # candidate_paths validates both endpoints against the topology.
             cached = candidate_paths(source, destination, self.topology, order=self.order)
             self._candidate_cache[key] = cached
         return cached

@@ -20,24 +20,27 @@ tier services the X teleporter set while tier-crossing hops service Y,
 exactly the Figure 6 router split the mesh fabrics use.
 
 Unlike the single deterministic dimension-order route of the mesh family,
-each fabric enumerates *all* candidate paths per endpoint pair
+each fabric offers *all* candidate paths per endpoint pair
 (:meth:`HierarchicalTopology.enumerate_paths`): every equal-cost minimal path
 plus, on the dragonfly, the Valiant non-minimal detours through each other
-group.  The :class:`~repro.network.routing.LoadBalancer` policies pick among
-them at channel-open time; with no balancer configured the planner takes
-``candidates[0]``, a fixed minimal path.
+group.  They come as a :class:`~repro.network.routing.CandidatePaths`, which
+knows the candidate count and the equal-cost class up front and builds a
+path only when it is read.  The :class:`~repro.network.routing.LoadBalancer`
+policies pick among them at channel-open time; with no balancer configured
+the planner takes ``candidates[0]``, a fixed minimal path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import networkx as nx
 
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate
 from .nodes import ResourceAllocation
-from .routing import Path
+from .routing import CandidatePaths, Path
 from .topology import MeshTopology
 
 
@@ -47,11 +50,12 @@ class HierarchicalTopology(MeshTopology):
     Subclasses set their structural parameters before calling
     ``super().__init__`` (which triggers :meth:`_build`), implement
     :meth:`_build` by wiring hosts and switches with express links, and
-    implement :meth:`_minimal_paths`/:meth:`_nonminimal_paths` in terms of
-    host endpoints.  Everything the simulation stack consumes — node/link
-    iteration, adjacency, hop distances, resource accounting — is inherited
-    or derived from the fabric graph, so the machine, both transport
-    backends and the verify harness treat these fabrics exactly like meshes.
+    implement :meth:`_candidate_count` and :meth:`_candidate` (or
+    :meth:`_host_candidates`) in terms of host endpoints.
+    Everything the simulation stack consumes — node/link iteration,
+    adjacency, hop distances, resource accounting — is inherited or derived
+    from the fabric graph, so the machine, both transport backends and the
+    verify harness treat these fabrics exactly like meshes.
     """
 
     #: Overridden by subclasses; used in descriptions and ``fabric``.
@@ -124,7 +128,7 @@ class HierarchicalTopology(MeshTopology):
 
     # -- candidate enumeration -------------------------------------------------
 
-    def enumerate_paths(self, source: Coordinate, destination: Coordinate) -> Tuple[Path, ...]:
+    def enumerate_paths(self, source: Coordinate, destination: Coordinate) -> CandidatePaths:
         """All candidate paths: equal-cost minimal first, then non-minimal.
 
         The order is deterministic (a structural function of the endpoints),
@@ -140,18 +144,25 @@ class HierarchicalTopology(MeshTopology):
             raise RoutingError(f"no path needed from {source} to itself")
         if not (self.is_host(source) and self.is_host(destination)):
             nodes = nx.shortest_path(self._graph, source, destination)
-            return (self._path(nodes),)
-        minimal = self._minimal_paths(source, destination)
-        return tuple(minimal) + tuple(self._nonminimal_paths(source, destination))
+            return CandidatePaths.single(self._path(nodes))
+        return self._host_candidates(source, destination)
 
-    def _minimal_paths(self, source: Coordinate, destination: Coordinate) -> List[Path]:
+    def _host_candidates(self, source: Coordinate, destination: Coordinate) -> CandidatePaths:
+        """A host pair's candidates, all of one hop length unless overridden.
+
+        The count comes from arithmetic on the endpoints; a path is built
+        only when a caller reads its index.
+        """
+        count = self._candidate_count(source, destination)
+        return CandidatePaths(count, partial(self._candidate, source, destination), range(count))
+
+    def _candidate_count(self, source: Coordinate, destination: Coordinate) -> int:
         raise NotImplementedError
 
-    def _nonminimal_paths(self, source: Coordinate, destination: Coordinate) -> List[Path]:
-        """Non-minimal candidates; empty unless the fabric offers detours."""
-        return []
+    def _candidate(self, source: Coordinate, destination: Coordinate, index: int) -> Path:
+        raise NotImplementedError
 
-    def _path(self, nodes: "list[Coordinate] | tuple[Coordinate, ...]") -> Path:
+    def _path(self, nodes: Sequence[Coordinate]) -> Path:
         return Path(tuple(nodes), express=True)
 
     def describe(self) -> str:
@@ -197,24 +208,24 @@ class FatTreeTopology(HierarchicalTopology):
         )
 
     def _edge(self, index: int) -> Coordinate:
-        return Coordinate(index, 1)
+        return self._edges[index]
 
     def _agg(self, index: int) -> Coordinate:
-        return Coordinate(index, 2)
+        return self._aggs[index]
 
     def _core(self, index: int) -> Coordinate:
-        return Coordinate(index, 3)
+        return self._cores[index]
 
     def _build(self) -> None:
         half, pods = self.half, self.pods
+        # One Coordinate per switch, shared by every path built through it.
+        self._edges = tuple(Coordinate(index, 1) for index in range(pods * half))
+        self._aggs = tuple(Coordinate(index, 2) for index in range(pods * half))
+        self._cores = tuple(Coordinate(index, 3) for index in range(half * half))
         for index in range(self.host_count):
             self._add_node(Coordinate(index, 0))
-        for index in range(pods * half):
-            self._add_node(self._edge(index))
-        for index in range(pods * half):
-            self._add_node(self._agg(index))
-        for index in range(half * half):
-            self._add_node(self._core(index))
+        for switch in self._edges + self._aggs + self._cores:
+            self._add_node(switch)
         for index in range(self.host_count):
             self._add_link(Coordinate(index, 0), self._edge(index // half), express=True)
         for pod in range(pods):
@@ -230,40 +241,42 @@ class FatTreeTopology(HierarchicalTopology):
                         self._agg(pod * half + j), self._core(j * half + m), express=True
                     )
 
-    def _minimal_paths(self, source: Coordinate, destination: Coordinate) -> List[Path]:
+    def _candidate_count(self, source: Coordinate, destination: Coordinate) -> int:
         half = self.half
         edge_a, edge_b = source.x // half, destination.x // half
         if edge_a == edge_b:
-            return [self._path((source, self._edge(edge_a), destination))]
+            return 1
+        return half if edge_a // half == edge_b // half else half * half
+
+    def _candidate(self, source: Coordinate, destination: Coordinate, index: int) -> Path:
+        half = self.half
+        edge_a, edge_b = source.x // half, destination.x // half
+        if edge_a == edge_b:
+            return self._path((source, self._edge(edge_a), destination))
         pod_a, pod_b = edge_a // half, edge_b // half
         if pod_a == pod_b:
-            return [
-                self._path(
-                    (
-                        source,
-                        self._edge(edge_a),
-                        self._agg(pod_a * half + j),
-                        self._edge(edge_b),
-                        destination,
-                    )
-                )
-                for j in range(half)
-            ]
-        return [
-            self._path(
+            return self._path(
                 (
                     source,
                     self._edge(edge_a),
-                    self._agg(pod_a * half + j),
-                    self._core(j * half + m),
-                    self._agg(pod_b * half + j),
+                    self._agg(pod_a * half + index),
                     self._edge(edge_b),
                     destination,
                 )
             )
-            for j in range(half)
-            for m in range(half)
-        ]
+        # Candidate j * half + m climbs through aggregation switch j and core m.
+        j, m = divmod(index, half)
+        return self._path(
+            (
+                source,
+                self._edge(edge_a),
+                self._agg(pod_a * half + j),
+                self._core(j * half + m),
+                self._agg(pod_b * half + j),
+                self._edge(edge_b),
+                destination,
+            )
+        )
 
     def diameter_hops(self) -> int:
         return 6
@@ -328,17 +341,18 @@ class LeafSpineTopology(HierarchicalTopology):
             for spine in range(self.spines):
                 self._add_link(self._leaf(leaf), self._spine(spine), express=True)
 
-    def _minimal_paths(self, source: Coordinate, destination: Coordinate) -> List[Path]:
+    def _candidate_count(self, source: Coordinate, destination: Coordinate) -> int:
+        same_leaf = source.x // self.hosts_per_leaf == destination.x // self.hosts_per_leaf
+        return 1 if same_leaf else self.spines
+
+    def _candidate(self, source: Coordinate, destination: Coordinate, index: int) -> Path:
         leaf_a = source.x // self.hosts_per_leaf
         leaf_b = destination.x // self.hosts_per_leaf
         if leaf_a == leaf_b:
-            return [self._path((source, self._leaf(leaf_a), destination))]
-        return [
-            self._path(
-                (source, self._leaf(leaf_a), self._spine(s), self._leaf(leaf_b), destination)
-            )
-            for s in range(self.spines)
-        ]
+            return self._path((source, self._leaf(leaf_a), destination))
+        return self._path(
+            (source, self._leaf(leaf_a), self._spine(index), self._leaf(leaf_b), destination)
+        )
 
     def diameter_hops(self) -> int:
         return 4
@@ -351,9 +365,11 @@ class DragonflyTopology(HierarchicalTopology):
     hosts on tier 0.  The global link between groups ``i < j`` attaches to
     router ``(j-1) % a`` of group ``i`` and router ``i % a`` of group ``j``
     (round-robin, so global links spread over a group's routers).  Between
-    groups there is exactly one minimal path — via the direct global link —
-    plus one Valiant non-minimal candidate per intermediate group, which is
-    what lets the adaptive policy shed load off a hot global link.
+    groups there is exactly one direct path — via the direct global link —
+    plus one Valiant detour per intermediate group, which is what lets the
+    adaptive policy shed load off a hot global link.  A detour that needs no
+    local hop ties a direct path that needs one, so ECMP's equal-cost class
+    can hold detours.
     """
 
     family = "dragonfly"
@@ -418,9 +434,9 @@ class DragonflyTopology(HierarchicalTopology):
             for j in range(i + 1, self.groups):
                 self._add_link(self._gateway(i, j), self._gateway(j, i), express=True)
 
-    def _route_via_groups(
+    def _walk_groups(
         self, source: Coordinate, destination: Coordinate, groups: "list[int]"
-    ) -> Path:
+    ) -> List[Coordinate]:
         """Walk the group sequence, inserting intra-group hops as needed."""
         nodes: List[Coordinate] = [source, self._router_of_host(source)]
         for here, nxt in zip(groups, groups[1:]):
@@ -432,28 +448,30 @@ class DragonflyTopology(HierarchicalTopology):
         if nodes[-1] != last_router:
             nodes.append(last_router)
         nodes.append(destination)
-        return self._path(nodes)
+        return nodes
 
-    def _minimal_paths(self, source: Coordinate, destination: Coordinate) -> List[Path]:
+    def _host_candidates(self, source: Coordinate, destination: Coordinate) -> CandidatePaths:
         router_a = self._router_of_host(source)
         router_b = self._router_of_host(destination)
         if router_a == router_b:
-            return [self._path((source, router_a, destination))]
+            return CandidatePaths.single(self._path((source, router_a, destination)))
         group_a, group_b = self._group_of(router_a), self._group_of(router_b)
         if group_a == group_b:
-            return [self._path((source, router_a, router_b, destination))]
-        return [self._route_via_groups(source, destination, [group_a, group_b])]
-
-    def _nonminimal_paths(self, source: Coordinate, destination: Coordinate) -> List[Path]:
-        group_a = self._group_of(self._router_of_host(source))
-        group_b = self._group_of(self._router_of_host(destination))
-        if group_a == group_b:
-            return []
-        return [
-            self._route_via_groups(source, destination, [group_a, via, group_b])
+            return CandidatePaths.single(self._path((source, router_a, router_b, destination)))
+        # The direct route, then one Valiant detour per intermediate group.
+        # A detour that needs fewer local hops can tie the direct route, so
+        # the equal-cost class need not be a prefix.
+        walks = [self._walk_groups(source, destination, [group_a, group_b])] + [
+            self._walk_groups(source, destination, [group_a, via, group_b])
             for via in range(self.groups)
             if via not in (group_a, group_b)
         ]
+        shortest = min(len(walk) for walk in walks)
+        return CandidatePaths(
+            len(walks),
+            lambda index: self._path(walks[index]),
+            [index for index, walk in enumerate(walks) if len(walk) == shortest],
+        )
 
     def diameter_hops(self) -> int:
         if self.groups > 1:

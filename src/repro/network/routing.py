@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
-from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, overload
 
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate
@@ -84,9 +85,9 @@ class Path:
         """Number of links traversed."""
         return len(self.nodes) - 1
 
-    @property
+    @cached_property
     def links(self) -> Tuple[LinkId, ...]:
-        """The virtual-wire links traversed, in order."""
+        """The virtual-wire links traversed, in order (built once per path)."""
         return tuple(
             LinkId(a, b, express=self.express)
             for a, b in zip(self.nodes, self.nodes[1:])
@@ -183,13 +184,60 @@ def dimension_order_route(
     return Path(tuple(nodes), wraps=(width if wrap_x else 0, height if wrap_y else 0))
 
 
+class CandidatePaths(Sequence[Path]):
+    """One endpoint pair's candidate paths, each built on first access.
+
+    ``len()`` is the full candidate count and :attr:`equal_cost` holds the
+    indices of every candidate at the minimum hop count (the class ECMP
+    hashes onto); the fabric states both without building a path.  A
+    cross-pod fat-tree pair has (k/2)² candidates and ECMP takes one, so the
+    fabric hands over ``path_at(index)`` instead of the paths.  Each index is
+    built once and memoized; iterating builds them all.
+    """
+
+    __slots__ = ("_path_at", "_paths", "equal_cost")
+
+    def __init__(
+        self, count: int, path_at: Callable[[int], Path], equal_cost: Sequence[int]
+    ) -> None:
+        self._path_at = path_at
+        self._paths: List[Optional[Path]] = [None] * count
+        self.equal_cost = equal_cost
+
+    @classmethod
+    def single(cls, path: Path) -> "CandidatePaths":
+        """The one candidate of a single-path pair."""
+        return cls(1, lambda _index: path, (0,))
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    @overload
+    def __getitem__(self, index: int) -> Path: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[Path]: ...
+
+    def __getitem__(self, index: "int | slice") -> "Path | List[Path]":
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self._paths))[index]]
+        path = self._paths[index]
+        if path is None:
+            index = range(len(self._paths))[index]
+            path = self._paths[index] = self._path_at(index)
+        return path
+
+    def __iter__(self) -> Iterator[Path]:
+        return (self[index] for index in range(len(self._paths)))
+
+
 def candidate_paths(
     source: Coordinate,
     destination: Coordinate,
     topology: Optional[MeshTopology] = None,
     *,
     order: DimensionOrder = DimensionOrder.XY,
-) -> Tuple[Path, ...]:
+) -> CandidatePaths:
     """All candidate paths between two T' nodes, deterministic-first.
 
     Hierarchical fabrics (fat-tree, leaf-spine, dragonfly) expose an
@@ -202,11 +250,13 @@ def candidate_paths(
     """
     enumerate_hook = getattr(topology, "enumerate_paths", None)
     if enumerate_hook is not None:
-        paths: Tuple[Path, ...] = enumerate_hook(source, destination)
+        paths: CandidatePaths = enumerate_hook(source, destination)
         if not paths:
             raise RoutingError(f"no candidate paths between {source} and {destination}")
         return paths
-    return (dimension_order_route(source, destination, topology, order=order),)
+    return CandidatePaths.single(
+        dimension_order_route(source, destination, topology, order=order)
+    )
 
 
 def route_many(
@@ -274,11 +324,11 @@ class LoadBalancer:
     """Chooses one candidate path per channel open.
 
     ``choose`` receives the flow id being opened, the endpoints, the fabric's
-    candidate enumeration (minimal candidates first) and the transport's load
-    view — active channels per link — and returns the index of the candidate
-    to take.  Implementations must be deterministic in their inputs: both
-    transport backends and every allocator replay the same choices, which is
-    what keeps routing-policy runs diffable.
+    candidates (a minimal one first) and the transport's load view — active
+    channels per link — and returns the index of the candidate to take.
+    Implementations must be deterministic in their inputs: both transport
+    backends and every allocator replay the same choices, which is what
+    keeps routing-policy runs diffable.
     """
 
     #: Registry name; subclasses override.
@@ -289,23 +339,22 @@ class LoadBalancer:
         flow_id: int,
         source: Coordinate,
         destination: Coordinate,
-        candidates: Sequence[Path],
+        candidates: CandidatePaths,
         link_loads: Mapping[LinkId, int],
     ) -> int:
         raise NotImplementedError
 
 
-def _minimal_indices(candidates: Sequence[Path]) -> List[int]:
-    shortest = min(path.hops for path in candidates)
-    return [i for i, path in enumerate(candidates) if path.hops == shortest]
-
-
 class EcmpBalancer(LoadBalancer):
-    """Equal-cost multi-path: hash the flow onto one *minimal* candidate.
+    """Equal-cost multi-path: hash the flow onto the equal-cost class.
 
-    Oblivious to load; spreads flows uniformly over the equal-cost class
-    (uniform within ±20% over 1k flows — property-tested) and never takes a
-    non-minimal detour.
+    The class is every candidate at the minimum hop count
+    (:attr:`CandidatePaths.equal_cost`): all of them on a fat tree or a
+    leaf-spine; on a dragonfly the minimal route plus any Valiant detour that
+    ties it (two global hops without a local one match one global hop plus a
+    local one).  Oblivious to load; spreads flows uniformly over the class
+    (uniform within ±20% over 1k flows — property-tested) and builds only the
+    path it takes.
     """
 
     policy = "ecmp"
@@ -315,11 +364,11 @@ class EcmpBalancer(LoadBalancer):
         flow_id: int,
         source: Coordinate,
         destination: Coordinate,
-        candidates: Sequence[Path],
+        candidates: CandidatePaths,
         link_loads: Mapping[LinkId, int],
     ) -> int:
-        minimal = _minimal_indices(candidates)
-        return minimal[ecmp_hash(flow_id, source, destination) % len(minimal)]
+        equal_cost = candidates.equal_cost
+        return equal_cost[ecmp_hash(flow_id, source, destination) % len(equal_cost)]
 
 
 class LeastLoadedBalancer(LoadBalancer):
@@ -337,7 +386,7 @@ class LeastLoadedBalancer(LoadBalancer):
         flow_id: int,
         source: Coordinate,
         destination: Coordinate,
-        candidates: Sequence[Path],
+        candidates: CandidatePaths,
         link_loads: Mapping[LinkId, int],
     ) -> int:
         best_index = 0
@@ -373,7 +422,7 @@ class AdaptiveBalancer(LoadBalancer):
         flow_id: int,
         source: Coordinate,
         destination: Coordinate,
-        candidates: Sequence[Path],
+        candidates: CandidatePaths,
         link_loads: Mapping[LinkId, int],
     ) -> int:
         hashed = EcmpBalancer().choose(flow_id, source, destination, candidates, link_loads)

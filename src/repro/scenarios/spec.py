@@ -565,10 +565,10 @@ class RoutingSpec:
     """Load-balanced multi-path routing policy (see :mod:`repro.network.routing`).
 
     * ``policy`` — ``ecmp`` (deterministic SHA-256 hash of (flow id, src,
-      dst) over the minimal candidates), ``least_loaded`` (minimise current
-      max link occupancy) or ``adaptive`` (keep the ECMP choice unless its
-      bottleneck exceeds the least-loaded one by more than ``hysteresis``
-      active channels);
+      dst) over the candidates at the minimum hop count), ``least_loaded``
+      (minimise current max link occupancy) or ``adaptive`` (keep the ECMP
+      choice unless its bottleneck exceeds the least-loaded one by more than
+      ``hysteresis`` active channels);
     * ``hysteresis`` — the adaptive policy's divert threshold in channels
       (accepted and ignored by the other policies so the policy axis sweeps
       with one parameter surface).

@@ -22,9 +22,10 @@ CSR-style numpy index arrays instead of per-flow Python dicts:
 Summation uses ``np.bincount(cols, weights=w)``, which accumulates strictly
 in input-array order (a sequential C loop), so per-resource demand sums are
 bitwise identical to the incremental allocator's Python loop at every size.
-``np.add.reduceat`` — the other obvious kernel — switches to pairwise
-summation above ~128 elements and is *not* bitwise-stable against the
-sequential reference, which is why it is not used here.
+The other obvious kernels are not: on numpy 2.4.6, ``np.add.reduceat``
+already differs from a sequential sum on 3-element arrays (359 of 2,000
+uniform random arrays) and ``np.add.reduce`` on 8-element ones (767 of
+2,000), while ``bincount`` matched at every length tried, 2 to 300.
 
 All values returned to the caller are converted to Python scalars so numpy
 types never leak into engine timestamps or trace records.
@@ -292,17 +293,25 @@ class FlowPack:
         """Progressive-filling max-min rates, bitwise-equal to the dict loop.
 
         Per round: sum per-column demand over the unfrozen rows' entries with
-        ``bincount`` (sequential, flow-id order), take the bottleneck delta as
-        the min of ``cap_left / denom`` over contended columns (min over
-        floats is order-independent), raise the fill level by it, charge
-        ``delta * denom`` to every column, and freeze at the current level
-        the member rows of contended columns that crossed the saturation
-        epsilon.  Carrying the level as one scalar gives each row the bits
-        ``rates[alive] += delta`` would, and charging every column is exact
-        because ``x - delta * 0.0`` is ``x``.  No NaN can occur while every
-        work is finite: only contended columns are divided by.  An infinite
-        work would meet a zero delta and make NaN, which is why
-        ``TransportBackend._open_channel`` rejects infeasible channels.
+        ``bincount`` (sequential, flow-id order); take the bottleneck delta as
+        ``np.minimum.reduce(cap_left / denom)`` over every column (min over
+        floats is order-independent); raise the fill level by it; charge
+        ``delta * denom`` to every column; freeze at the current level the
+        member rows of the columns that crossed the saturation epsilon; and
+        set those columns' residual capacity to +inf.
+
+        Every column without demand reads +inf: an unsaturated one keeps its
+        positive capacity (``x - delta * 0.0`` is ``x``), and a saturated one
+        is +inf and stays so (``inf - 0.0``), since all its members froze.
+        So the min over every column equals the min over the contended ones,
+        a delta of +inf means none is contended, and no column saturates
+        twice.  After a round that freezes every live row, the next finds no
+        demand and raises a level no row reads.  Carrying the level as one
+        scalar gives each row the bits ``rates[alive] += delta`` would.  Only
+        division by zero is silenced; a zero capacity would make ``0 / 0``
+        and warn.  An infinite work would meet a zero delta and make NaN,
+        which is why ``TransportBackend._open_channel`` rejects infeasible
+        channels.
         """
         n, e = self.n_rows, self.n_entries
         rates = np.zeros(n, dtype=np.float64)
@@ -312,7 +321,6 @@ class FlowPack:
             return rates
         n_cols = self.n_cols
         cap_left = self._col_cap[:n_cols].copy()
-        ratio = np.empty(n_cols, dtype=np.float64)
         # Working copies of the entry arrays, shrunk to live-row entries as
         # rows freeze so each round costs O(live entries), not O(all
         # entries).  Dropping a dead entry is bitwise-neutral: it would have
@@ -324,29 +332,26 @@ class FlowPack:
         ecol = self._entry_col[:e][keep]
         ework = self._entry_work[:e][keep]
         level = 0.0
-        for _ in range(active + 1):
-            denom = np.bincount(ecol, weights=ework, minlength=n_cols)
-            contended = denom > 0.0
-            if not np.count_nonzero(contended):
-                level += 1.0
-                break
-            # Uncontended columns must read +inf, not an earlier round's ratio.
-            ratio.fill(np.inf)
-            delta = np.divide(cap_left, denom, out=ratio, where=contended).min()
-            level += delta
-            cap_left -= delta * denom
-            saturated = contended & (cap_left <= saturation_eps)
-            frozen_rows = erow[saturated[ecol]]
-            if not frozen_rows.size:
-                break
-            rates[frozen_rows] = level
-            alive[frozen_rows] = False
-            if not np.count_nonzero(alive):
-                break
-            keep = alive[erow]
-            erow = erow[keep]
-            ecol = ecol[keep]
-            ework = ework[keep]
+        with np.errstate(divide="ignore"):
+            for _ in range(active + 1):
+                denom = np.bincount(ecol, weights=ework, minlength=n_cols)
+                delta = np.minimum.reduce(cap_left / denom)
+                if delta == np.inf:
+                    level += 1.0
+                    break
+                level += delta
+                cap_left -= delta * denom
+                saturated = cap_left <= saturation_eps
+                frozen_rows = erow[saturated[ecol]]
+                if not frozen_rows.size:
+                    break
+                rates[frozen_rows] = level
+                alive[frozen_rows] = False
+                cap_left[saturated] = np.inf
+                keep = alive[erow]
+                erow = erow[keep]
+                ecol = ecol[keep]
+                ework = ework[keep]
         rates[alive] = level
         return rates
 

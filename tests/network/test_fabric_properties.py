@@ -18,11 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.fabrics import build_topology
+from repro.network.layout import CommRequest
 from repro.network.routing import (
     EcmpBalancer,
     LeastLoadedBalancer,
+    Path,
     create_balancer,
 )
+from repro.sim.control import PlannedCommunication
+from repro.sim.engine import SimulationEngine
+from repro.sim.flow import FlowTransport
+from repro.sim.machine import QuantumMachine
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -74,9 +80,22 @@ class TestPathEnumeration:
         assert candidates[0].hops == shortest
         minimal = [path for path in candidates if path.hops == shortest]
         assert len({path.hops for path in minimal}) == 1
+        # The class is stated without building a path, and it is exact.
+        assert list(candidates.equal_cost) == [
+            i for i, path in enumerate(candidates) if path.hops == shortest
+        ]
         # Candidate sets never repeat a path.
         names = [path.stable_name for path in candidates]
         assert len(set(names)) == len(names)
+
+    def test_dragonfly_equal_cost_class_need_not_be_a_prefix(self):
+        # Hosts 0 and 4 sit in groups 0 and 2.  The direct route needs a
+        # local hop to reach group 0's gateway; the detour through group 3
+        # leaves and enters on the endpoints' own routers and ties it.
+        topology = FABRICS["dragonfly"]
+        candidates = topology.enumerate_paths(topology.host(0), topology.host(4))
+        assert [path.hops for path in candidates] == [4, 6, 4]
+        assert list(candidates.equal_cost) == [0, 2]
 
     @given(fabric_names, st.integers(0, 1023), st.integers(0, 1023))
     @settings(max_examples=60, deadline=None)
@@ -150,6 +169,35 @@ class TestEcmp:
             check=True,
         )
         assert json.loads(result.stdout) == local
+
+
+class TestEcmpAdmission:
+    def test_admission_builds_only_the_paths_it_reads(self, monkeypatch):
+        # A cross-pod pair of a k=8 fat tree has 16 equal-cost candidates.
+        # Admitting an ECMP channel reads two of them: the planner's default
+        # route (candidate 0) and the hashed pick.
+        machine = QuantumMachine(8, topology_kind="fat_tree", routing_policy="ecmp")
+        topology = machine.topology
+        transport = FlowTransport(SimulationEngine(), machine, allocator="vectorized")
+        # Hosts i and i + 16 lie in adjacent pods (16 hosts per pod).
+        pairs = [(topology.host(i), topology.host(i + 16)) for i in range(48)]
+        built = []
+        post_init = Path.__post_init__
+
+        def counting_post_init(path):
+            built.append(path)
+            post_init(path)
+
+        monkeypatch.setattr(Path, "__post_init__", counting_post_init)
+        for qubit, (source, dest) in enumerate(pairs):
+            planned = PlannedCommunication(
+                request=CommRequest(source=source, dest=dest, qubit=qubit),
+                plan=machine.planner.plan(source, dest),
+            )
+            transport.start(planned, lambda: None)
+        assert transport.active_flows == len(pairs)
+        assert {len(machine.planner.candidates(*pair)) for pair in pairs} == {16}
+        assert len(built) <= 2 * len(pairs)
 
 
 class TestLeastLoaded:

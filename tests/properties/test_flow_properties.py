@@ -383,6 +383,26 @@ class TestFlowPackStructure:
         pack.compact()
         _assert_kernel_matches_filling(pack, demand_maps, live)
 
+    def test_column_saturating_below_zero_leaves_the_next_round_alone(self):
+        """A column that saturates at a negative residual while another
+        column stays contended: the next round must not divide by it."""
+        demand_maps = [{("beta", 1): 0.1}] * 3 + [{("alpha", 0): 0.1}]
+        denom = 0.1 + 0.1 + 0.1
+        assert _capacity_of(("beta", 1)) - _capacity_of(("beta", 1)) / denom * denom < 0.0
+        _assert_kernel_matches_filling(_build_pack(demand_maps), demand_maps, [0, 1, 2, 3])
+
+    def test_every_live_row_freezing_in_one_round(self):
+        """Both live rows share the first bottleneck; a tombstoned row still
+        holds entries on the other column."""
+        demand_maps = [
+            {("alpha", 0): 1.0},
+            {("alpha", 0): 2.0, ("beta", 2): 0.5},
+            {("beta", 2): 3.25},
+        ]
+        pack = _build_pack(demand_maps)
+        pack.remove_flow(2)
+        _assert_kernel_matches_filling(pack, demand_maps, [0, 1])
+
     @given(pack_demands)
     @settings(max_examples=40, deadline=None)
     def test_resource_view_is_exact_transpose(self, demand_maps):
