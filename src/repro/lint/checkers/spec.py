@@ -8,7 +8,7 @@ different physics would share a cache slot and a golden fixture.
 
 * **SPEC001** — every dataclass field on a ``*Spec`` class must appear as a
   validated key inside that class's ``from_dict`` (string-literal coverage,
-  with module-level tuple constants resolved);
+  with module-level tuple constants and the keys of dict tables resolved);
 * **SPEC002** — ``to_dict``/``canonical_dict`` may drop only the documented
   cosmetic fields (``name``, ``description``) unconditionally; anything else
   must be behind an explicit guard (e.g. omitting an unset optional section).
@@ -28,7 +28,10 @@ COSMETIC_FIELDS = ("name", "description")
 
 
 def _module_string_constants(tree: ast.Module) -> Dict[str, Set[str]]:
-    """Module-level ``NAME = ("a", "b", ...)`` constants (BinOp-concat aware)."""
+    """Module-level ``NAME = ("a", "b", ...)`` constants (BinOp-concat aware).
+
+    A dict table, ``NAME = {"a": ..., "b": ...}``, resolves to its keys.
+    """
     table: Dict[str, Set[str]] = {}
 
     def resolve(node: ast.expr) -> Optional[Set[str]]:
@@ -45,6 +48,13 @@ def _module_string_constants(tree: ast.Module) -> Dict[str, Set[str]]:
                 else:
                     return None
             return values
+        if isinstance(node, ast.Dict):
+            keys: Set[str] = set()
+            for key in node.keys:
+                if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+                    return None
+                keys.add(key.value)
+            return keys
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             left, right = resolve(node.left), resolve(node.right)
             if left is None or right is None:

@@ -2,7 +2,7 @@
 
 A scenario composes four orthogonal sections into one runnable experiment:
 
-* ``topology`` — which fabric to build (line/ring/mesh/torus) and its size;
+* ``topology`` — which fabric to build (any registered one) and its size;
 * ``workload`` — which instruction stream to run and its parameters;
 * ``physics`` — the (t, g, p) resource allocation, purification protocol and
   timing knobs;
@@ -11,16 +11,19 @@ A scenario composes four orthogonal sections into one runnable experiment:
 Specs are plain frozen dataclasses with a strict dict codec: every section
 rejects unknown keys, type errors and out-of-range values with a
 :class:`~repro.errors.ScenarioError` naming the offending field, and
-``ScenarioSpec.from_dict(spec.to_dict())`` round-trips exactly.  Inheritance
-is handled one level up (see :mod:`repro.scenarios.loader`): a scenario
-mapping may carry ``extends: <name>`` and only the keys it wants to change.
+``ScenarioSpec.from_dict(spec.to_dict())`` round-trips exactly.  Each field
+is declared once, as a :class:`FieldDecl` in its section's table (e.g.
+:data:`TOPOLOGY_FIELDS`); the section dataclass supplies its default, and
+``from_dict`` adds only the rules that span fields.  Inheritance is handled
+one level up (see :mod:`repro.scenarios.loader`): a scenario mapping may
+carry ``extends: <name>`` and only the keys it wants to change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ScenarioError
 from ..network.fabrics import list_topologies, topology_options
@@ -42,6 +45,9 @@ ROUTING_NAMES = ("xy", "yx")
 #: registry in :mod:`repro.sim.transport` (kept literal here so validating a
 #: spec never imports the simulation stack; a test pins the two in sync).
 BACKEND_NAMES = ("fluid", "detailed")
+#: Purification protocols accepted by ``physics.protocol``, mirrored from
+#: :mod:`repro.physics.purification` for the same reason (a test pins them).
+PROTOCOL_NAMES = ("bbpssw", "dejmps")
 #: Service-mode registries, mirrored literally from :mod:`repro.service` for
 #: the same reason as :data:`BACKEND_NAMES` (tests pin them in sync).
 ADMISSION_NAMES = ("always", "token_bucket", "queue_bound")
@@ -65,6 +71,100 @@ CLOCK_US_MAX = 1e13
 #: a second to draw.  An ``mmpp`` tenant's ``duration_us / phase_us`` is
 #: bounded alike.
 MAX_OFFERED_REQUESTS = 1e5
+#: Widest ``topology.width`` and ``topology.height``.  Machine build costs
+#: about 35 us per node and runs before ``runtime.max_events`` can act, and
+#: one bound serves every fabric: a fat tree of arity 64 has 70,656 nodes
+#: (k^3/4 hosts and 5k^2/4 switches) and builds in 3 s, as many as a 256-wide
+#: mesh.  A 64x64 mesh has 16 times the tiles of the paper-scale 16x16 one.
+WIDTH_MAX = 64
+#: Largest ``topology.options`` value.  Every registered option counts the
+#: hosts under one switch (``hosts_per_leaf``, ``hosts_per_router``), which
+#: multiply the nodes :data:`WIDTH_MAX` allows: at 16, a dragonfly of 64
+#: groups of 64 routers has 65,536 hosts and builds in 4 s.
+TOPOLOGY_OPTION_MAX = 16
+#: Longest hop, in cells (``topology.cells_per_hop``).  A ballistic move errs
+#: with probability 1e-6 per cell (Table 2), so from about a million cells a
+#: pair arrives with error 0.63 and the run fails naming this field.  At the
+#: cap a hop's 0.2 us-per-cell move time is 2e8 us, far inside
+#: :data:`CLOCK_US_MAX` on any path the width bound allows.
+CELLS_PER_HOP_MAX = 10**9
+#: Most logical qubits (``workload.num_qubits``).  The instruction stream is
+#: built before ``runtime.max_events`` can act, and grows as n^2: at 1,024
+#: qubits QFT has 523,776 operations and builds in 2 s, and ``shor``, the
+#: largest, 1.18 million in 9 s; at 4,096 QFT alone takes 32 s.  1,024 qubits
+#: fill a 32x32 mesh, four times the paper-scale Figure 16 machine.
+NUM_QUBITS_MAX = 1024
+#: Most teleporters, generators or purifiers per node (``physics.*``), 1,024
+#: times Figure 16's t = g = p = 1024 normalisation point.  Neither backend's
+#: cost grows with these counts, but both turn them into float rates, and
+#: 10**400 teleporters raised ``OverflowError``.
+UNITS_PER_NODE_MAX = 2**20
+#: Most channels one request opens back to back (a tenant's ``channels`` and
+#: ``max_channels``).  A channel costs 0.1-0.3 ms of wall time to simulate:
+#: ``service_smoke`` at this cap runs in 0.5 s, while at a million channels
+#: per request it ran for over 40 s.
+CHANNELS_MAX = 1024
+#: Largest ``traffic.max_inflight``, ``admission_burst`` and ``queue_limit``.
+#: A spec expects at most :data:`MAX_OFFERED_REQUESTS` requests in all, so a
+#: larger in-flight, burst or queue limit has nothing left to bound.
+SERVICE_LIMIT_MAX = int(MAX_OFFERED_REQUESTS)
+
+@dataclass(frozen=True)
+class FieldDecl:
+    """How one scenario field is validated.
+
+    ``kind`` is ``int``, ``float`` or ``str``; a ``str`` field is a choice
+    among ``choices``, matched after stripping and lower-casing: a tuple, or
+    a registry's list function, read at validation time because registries
+    can grow.  A number must lie between ``low`` and ``high``, each end
+    closed unless marked open, and ``nullable`` also accepts ``None``.  The
+    field's name and default come from its section's dataclass.
+    """
+
+    kind: type
+    low: float = -math.inf
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+    nullable: bool = False
+    choices: Union[Tuple[str, ...], Callable[[], Sequence[str]]] = ()
+
+    def read(self, value: Any, name: str) -> Any:
+        """``value`` validated and normalised; a ScenarioError names ``name``."""
+        if value is None and self.nullable:
+            return None
+        if self.kind is str:
+            if not isinstance(value, str):
+                raise ScenarioError(f"{name} must be a string, got {value!r}")
+            value = value.strip().lower()
+            choices = self.choices() if callable(self.choices) else self.choices
+            if value not in choices:
+                raise ScenarioError(
+                    f"{name} must be one of {sorted(set(choices))}, got {value!r}"
+                )
+            return value
+        # A nullable float is a probability-like knob, and reads as one.
+        unit = self.nullable and self.kind is float
+        numeric: Tuple[type, ...] = (int,) if self.kind is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, numeric):
+            noun = "an integer" if self.kind is int else "a number or null" if unit else "a number"
+            raise ScenarioError(f"{name} must be {noun}, got {value!r}")
+        if self.kind is float:
+            value = float(value)
+            # NaN compares False against every bound, so range checks alone
+            # would wave it (and infinities) into cache keys and physics models.
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value}")
+        low_ok = value > self.low if self.low_open else value >= self.low
+        high_ok = value < self.high if self.high_open else value <= self.high
+        if unit and not (low_ok and high_ok):
+            bounds = f"{'(' if self.low_open else '['}{self.low}, {self.high}{')' if self.high_open else ']'}"
+            raise ScenarioError(f"{name} must be in {bounds}, got {value}")
+        if not low_ok:
+            raise ScenarioError(f"{name} must be {'>' if self.low_open else '>='} {self.low}, got {value}")
+        if not high_ok:
+            raise ScenarioError(f"{name} must be {'<' if self.high_open else '<='} {self.high}, got {value}")
+        return value
 
 
 def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
@@ -86,69 +186,33 @@ def _reject_unknown(data: Mapping[str, Any], allowed: Tuple[str, ...], where: st
         )
 
 
-def _int_field(data: Mapping[str, Any], key: str, default: int, where: str, *, minimum: int) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ScenarioError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return value
+def _decode(
+    cls: type, data: Any, where: str, fields: Mapping[str, FieldDecl], *hand: str
+) -> Dict[str, Any]:
+    """One section mapping validated against its declarations.
+
+    Returns every declared field (its ``cls`` default when absent) and the
+    raw value, or None, of each ``hand``-validated key; other keys are
+    refused.
+    """
+    data = _require_mapping(data, where)
+    _reject_unknown(data, (*fields, *hand), where)
+    values = {
+        key: decl.read(data.get(key, getattr(cls, key)), f"{where}.{key}")
+        for key, decl in fields.items()
+    }
+    values.update((key, data.get(key)) for key in hand)
+    return values
 
 
-def _float_field(
-    data: Mapping[str, Any], key: str, default: float, where: str, *, minimum: float,
-    exclusive: bool = False, maximum: float = math.inf,
-) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
-    value = float(value)
-    # NaN compares False against every bound, so range checks alone would
-    # wave it (and infinities) straight into cache keys and physics models.
-    if not math.isfinite(value):
-        raise ScenarioError(f"{where}.{key} must be finite, got {value}")
-    if exclusive and value <= minimum:
-        raise ScenarioError(f"{where}.{key} must be > {minimum}, got {value}")
-    if not exclusive and value < minimum:
-        raise ScenarioError(f"{where}.{key} must be >= {minimum}, got {value}")
-    if value > maximum:
-        raise ScenarioError(f"{where}.{key} must be <= {maximum}, got {value}")
-    return value
-
-
-def _optional_unit_float(
-    data: Mapping[str, Any], key: str, where: str, *,
-    low: float, high: float, low_open: bool = False, high_open: bool = False,
-) -> Optional[float]:
-    """An optional float in a [low, high] interval (open ends selectable)."""
-    value = data.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number or null, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(f"{where}.{key} must be finite, got {value}")
-    low_ok = value > low if low_open else value >= low
-    high_ok = value < high if high_open else value <= high
-    if not (low_ok and high_ok):
-        bounds = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
-        raise ScenarioError(f"{where}.{key} must be in {bounds}, got {value}")
-    return value
-
-
-def _choice_field(
-    data: Mapping[str, Any], key: str, default: str, where: str, choices: Tuple[str, ...]
-) -> str:
-    value = data.get(key, default)
-    if not isinstance(value, str):
-        raise ScenarioError(f"{where}.{key} must be a string, got {value!r}")
-    value = value.strip().lower()
-    if value not in choices:
-        raise ScenarioError(
-            f"{where}.{key} must be one of {sorted(set(choices))}, got {value!r}"
-        )
-    return value
+TOPOLOGY_FIELDS = {
+    "kind": FieldDecl(str, choices=list_topologies),
+    "width": FieldDecl(int, 1, WIDTH_MAX),
+    "height": FieldDecl(int, 1, WIDTH_MAX, nullable=True),
+    "cells_per_hop": FieldDecl(int, 1, CELLS_PER_HOP_MAX),
+}
+#: Every ``topology.options`` value; which names a fabric takes is its own.
+TOPOLOGY_OPTION = FieldDecl(int, 1, TOPOLOGY_OPTION_MAX)
 
 
 @dataclass(frozen=True)
@@ -171,15 +235,9 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "TopologySpec":
-        data = _require_mapping(data, "topology")
-        _reject_unknown(
-            data, ("kind", "width", "height", "cells_per_hop", "options"), "topology"
-        )
-        kind = _choice_field(data, "kind", cls.kind, "topology", tuple(list_topologies()))
-        height = data.get("height")
-        if height is not None:
-            height = _int_field(data, "height", 1, "topology", minimum=1)
-        options = _require_mapping(data.get("options"), "topology.options")
+        values = _decode(cls, data, "topology", TOPOLOGY_FIELDS, "options")
+        kind = values["kind"]
+        options = values["options"] = _require_mapping(values["options"], "topology.options")
         accepted = topology_options(kind)
         unknown = sorted(set(options) - set(accepted))
         if unknown:
@@ -188,18 +246,14 @@ class TopologySpec:
                 f"accepted: {sorted(accepted) or 'none'}"
             )
         for opt_key in sorted(options):
-            options[opt_key] = _int_field(
-                options, opt_key, 1, "topology.options", minimum=1
-            )
-        return cls(
-            kind=kind,
-            width=_int_field(data, "width", cls.width, "topology", minimum=1),
-            height=height,
-            cells_per_hop=_int_field(
-                data, "cells_per_hop", cls.cells_per_hop, "topology", minimum=1
-            ),
-            options=options,
-        )
+            options[opt_key] = TOPOLOGY_OPTION.read(options[opt_key], f"topology.options.{opt_key}")
+        return cls(**values)
+
+
+WORKLOAD_FIELDS = {
+    "kind": FieldDecl(str, choices=list_workloads),
+    "num_qubits": FieldDecl(int, 2, NUM_QUBITS_MAX),
+}
 
 
 @dataclass(frozen=True)
@@ -212,10 +266,9 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "WorkloadSpec":
-        data = _require_mapping(data, "workload")
-        _reject_unknown(data, ("kind", "num_qubits", "params"), "workload")
-        kind = _choice_field(data, "kind", cls.kind, "workload", tuple(list_workloads()))
-        params = _require_mapping(data.get("params"), "workload.params")
+        values = _decode(cls, data, "workload", WORKLOAD_FIELDS, "params")
+        kind = values["kind"]
+        params = values["params"] = _require_mapping(values["params"], "workload.params")
         accepted = workload_params(kind)
         unknown = sorted(set(params) - set(accepted))
         if unknown:
@@ -223,11 +276,17 @@ class WorkloadSpec:
                 f"workload {kind!r} does not take parameters {unknown}; "
                 f"accepted: {sorted(accepted) or 'none'}"
             )
-        return cls(
-            kind=kind,
-            num_qubits=_int_field(data, "num_qubits", cls.num_qubits, "workload", minimum=2),
-            params=params,
-        )
+        return cls(**values)
+
+
+PHYSICS_FIELDS = {
+    "teleporters": FieldDecl(int, 1, UNITS_PER_NODE_MAX),
+    "generators": FieldDecl(int, 1, UNITS_PER_NODE_MAX),
+    "purifiers": FieldDecl(int, 1, UNITS_PER_NODE_MAX),
+    "protocol": FieldDecl(str, choices=PROTOCOL_NAMES),
+    "logical_gate_us": FieldDecl(float, 0.0, CLOCK_US_MAX),
+    "generator_bandwidth_scale": FieldDecl(float, *GENERATOR_BANDWIDTH_SCALE_RANGE),
+}
 
 
 @dataclass(frozen=True)
@@ -243,44 +302,15 @@ class PhysicsSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "PhysicsSpec":
-        data = _require_mapping(data, "physics")
-        _reject_unknown(
-            data,
-            (
-                "teleporters",
-                "generators",
-                "purifiers",
-                "protocol",
-                "logical_gate_us",
-                "generator_bandwidth_scale",
-            ),
-            "physics",
-        )
-        protocol = data.get("protocol", cls.protocol)
-        if not isinstance(protocol, str) or not protocol.strip():
-            raise ScenarioError(f"physics.protocol must be a non-empty string, got {protocol!r}")
-        return cls(
-            teleporters=_int_field(data, "teleporters", cls.teleporters, "physics", minimum=1),
-            generators=_int_field(data, "generators", cls.generators, "physics", minimum=1),
-            purifiers=_int_field(data, "purifiers", cls.purifiers, "physics", minimum=1),
-            protocol=protocol.strip().lower(),
-            logical_gate_us=_float_field(
-                data,
-                "logical_gate_us",
-                cls.logical_gate_us,
-                "physics",
-                minimum=0.0,
-                maximum=CLOCK_US_MAX,
-            ),
-            generator_bandwidth_scale=_float_field(
-                data,
-                "generator_bandwidth_scale",
-                cls.generator_bandwidth_scale,
-                "physics",
-                minimum=GENERATOR_BANDWIDTH_SCALE_RANGE[0],
-                maximum=GENERATOR_BANDWIDTH_SCALE_RANGE[1],
-            ),
-        )
+        return cls(**_decode(cls, data, "physics", PHYSICS_FIELDS))
+
+
+NOISE_FIELDS = {
+    "base_fidelity": FieldDecl(float, 0.0, 1.0, low_open=True, nullable=True),
+    "gate_error": FieldDecl(float, 0.0, 1.0, high_open=True, nullable=True),
+    "measurement_error": FieldDecl(float, 0.0, 1.0, high_open=True, nullable=True),
+    "target_fidelity": FieldDecl(float, 0.0, 1.0, low_open=True, high_open=True, nullable=True),
+}
 
 
 @dataclass(frozen=True)
@@ -312,27 +342,21 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "NoiseSpec":
-        data = _require_mapping(data, "noise")
-        _reject_unknown(
-            data,
-            ("base_fidelity", "gate_error", "measurement_error", "target_fidelity"),
-            "noise",
-        )
-        return cls(
-            base_fidelity=_optional_unit_float(
-                data, "base_fidelity", "noise", low=0.0, high=1.0, low_open=True
-            ),
-            gate_error=_optional_unit_float(
-                data, "gate_error", "noise", low=0.0, high=1.0, high_open=True
-            ),
-            measurement_error=_optional_unit_float(
-                data, "measurement_error", "noise", low=0.0, high=1.0, high_open=True
-            ),
-            target_fidelity=_optional_unit_float(
-                data, "target_fidelity", "noise", low=0.0, high=1.0,
-                low_open=True, high_open=True,
-            ),
-        )
+        return cls(**_decode(cls, data, "noise", NOISE_FIELDS))
+
+
+TENANT_FIELDS = {
+    "arrival_process": FieldDecl(str, choices=ARRIVAL_PROCESSES),
+    "mean_interarrival_us": FieldDecl(float, 0.0, low_open=True),
+    "burst_factor": FieldDecl(float, 1.0),
+    "phase_us": FieldDecl(float, 0.0, low_open=True),
+    "size_dist": FieldDecl(str, choices=SIZE_DISTRIBUTIONS),
+    "channels": FieldDecl(int, 1, CHANNELS_MAX),
+    "alpha": FieldDecl(float, 0.0, low_open=True),
+    "max_channels": FieldDecl(int, 1, CHANNELS_MAX),
+    "priority": FieldDecl(int),
+    "target_fidelity": FieldDecl(float, 0.0, 1.0, low_open=True, high_open=True, nullable=True),
+}
 
 
 @dataclass(frozen=True)
@@ -368,62 +392,13 @@ class TenantSpec:
 
     @classmethod
     def from_dict(cls, data: Any, *, where: str = "tenant") -> "TenantSpec":
-        data = _require_mapping(data, where)
-        _reject_unknown(
-            data,
-            (
-                "arrival_process",
-                "mean_interarrival_us",
-                "burst_factor",
-                "phase_us",
-                "size_dist",
-                "channels",
-                "alpha",
-                "max_channels",
-                "priority",
-                "target_fidelity",
-            ),
-            where,
-        )
-        priority = data.get("priority", cls.priority)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ScenarioError(f"{where}.priority must be an integer, got {priority!r}")
-        channels = _int_field(data, "channels", cls.channels, where, minimum=1)
-        max_channels = _int_field(data, "max_channels", cls.max_channels, where, minimum=1)
+        values = _decode(cls, data, where, TENANT_FIELDS)
+        channels, max_channels = values["channels"], values["max_channels"]
         if max_channels < channels:
             raise ScenarioError(
                 f"{where}.max_channels must be >= channels ({channels}), got {max_channels}"
             )
-        return cls(
-            arrival_process=_choice_field(
-                data, "arrival_process", cls.arrival_process, where, ARRIVAL_PROCESSES
-            ),
-            mean_interarrival_us=_float_field(
-                data,
-                "mean_interarrival_us",
-                cls.mean_interarrival_us,
-                where,
-                minimum=0.0,
-                exclusive=True,
-            ),
-            burst_factor=_float_field(
-                data, "burst_factor", cls.burst_factor, where, minimum=1.0
-            ),
-            phase_us=_float_field(
-                data, "phase_us", cls.phase_us, where, minimum=0.0, exclusive=True
-            ),
-            size_dist=_choice_field(
-                data, "size_dist", cls.size_dist, where, SIZE_DISTRIBUTIONS
-            ),
-            channels=channels,
-            alpha=_float_field(data, "alpha", cls.alpha, where, minimum=0.0, exclusive=True),
-            max_channels=max_channels,
-            priority=priority,
-            target_fidelity=_optional_unit_float(
-                data, "target_fidelity", where, low=0.0, high=1.0,
-                low_open=True, high_open=True,
-            ),
-        )
+        return cls(**values)
 
 
 def _check_offered_requests(tenants: Mapping[str, TenantSpec], duration_us: float) -> None:
@@ -466,6 +441,18 @@ def _check_offered_requests(tenants: Mapping[str, TenantSpec], duration_us: floa
         )
 
 
+TRAFFIC_FIELDS = {
+    "duration_us": FieldDecl(float, 0.0, CLOCK_US_MAX, low_open=True),
+    "seed": FieldDecl(int, 0),
+    "max_inflight": FieldDecl(int, 1, SERVICE_LIMIT_MAX),
+    "admission": FieldDecl(str, choices=ADMISSION_NAMES),
+    "admission_rate_per_ms": FieldDecl(float, 0.0, low_open=True),
+    "admission_burst": FieldDecl(int, 1, SERVICE_LIMIT_MAX),
+    "queue_limit": FieldDecl(int, 1, SERVICE_LIMIT_MAX),
+    "scheduler": FieldDecl(str, choices=SCHEDULER_NAMES),
+}
+
+
 @dataclass(frozen=True)
 class TrafficSpec:
     """Open-loop service-mode traffic: arrivals, admission and scheduling.
@@ -497,67 +484,24 @@ class TrafficSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "TrafficSpec":
-        data = _require_mapping(data, "traffic")
-        _reject_unknown(
-            data,
-            (
-                "tenants",
-                "duration_us",
-                "seed",
-                "max_inflight",
-                "admission",
-                "admission_rate_per_ms",
-                "admission_burst",
-                "queue_limit",
-                "scheduler",
-            ),
-            "traffic",
-        )
-        raw_tenants = _require_mapping(data.get("tenants"), "traffic.tenants")
+        values = _decode(cls, data, "traffic", TRAFFIC_FIELDS, "tenants")
+        raw_tenants = _require_mapping(values["tenants"], "traffic.tenants")
         if not raw_tenants:
             raise ScenarioError("traffic.tenants must define at least one tenant")
         # Sorted construction: tenant declaration order is cosmetic, so two
         # specs listing the same tenants differently share a hash/cache slot.
-        tenants = {
+        tenants = values["tenants"] = {
             name: TenantSpec.from_dict(raw_tenants[name], where=f"traffic.tenants.{name}")
             for name in sorted(raw_tenants)
         }
-        duration_us = _float_field(
-            data,
-            "duration_us",
-            cls.duration_us,
-            "traffic",
-            minimum=0.0,
-            exclusive=True,
-            maximum=CLOCK_US_MAX,
-        )
-        _check_offered_requests(tenants, duration_us)
-        return cls(
-            tenants=tenants,
-            duration_us=duration_us,
-            seed=_int_field(data, "seed", cls.seed, "traffic", minimum=0),
-            max_inflight=_int_field(
-                data, "max_inflight", cls.max_inflight, "traffic", minimum=1
-            ),
-            admission=_choice_field(
-                data, "admission", cls.admission, "traffic", ADMISSION_NAMES
-            ),
-            admission_rate_per_ms=_float_field(
-                data,
-                "admission_rate_per_ms",
-                cls.admission_rate_per_ms,
-                "traffic",
-                minimum=0.0,
-                exclusive=True,
-            ),
-            admission_burst=_int_field(
-                data, "admission_burst", cls.admission_burst, "traffic", minimum=1
-            ),
-            queue_limit=_int_field(data, "queue_limit", cls.queue_limit, "traffic", minimum=1),
-            scheduler=_choice_field(
-                data, "scheduler", cls.scheduler, "traffic", SCHEDULER_NAMES
-            ),
-        )
+        _check_offered_requests(tenants, values["duration_us"])
+        return cls(**values)
+
+
+ROUTING_FIELDS = {
+    "policy": FieldDecl(str, choices=list_balancers),
+    "hysteresis": FieldDecl(float, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -579,16 +523,7 @@ class RoutingSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "RoutingSpec":
-        data = _require_mapping(data, "network.routing")
-        _reject_unknown(data, ("policy", "hysteresis"), "network.routing")
-        return cls(
-            policy=_choice_field(
-                data, "policy", cls.policy, "network.routing", tuple(list_balancers())
-            ),
-            hysteresis=_float_field(
-                data, "hysteresis", cls.hysteresis, "network.routing", minimum=0.0
-            ),
-        )
+        return cls(**_decode(cls, data, "network.routing", ROUTING_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -607,12 +542,19 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "NetworkSpec":
-        data = _require_mapping(data, "network")
-        _reject_unknown(data, ("routing",), "network")
-        routing = data.get("routing")
+        routing = _decode(cls, data, "network", {}, "routing")["routing"]
         return cls(
             routing=RoutingSpec.from_dict(routing) if routing is not None else None
         )
+
+
+RUNTIME_FIELDS = {
+    "layout": FieldDecl(str, choices=tuple(LAYOUT_ALIASES)),
+    "allocator": FieldDecl(str, choices=ALLOCATOR_NAMES),
+    "routing": FieldDecl(str, choices=ROUTING_NAMES),
+    "backend": FieldDecl(str, choices=BACKEND_NAMES),
+    "max_events": FieldDecl(int, 1, nullable=True),
+}
 
 
 @dataclass(frozen=True)
@@ -627,21 +569,9 @@ class RuntimeSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "RuntimeSpec":
-        data = _require_mapping(data, "runtime")
-        _reject_unknown(
-            data, ("layout", "allocator", "routing", "backend", "max_events"), "runtime"
-        )
-        max_events = data.get("max_events")
-        if max_events is not None:
-            max_events = _int_field(data, "max_events", 1, "runtime", minimum=1)
-        layout = _choice_field(data, "layout", cls.layout, "runtime", tuple(LAYOUT_ALIASES))
-        return cls(
-            layout=LAYOUT_ALIASES[layout],
-            allocator=_choice_field(data, "allocator", cls.allocator, "runtime", ALLOCATOR_NAMES),
-            routing=_choice_field(data, "routing", cls.routing, "runtime", ROUTING_NAMES),
-            backend=_choice_field(data, "backend", cls.backend, "runtime", BACKEND_NAMES),
-            max_events=max_events,
-        )
+        values = _decode(cls, data, "runtime", RUNTIME_FIELDS)
+        values["layout"] = LAYOUT_ALIASES[values["layout"]]
+        return cls(**values)
 
 
 #: Top-level scenario keys (``extends`` is consumed by the loader).  The

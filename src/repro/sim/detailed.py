@@ -195,13 +195,32 @@ class _DetailedChannel:
     # -- pair lifecycle ---------------------------------------------------------------
 
     def _inject(self) -> None:
+        # A one-hop pair already in its link's buffer is delivered here, in
+        # the loop.  Delivered through its walk's callback, it would re-enter
+        # this method once per buffered pair, and a link buffers max(t, 2)
+        # pairs: the stack overflowed at t = 256.  The link refills once after
+        # the loop, where the innermost of those nested calls refilled it, so
+        # every event is scheduled in the same order.
+        buffered: Optional[LinkGenerator] = None
         while self._in_flight < self._window and self._injected < self.raw_pairs_needed:
             self._injected += 1
+            if self.last_hop == 0:
+                generator = self.generators[0] or self.first_use_generator(0)
+                if generator.take_buffered():
+                    buffered = generator
+                    self._accept_pair()
+                    continue
             self._in_flight += 1
             _PairWalk(self).start()
+        if buffered is not None:
+            buffered.top_up()
 
     def pair_delivered(self) -> None:
         self._in_flight -= 1
+        self._accept_pair()
+        self._inject()
+
+    def _accept_pair(self) -> None:
         if self.purifiers:
             for purifier in self.purifiers:
                 purifier.accept_raw_pair()
@@ -209,7 +228,6 @@ class _DetailedChannel:
             # Level 0: the delivered pair is already above target at both ends.
             for side in (0, 1):
                 self._good_pair_ready(side)
-        self._inject()
 
     def _good_pair_ready(self, side: int) -> None:
         self._good_pairs[side] += 1

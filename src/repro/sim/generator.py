@@ -53,7 +53,7 @@ class LinkGenerator:
         self._waiters: Deque[Callable[[], None]] = deque()
         self._produced = 0
         self._consumed = 0
-        self._top_up()
+        self.top_up()
 
     # -- state --------------------------------------------------------------------
 
@@ -75,7 +75,7 @@ class LinkGenerator:
 
     # -- production -----------------------------------------------------------------
 
-    def _top_up(self) -> None:
+    def top_up(self) -> None:
         """Keep the generator units busy while the buffer (plus debt) has room."""
         demand = self.buffer_capacity + len(self._waiters)
         while self._available + self._in_production < demand:
@@ -96,16 +96,26 @@ class LinkGenerator:
             consumer()
         else:
             self._available += 1
-        self._top_up()
+        self.top_up()
 
     # -- consumption ------------------------------------------------------------------
 
     def take_pair(self, callback: Callable[[], None]) -> None:
         """Consume one link pair; ``callback`` runs when a pair is available."""
-        if self._available > 0:
-            self._available -= 1
-            self._consumed += 1
+        if self.take_buffered():
             callback()
         else:
             self._waiters.append(callback)
-        self._top_up()
+        self.top_up()
+
+    def take_buffered(self) -> bool:
+        """Consume a buffered pair now, if there is one, without refilling.
+
+        A caller that takes several pairs in one go calls :meth:`top_up` once
+        after the last; :meth:`take_pair` refills after each.
+        """
+        if self._available == 0:
+            return False
+        self._available -= 1
+        self._consumed += 1
+        return True

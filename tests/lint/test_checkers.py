@@ -259,6 +259,49 @@ def test_spec001_resolves_module_tuple_constants():
     assert findings == []
 
 
+def test_spec001_resolves_the_keys_of_field_tables():
+    findings = lint_source(
+        """
+        from dataclasses import dataclass
+
+        FIELDS = {"target": FieldDecl(float), "hidden_knob": FieldDecl(int, 0)}
+
+        @dataclass(frozen=True)
+        class NoiseSpec:
+            target: float = 1.0
+            hidden_knob: int = 0
+
+            @classmethod
+            def from_dict(cls, payload):
+                return cls(**_decode(cls, payload, "noise", FIELDS))
+        """,
+        module="repro.scenarios.noise_like",
+    )
+    assert findings == []
+
+
+def test_spec001_flags_fields_missing_from_their_table():
+    findings = lint_source(
+        """
+        from dataclasses import dataclass
+
+        FIELDS = {"target": FieldDecl(float)}
+
+        @dataclass(frozen=True)
+        class NoiseSpec:
+            target: float = 1.0
+            hidden_knob: int = 0
+
+            @classmethod
+            def from_dict(cls, payload):
+                return cls(**_decode(cls, payload, "noise", FIELDS))
+        """,
+        module="repro.scenarios.noise_like",
+    )
+    assert rule_ids(findings) == ["SPEC001"]
+    assert "hidden_knob" in findings[0].message
+
+
 def test_spec001_flags_spec_dataclasses_without_from_dict():
     findings = lint_source(
         """

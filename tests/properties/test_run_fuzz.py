@@ -1,17 +1,19 @@
 """Standing fuzz test: every spec the validator accepts runs or fails fast.
 
-Hypothesis derives specs from the catalog entries, varying the topology kind
-and size, the (t, g, p) allocation, ``generator_bandwidth_scale`` and
-``logical_gate_us`` (both ends of each accepted range included), the layout,
-the noise model, the routing policy, the allocator and the backend.  Service
-scenarios also draw their traffic: the horizon (at and just past the clock
-bound too), each tenant's arrival process and size distribution, and gaps,
-bursts, phases and tails at, inside and just past the bounds on offered
-requests and MMPP phases.
+Hypothesis derives specs from the catalog entries.  The categorical draws
+vary the topology kind, the layout, the allocator, the backend, the routing
+policy and whether noise is tracked.  The numeric draws come from the field
+declarations in :mod:`repro.scenarios.spec`, for every numeric field of
+every section, tenants included: each field's minimum, its maximum (a large
+value where none is declared) and its default, or its midpoint when it has
+none.  Service scenarios also draw their traffic at, inside and just past
+the bounds on offered requests and MMPP phases.
 Each spec goes through :func:`repro.api.run` with warnings raised as errors
 and must either complete with finite results or raise a
 :class:`~repro.errors.ReproError`: the validator or the machine build
 refusing it, an infeasible channel, or the event budget running out.
+The values just past each declared end must be refused by the validator,
+naming the field.
 
 ``runtime.max_events`` is always set.  A run that exhausts it must raise a
 ``SimulationError`` naming the field; that is part of the contract under
@@ -19,58 +21,124 @@ test, not a way to skip slow specs.
 """
 
 import math
+import re
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.errors import ReproError
-from repro.scenarios import ScenarioSpec, apply_overrides, get_scenario, list_scenarios
+from repro.errors import ReproError, ScenarioError
+from repro.network.fabrics import list_topologies, topology_options
+from repro.scenarios import (
+    NoiseSpec,
+    PhysicsSpec,
+    RoutingSpec,
+    ScenarioSpec,
+    TenantSpec,
+    TopologySpec,
+    TrafficSpec,
+    WorkloadSpec,
+    apply_overrides,
+    get_scenario,
+    list_scenarios,
+)
 from repro.scenarios.spec import (
+    ADMISSION_NAMES,
     ALLOCATOR_NAMES,
     ARRIVAL_PROCESSES,
     BACKEND_NAMES,
-    CLOCK_US_MAX,
-    GENERATOR_BANDWIDTH_SCALE_RANGE,
     MAX_OFFERED_REQUESTS,
+    NOISE_FIELDS,
+    PHYSICS_FIELDS,
+    ROUTING_FIELDS,
+    SCHEDULER_NAMES,
     SIZE_DISTRIBUTIONS,
+    TENANT_FIELDS,
+    TOPOLOGY_FIELDS,
+    TOPOLOGY_OPTION,
+    TRAFFIC_FIELDS,
+    WORKLOAD_FIELDS,
 )
 
 #: Events one fuzzed run may dispatch before it must stop and say so.
 MAX_EVENTS = 50_000
 
+#: Stand-ins for an end of a range that no declaration sets.
+LARGE = {int: 10**18, float: 1e300}
+
+
+def bound_draws(decl, default=None):
+    """Values in the declaration's range, and the values just past its ends.
+
+    In range: the minimum, the maximum and ``default``, or the midpoint when
+    there is none.
+    """
+    large = LARGE[decl.kind]
+    if decl.kind is int:
+        low, high = max(decl.low, -large), min(decl.high, large)
+        past = [decl.low - 1, decl.high + 1]
+    else:
+        low = math.nextafter(decl.low, math.inf) if decl.low_open else max(decl.low, -large)
+        high = math.nextafter(decl.high, -math.inf) if decl.high_open else min(decl.high, large)
+        past = [
+            decl.low if decl.low_open else math.nextafter(decl.low, -math.inf),
+            decl.high if decl.high_open else math.nextafter(decl.high, math.inf),
+        ]
+    if default is None:
+        default = (low + high) // 2 if decl.kind is int else (low + high) / 2
+    return [low, high, default], [value for value in past if math.isfinite(value)]
+
+
+def section_draws(prefix, cls, fields):
+    """{dotted path: (in-range values, past values)} for each numeric field of a section.
+
+    ``cls`` is the section dataclass whose defaults are drawn, or None.
+    """
+    return {
+        f"{prefix}.{key}": bound_draws(decl, getattr(cls, key, None))
+        for key, decl in fields.items()
+        if decl.kind is not str
+    }
+
+
+def in_range(draws):
+    """Every (dotted path, in-range value) pair."""
+    return [(path, value) for path, (values, _) in draws.items() for value in values]
+
+
+#: The fabric that takes each ``topology.options`` name.
+OPTION_FABRICS = {name: kind for kind in list_topologies() for name in topology_options(kind)}
+
+#: Every numeric field of the batch sections; ``runtime.max_events`` stays
+#: at :data:`MAX_EVENTS`.
+BATCH_DRAWS = {
+    **section_draws("topology", TopologySpec, TOPOLOGY_FIELDS),
+    **section_draws("topology.options", None, dict.fromkeys(OPTION_FABRICS, TOPOLOGY_OPTION)),
+    **section_draws("workload", WorkloadSpec, WORKLOAD_FIELDS),
+    **section_draws("physics", PhysicsSpec, PHYSICS_FIELDS),
+    **section_draws("noise", NoiseSpec, NOISE_FIELDS),
+    **section_draws("network.routing", RoutingSpec, ROUTING_FIELDS),
+}
+
+
+def traffic_draws(tenants):
+    """Every numeric field of the traffic section and of each tenant."""
+    draws = section_draws("traffic", TrafficSpec, TRAFFIC_FIELDS)
+    for name in tenants:
+        draws.update(section_draws(f"traffic.tenants.{name}", TenantSpec, TENANT_FIELDS))
+    return draws
+
+
 overrides = st.fixed_dictionaries(
     {
-        "topology.kind": st.sampled_from(
-            ["line", "ring", "mesh", "torus", "fat_tree", "leaf_spine", "dragonfly"]
-        ),
-        "topology.width": st.integers(min_value=3, max_value=12),
-        "physics.teleporters": st.integers(min_value=1, max_value=4),
-        "physics.generators": st.integers(min_value=1, max_value=4),
-        "physics.purifiers": st.integers(min_value=1, max_value=3),
-        "physics.generator_bandwidth_scale": st.sampled_from(
-            [GENERATOR_BANDWIDTH_SCALE_RANGE[0], 0.5, 1.0, 3.0, GENERATOR_BANDWIDTH_SCALE_RANGE[1]]
-        ),
-        "physics.logical_gate_us": st.sampled_from([0.0, 300.0, CLOCK_US_MAX]),
+        "topology.kind": st.sampled_from(list_topologies()),
         "runtime.layout": st.sampled_from(["home_base", "mobile_qubit"]),
         "runtime.allocator": st.sampled_from(ALLOCATOR_NAMES),
         "runtime.backend": st.sampled_from(BACKEND_NAMES),
         "runtime.max_events": st.just(MAX_EVENTS),
     }
-)
-
-noise_sections = st.one_of(
-    st.none(),
-    st.fixed_dictionaries(
-        {},
-        optional={
-            "base_fidelity": st.sampled_from([0.9, 0.99, 0.999, 0.9999]),
-            "gate_error": st.sampled_from([1e-7, 1e-5, 1e-3]),
-            "measurement_error": st.sampled_from([1e-7, 1e-4, 1e-2]),
-            "target_fidelity": st.sampled_from([0.99, 0.9999]),
-        },
-    ),
 )
 
 routing_policies = st.sampled_from([None, "ecmp", "least_loaded", "adaptive"])
@@ -84,22 +152,26 @@ BOUND_FRACTIONS = [1e-4, 1e-3, 1e-3, 1.0, 1.0 + 1e-9]
 
 @st.composite
 def traffic_changes(draw, tenants):
-    """Overrides for a service spec's horizon and every tenant's traffic.
+    """Overrides for a service spec's horizon, limits and every tenant's traffic.
 
     The tenants offer equal shares of a drawn fraction of
     ``MAX_OFFERED_REQUESTS``, and each ``mmpp`` tenant switches phases a
-    drawn fraction of the bound's times.  Now and then the first tenant
-    draws a gap so small or so large that its rate leaves the float range.
+    drawn fraction of the bound's times.  The horizon, the burst factors and
+    tails, now and then the first tenant's gap, and up to three more traffic
+    or tenant fields take their declarations' draws.
     """
-    duration = draw(
-        st.sampled_from([1.0, 4000.0, 1e9, CLOCK_US_MAX, math.nextafter(CLOCK_US_MAX, math.inf)])
-    )
-    changes = {"traffic.duration_us": duration}
+    draws = traffic_draws(tenants)
+    duration = draw(st.sampled_from(draws["traffic.duration_us"][0]))
+    changes = {
+        "traffic.duration_us": duration,
+        "traffic.admission": draw(st.sampled_from(ADMISSION_NAMES)),
+        "traffic.scheduler": draw(st.sampled_from(SCHEDULER_NAMES)),
+    }
     offered = draw(st.sampled_from(BOUND_FRACTIONS)) * MAX_OFFERED_REQUESTS / len(tenants)
     for name in tenants:
         where = f"traffic.tenants.{name}."
         process = draw(st.sampled_from(ARRIVAL_PROCESSES))
-        burst = draw(st.sampled_from([1.0, 4.0, 1e300]))
+        burst = draw(st.sampled_from(draws[where + "burst_factor"][0]))
         scale = burst if process == "mmpp" else 1.0
         phases = draw(st.sampled_from(BOUND_FRACTIONS)) * MAX_OFFERED_REQUESTS
         changes.update(
@@ -109,35 +181,38 @@ def traffic_changes(draw, tenants):
                 where + "mean_interarrival_us": duration * scale / offered,
                 where + "phase_us": duration / phases,
                 where + "size_dist": draw(st.sampled_from(SIZE_DISTRIBUTIONS)),
-                where + "alpha": draw(st.sampled_from([5e-324, 1.5, 1e300])),
+                where + "alpha": draw(st.sampled_from(draws[where + "alpha"][0])),
             }
         )
-    extreme_gap = draw(st.sampled_from([None, None, None, 5e-324, 1e300]))
+    first_gap = f"traffic.tenants.{tenants[0]}.mean_interarrival_us"
+    extreme_gap = draw(st.sampled_from([None, None, None, *draws[first_gap][0]]))
     if extreme_gap is not None:
-        changes[f"traffic.tenants.{tenants[0]}.mean_interarrival_us"] = extreme_gap
+        changes[first_gap] = extreme_gap
+    changes.update(draw(st.lists(st.sampled_from(in_range(draws)), max_size=3)))
     return changes
 
 
 def fuzzed_spec(base, changes, noise, policy):
     """Validate ``base`` with the drawn changes applied (may raise ReproError)."""
-    data = apply_overrides(get_scenario(base).to_dict(), changes)
+    data = get_scenario(base).to_dict()
     data["noise"] = noise
     data["network"] = None if policy is None else {"routing": {"policy": policy}}
-    return ScenarioSpec.from_dict(data)
+    return ScenarioSpec.from_dict(apply_overrides(data, changes))
 
 
 @given(
     base=st.sampled_from(list_scenarios()),
     changes=overrides,
-    noise=noise_sections,
+    numeric=st.lists(st.sampled_from(in_range(BATCH_DRAWS)), max_size=3),
+    noise=st.sampled_from([None, {}]),
     policy=routing_policies,
 )
 @settings(max_examples=30, deadline=None)
-def test_every_valid_spec_runs_or_fails_fast(base, changes, noise, policy):
+def test_every_valid_spec_runs_or_fails_fast(base, changes, numeric, noise, policy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            result = api.run(fuzzed_spec(base, changes, noise, policy))
+            result = api.run(fuzzed_spec(base, {**changes, **dict(numeric)}, noise, policy))
         except ReproError:
             return
     assert math.isfinite(result.makespan_us) and result.makespan_us >= 0.0
@@ -166,3 +241,21 @@ def test_every_valid_traffic_spec_runs_or_fails_fast(data, backend, allocator):
     assert math.isfinite(result.makespan_us) and result.makespan_us >= 0.0
     view = result.service
     assert view.offered == view.admitted + view.dropped
+
+
+PAST_CASES = [
+    ("smoke", path, value) for path, (_, past) in BATCH_DRAWS.items() for value in past
+] + [
+    ("service_smoke", path, value)
+    for path, (_, past) in traffic_draws(sorted(get_scenario("service_smoke").traffic.tenants)).items()
+    for value in past
+]
+
+
+@pytest.mark.parametrize("base, path, value", PAST_CASES)
+def test_values_just_past_a_declared_end_are_refused(base, path, value):
+    changes = {path: value}
+    if path.startswith("topology.options."):
+        changes["topology.kind"] = OPTION_FABRICS[path.rsplit(".", 1)[1]]
+    with pytest.raises(ScenarioError, match=re.escape(path)):
+        ScenarioSpec.from_dict(apply_overrides(get_scenario(base).to_dict(), changes))

@@ -1,6 +1,9 @@
 """Scenario spec codec: round-trips, validation errors, overrides, hashing."""
 
+import dataclasses
 import math
+import re
+import time
 
 import pytest
 
@@ -10,9 +13,21 @@ from repro.scenarios.spec import (
     CLOCK_US_MAX,
     GENERATOR_BANDWIDTH_SCALE_RANGE,
     MAX_OFFERED_REQUESTS,
+    NOISE_FIELDS,
+    PHYSICS_FIELDS,
+    ROUTING_FIELDS,
+    RUNTIME_FIELDS,
+    TENANT_FIELDS,
+    TOPOLOGY_FIELDS,
+    TRAFFIC_FIELDS,
+    WORKLOAD_FIELDS,
+    NetworkSpec,
     PhysicsSpec,
+    RoutingSpec,
     RuntimeSpec,
+    TenantSpec,
     TopologySpec,
+    TrafficSpec,
     WorkloadSpec,
 )
 
@@ -189,6 +204,52 @@ class TestValidation:
             ScenarioSpec.from_dict(data)
         data["physics"] = {"logical_gate_us": CLOCK_US_MAX}
         assert ScenarioSpec.from_dict(data).physics.logical_gate_us == CLOCK_US_MAX
+
+
+#: Each section: its dataclass, its field declarations and the keys its
+#: ``from_dict`` validates by hand.
+SECTIONS = [
+    (TopologySpec, TOPOLOGY_FIELDS, {"options"}),
+    (WorkloadSpec, WORKLOAD_FIELDS, {"params"}),
+    (PhysicsSpec, PHYSICS_FIELDS, set()),
+    (NoiseSpec, NOISE_FIELDS, set()),
+    (TenantSpec, TENANT_FIELDS, set()),
+    (TrafficSpec, TRAFFIC_FIELDS, {"tenants"}),
+    (RoutingSpec, ROUTING_FIELDS, set()),
+    (NetworkSpec, {}, {"routing"}),
+    (RuntimeSpec, RUNTIME_FIELDS, set()),
+]
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize(
+        "cls, declared, by_hand", SECTIONS, ids=[cls.__name__ for cls, _, _ in SECTIONS]
+    )
+    def test_declared_and_hand_validated_keys_are_exactly_the_fields(self, cls, declared, by_hand):
+        fields = [field.name for field in dataclasses.fields(cls)]
+        assert not set(declared) & by_hand
+        assert sorted({*declared, *by_hand}) == sorted(fields)
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            ("smoke", "topology.width", 100_000),
+            ("smoke", "physics.protocol", "foo"),
+            ("service_smoke", "traffic.tenants.bulk.channels", 1_000_000),
+        ],
+    )
+    def test_specs_that_never_finished_fail_validation_at_once(self, base, field, value):
+        # Width 100,000 never finished machine build, a million channels per
+        # request ran for over 40 s, and an unknown protocol got as far as
+        # machine build before failing without naming the field.
+        changes = {field: value}
+        if field.endswith(".channels"):
+            changes[field.replace(".channels", ".max_channels")] = value
+        data = apply_overrides(get_scenario(base).to_dict(), changes)
+        started = time.perf_counter()
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            ScenarioSpec.from_dict(data)
+        assert time.perf_counter() - started < 1.0
 
 
 def _service(overrides):

@@ -260,6 +260,21 @@ class TestDetailedContention:
         assert disjoint[1] == alone[1]
 
 
+class TestDetailedLargeAllocations:
+    @pytest.mark.parametrize("t, g, p", [(256, 2, 1), (1024, 1024, 1024)])
+    def test_one_hop_channels_drain_a_deep_link_buffer(self, t, g, p):
+        # A link buffers max(t, 2) pairs, and a one-hop channel takes every
+        # buffered pair at once; delivering each by nested calls overflowed
+        # the stack from t = 256, the paper's t = g = p = 1024 included.
+        data = get_scenario("smoke").to_dict()
+        data["physics"].update(teleporters=t, generators=g, purifiers=p)
+        data["runtime"]["backend"] = "detailed"
+        spec = ScenarioSpec.from_dict(data)
+        result = run(spec)
+        assert result.batch.operations == len(build_stream(spec).operations)
+        assert 0.0 < result.makespan_us < float("inf")
+
+
 class TestBackendProvenance:
     def test_simulation_result_carries_backend(self):
         spec = get_scenario("smoke")
