@@ -33,15 +33,53 @@ the planner takes ``candidates[0]``, a fixed minimal path.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate
 from .nodes import ResourceAllocation
 from .routing import CandidatePaths, Path
-from .topology import MeshTopology
+from .topology import LinkId, MeshTopology
+
+
+def shortest_path(
+    adjacency: Mapping[Coordinate, Mapping[Coordinate, LinkId]], source: Coordinate, target: Coordinate
+) -> List[Coordinate]:
+    """A shortest path by bidirectional breadth-first search.
+
+    A port of networkx's ``bidirectional_shortest_path``: the smaller fringe
+    grows first and neighbours are visited in insertion order, so it returns
+    the path ``nx.shortest_path`` returns on the same graph.
+    """
+    pred: Dict[Coordinate, Optional[Coordinate]] = {source: None}
+    succ: Dict[Coordinate, Optional[Coordinate]] = {target: None}
+
+    def grow(level: List[Coordinate], seen: Dict, other: Dict) -> Tuple[List[Coordinate], Optional[Coordinate]]:
+        fringe = []
+        for v in level:
+            for w in adjacency[v]:
+                if w not in seen:
+                    fringe.append(w)
+                    seen[w] = v
+                if w in other:
+                    return fringe, w
+        return fringe, None
+
+    forward, reverse, meet = [source], [target], source if source == target else None
+    while meet is None and forward and reverse:
+        if len(forward) <= len(reverse):
+            forward, meet = grow(forward, pred, succ)
+        else:
+            reverse, meet = grow(reverse, succ, pred)
+    if meet is None:
+        raise RoutingError(f"no path between {source} and {target}")
+    path = [meet]
+    while pred[path[-1]] is not None:
+        path.append(pred[path[-1]])
+    path.reverse()
+    while succ[path[-1]] is not None:
+        path.append(succ[path[-1]])
+    return path
 
 
 class HierarchicalTopology(MeshTopology):
@@ -79,7 +117,7 @@ class HierarchicalTopology(MeshTopology):
     # -- structure ------------------------------------------------------------
 
     def _add_node(self, coord: Coordinate) -> None:
-        self._graph.add_node(coord)
+        self._adjacency[coord] = {}
         self._ordered_nodes.append(coord)
 
     @property
@@ -96,7 +134,7 @@ class HierarchicalTopology(MeshTopology):
         return iter(self._ordered_nodes)
 
     def contains(self, coord: Coordinate) -> bool:
-        return coord in self._graph
+        return coord in self._adjacency
 
     def host(self, index: int) -> Coordinate:
         """The ``index``-th host (0-based), i.e. LQ site ``index``."""
@@ -122,7 +160,7 @@ class HierarchicalTopology(MeshTopology):
         key = (a, b) if (a.x, a.y) <= (b.x, b.y) else (b, a)
         cached = self._hop_cache.get(key)
         if cached is None:
-            cached = nx.shortest_path_length(self._graph, key[0], key[1])
+            cached = len(shortest_path(self._adjacency, key[0], key[1])) - 1
             self._hop_cache[key] = cached
         return cached
 
@@ -143,7 +181,7 @@ class HierarchicalTopology(MeshTopology):
         if source == destination:
             raise RoutingError(f"no path needed from {source} to itself")
         if not (self.is_host(source) and self.is_host(destination)):
-            nodes = nx.shortest_path(self._graph, source, destination)
+            nodes = shortest_path(self._adjacency, source, destination)
             return CandidatePaths.single(self._path(nodes))
         return self._host_candidates(source, destination)
 

@@ -2,11 +2,10 @@
 
 A ``width x height`` mesh of T' nodes, with a G node on every link between
 adjacent T' nodes (the virtual wires) and a purifier/corrector/logical-qubit
-cluster attached to every T' node.  The topology is backed by a
-:class:`networkx.Graph` so standard graph algorithms (connectivity checks,
-shortest paths for validation, bisection estimates) are available, while the
-routing used by the paper — dimension order — lives in
-:mod:`repro.network.routing`.
+cluster attached to every T' node.  The topology keeps its own adjacency map
+(node → {neighbour: link}) and numbers its nodes and links densely, which is
+how the fluid transport names resources; the routing used by the paper —
+dimension order — lives in :mod:`repro.network.routing`.
 
 Beyond the paper's plain mesh, either dimension can *wrap around*
 (``wrap_x`` / ``wrap_y``), which yields the other standard fabrics the
@@ -20,9 +19,7 @@ way around.  The named fabric constructors live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate, iter_grid, manhattan_distance
@@ -129,13 +126,14 @@ class MeshTopology:
         # nodes the "long way around" already is the direct link.
         self.wrap_x = wrap_x and width >= 3
         self.wrap_y = wrap_y and height >= 3
-        self._graph = nx.Graph()
+        self._adjacency: Dict[Coordinate, Dict[Coordinate, LinkId]] = {}
         self._links: Dict[LinkId, None] = {}
         self._build()
+        self._number()
 
     def _build(self) -> None:
         for coord in iter_grid(self.width, self.height):
-            self._graph.add_node(coord)
+            self._adjacency[coord] = {}
         for coord in iter_grid(self.width, self.height):
             for neighbour in coord.neighbours(self.width, self.height):
                 if coord < neighbour:
@@ -158,15 +156,32 @@ class MeshTopology:
                 f"link {link.stable_name} is already registered; "
                 "one physical wire must not be added twice"
             )
-        self._graph.add_edge(a, b, link=link)
+        self._adjacency[a][b] = self._adjacency[b][a] = link
         self._links[link] = None
 
-    # -- structure ------------------------------------------------------------
+    def _number(self) -> None:
+        """Number nodes in :meth:`nodes` order and links in :meth:`links` order.
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (nodes are :class:`Coordinate`)."""
-        return self._graph
+        Every fabric lists its nodes row by row (tier by tier), each row from
+        ``x = 0``, so a node's number is its row's offset plus ``x`` and no
+        lookup hashes a :class:`Coordinate`.
+        """
+        self._row_offset: Dict[int, int] = {}
+        for index, node in enumerate(self.nodes()):
+            if self._row_offset.setdefault(node.y, index - node.x) != index - node.x:
+                raise ConfigurationError(f"{type(self).__name__} does not list {node} row by row")
+        #: ``link_of[i][j]``: the number of the link between nodes ``i`` and ``j``.
+        self.link_of: List[Dict[int, int]] = [{} for _ in range(len(self._adjacency))]
+        for number, link in enumerate(self._links):
+            i, j = self.node_ids((link.a, link.b))
+            self.link_of[i][j] = self.link_of[j][i] = number
+
+    def node_ids(self, nodes: Sequence[Coordinate]) -> List[int]:
+        """The numbers of ``nodes``, each a node of this topology."""
+        offset = self._row_offset
+        return [offset[node.y] + node.x for node in nodes]
+
+    # -- structure ------------------------------------------------------------
 
     @property
     def node_count(self) -> int:
@@ -202,12 +217,12 @@ class MeshTopology:
         return coord
 
     def are_adjacent(self, a: Coordinate, b: Coordinate) -> bool:
-        return self._graph.has_edge(a, b)
+        return b in self._adjacency.get(a, {})
 
     def link_between(self, a: Coordinate, b: Coordinate) -> LinkId:
         if not self.are_adjacent(a, b):
             raise RoutingError(f"no link between {a} and {b}")
-        return self._graph.edges[a, b]["link"]
+        return self._adjacency[a][b]
 
     # -- distances ----------------------------------------------------------------
 
@@ -271,17 +286,6 @@ class MeshTopology:
             f"allocation {self.allocation.label}, "
             f"{self.cells_per_hop} cells/hop"
         )
-
-    # -- validation helpers ----------------------------------------------------------
-
-    def shortest_path_length(self, a: Coordinate, b: Coordinate) -> int:
-        """Graph-theoretic shortest path length (equals :meth:`hop_distance`)."""
-        self.validate_node(a)
-        self.validate_node(b)
-        return nx.shortest_path_length(self._graph, a, b)
-
-    def is_connected(self) -> bool:
-        return nx.is_connected(self._graph)
 
 
 def square_mesh(side: int, allocation: ResourceAllocation | None = None, **kwargs) -> MeshTopology:

@@ -94,6 +94,18 @@ CELLS_PER_HOP_MAX = 10**9
 #: largest, 1.18 million in 9 s; at 4,096 QFT alone takes 32 s.  1,024 qubits
 #: fill a 32x32 mesh, four times the paper-scale Figure 16 machine.
 NUM_QUBITS_MAX = 1024
+#: Most rounds of ``nearest_neighbour`` (``workload.params.rounds``).  A round
+#: is n - 1 operations, so at :data:`NUM_QUBITS_MAX` qubits 1,024 rounds are
+#: 1,047,552 operations and build in 2-3 s, about as many as ``shor`` there.
+ROUNDS_MAX = 1024
+#: Most operations of ``random`` (``workload.params.num_operations``):
+#: 2^20 operations build in 3-4 s, like 1,024 rounds above.
+OPERATIONS_MAX = 2**20
+#: Most squaring-and-multiplication steps of ``modexp`` (``steps``) and of
+#: ``shor``'s modular exponentiation (``modexp_steps``).  A step is about
+#: 3n^2/8 operations: at 1,024 qubits two steps of ``modexp`` are 785,920
+#: operations in 2 s, and ``shor`` with two steps is 1.57 million in 10 s.
+STEPS_MAX = 2
 #: Most teleporters, generators or purifiers per node (``physics.*``), 1,024
 #: times Figure 16's t = g = p = 1024 normalisation point.  Neither backend's
 #: cost grows with these counts, but both turn them into float rates, and
@@ -150,7 +162,10 @@ class FieldDecl:
             noun = "an integer" if self.kind is int else "a number or null" if unit else "a number"
             raise ScenarioError(f"{name} must be {noun}, got {value!r}")
         if self.kind is float:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ScenarioError(f"{name} must be finite, got an integer too large for a float") from None
             # NaN compares False against every bound, so range checks alone
             # would wave it (and infinities) into cache keys and physics models.
             if not math.isfinite(value):
@@ -254,6 +269,14 @@ WORKLOAD_FIELDS = {
     "kind": FieldDecl(str, choices=list_workloads),
     "num_qubits": FieldDecl(int, 2, NUM_QUBITS_MAX),
 }
+#: The count parameters of the registered workloads.  The stream is built
+#: before ``runtime.max_events`` can act, so each count is bounded here.
+WORKLOAD_PARAM_FIELDS = {
+    "rounds": FieldDecl(int, 1, ROUNDS_MAX),
+    "num_operations": FieldDecl(int, 1, OPERATIONS_MAX, nullable=True),
+    "steps": FieldDecl(int, 1, STEPS_MAX),
+    "modexp_steps": FieldDecl(int, 1, STEPS_MAX),
+}
 
 
 @dataclass(frozen=True)
@@ -276,6 +299,8 @@ class WorkloadSpec:
                 f"workload {kind!r} does not take parameters {unknown}; "
                 f"accepted: {sorted(accepted) or 'none'}"
             )
+        for name in sorted(set(params) & set(WORKLOAD_PARAM_FIELDS)):
+            params[name] = WORKLOAD_PARAM_FIELDS[name].read(params[name], f"workload.params.{name}")
         return cls(**values)
 
 

@@ -14,9 +14,9 @@ machine stack consults:
   delivered pair states,
 * the planner's per-endpoint-pair channel plans,
 * the machine's per-distance flow demand profiles, and
-* the fluid transport's per-endpoint-pair demand vectors — exactly the row
-  content (resource keys + works) the vectorized allocator packs into its
-  CSR arrays, so repeated points also skip rebuilding that structure.
+* the fluid transport's per-endpoint-pair demands — the resource ids and
+  works the vectorized allocator packs into its CSR arrays, so repeated
+  points also skip rebuilding that structure.
 
 Every cached object is a pure function of the structural key (the exclusions
 below are each argued at the definition), so adoption can only skip
@@ -93,7 +93,7 @@ class WarmStartEntry:
     budget_cache: Dict[int, Any] = field(default_factory=dict)
     plan_cache: Dict[Tuple[Any, Any], Any] = field(default_factory=dict)
     flow_profiles: Dict[int, Any] = field(default_factory=dict)
-    demand_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[Any, float]] = field(
+    demand_cache: Dict[Tuple[Any, ...], Tuple[Tuple[int, ...], Tuple[float, ...]]] = field(
         default_factory=dict
     )
     reuses: int = 0

@@ -13,6 +13,10 @@ fixed amount of work through every resource along its path:
 * the data-qubit teleportations at the endpoints once the channel is up,
   charged to the X or Y router half that the endpoint's link uses.
 
+Each resource is named by a dense integer id, laid out by the machine in one
+block per kind (:attr:`~repro.sim.machine.QuantumMachine.resource_blocks`), so
+a flow's demand is a pair of tuples: resource ids and the work on each.
+
 Concurrent flows share each resource max-min fairly (progressive filling), so
 when many channels cross the same T' node — the Home Base workload — the
 teleporters become the bottleneck, and when channels are short and disjoint —
@@ -68,25 +72,15 @@ from ..errors import SimulationError
 from ..trace.records import FlowRateChanged
 from .control import PlannedCommunication
 from .engine import Event, SimulationEngine
-from .machine import QuantumMachine
+from .machine import RESOURCE_KINDS, Demand, QuantumMachine
 from .teleporter import teleporter_set
 from .transport import TransportBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flowpack import FlowPack
 
-#: Resource identifiers are (kind, *coordinates) tuples; kinds used below.
-KIND_TELEPORTER_X = "teleporter_x"
-KIND_TELEPORTER_Y = "teleporter_y"
-KIND_GENERATOR = "generator"
-KIND_PURIFIER = "purifier"
-
-#: All resource kinds, in the order the vectorized pack accounts for them.
-RESOURCE_KINDS = (KIND_TELEPORTER_X, KIND_TELEPORTER_Y, KIND_GENERATOR, KIND_PURIFIER)
-
-#: The resource kind of each router teleporter set (see ``teleporter_set``).
-_TELEPORTER_KIND = {"x": KIND_TELEPORTER_X, "y": KIND_TELEPORTER_Y}
-
+#: A resource's user-facing key: ``(kind, (x, y))``, or
+#: ``("generator", (ax, ay), (bx, by))`` for a link's generator.
 ResourceKey = Tuple
 
 #: The allocator names FlowTransport accepts (mirrored by the scenario codec).
@@ -115,7 +109,7 @@ class ChannelFlow:
 
     flow_id: int
     planned: PlannedCommunication
-    demands: Dict[ResourceKey, float]
+    demands: Demand
     floor_us: float
     pairs_transited: float
     start_us: float
@@ -158,17 +152,20 @@ class FlowTransport(TransportBackend):
         self._flows: Dict[int, ChannelFlow] = {}
         self._last_update = 0.0
         self._usage_integral: Dict[str, float] = {}
-        #: Persistent resource → {flow_id: demand work} index.
-        self._members: Dict[ResourceKey, Dict[int, float]] = {}
+        #: Persistent resource id → {flow_id: demand work} index (the dict
+        #: allocators only; the vectorized pack keeps its own incidence).
+        self._members: Dict[int, Dict[int, float]] = {}
         #: Per-kind sum of rate * work over active flows (usage accounting).
         self._kind_rate_sum: Dict[str, float] = {}
-        #: Capacity is a pure function of the resource *kind* (three values),
-        #: so it is memoized per kind; the per-kind capacity *totals* are
-        #: accumulated key by key as resources are first used, preserving the
-        #: exact summation order the old per-key cache walk produced.
-        self._kind_capacity: Dict[str, float] = {}
+        blocks = machine.resource_blocks
+        kinds = [k for k in range(len(RESOURCE_KINDS)) for _ in range(blocks[k], blocks[k + 1])]
+        #: The kind of each resource id, which its id block decides.
+        self._kind_of = [RESOURCE_KINDS[k] for k in kinds]
+        self._kind_capacity = machine.kind_capacity
+        #: Per-kind capacity totals, accumulated id by id as resources are
+        #: first used (utilisation divides by them).
         self._kind_capacity_total: Dict[str, float] = {}
-        self._seen_keys: Set[ResourceKey] = set()
+        self._seen_ids: Set[int] = set()
         self._pack: Optional["FlowPack"] = None
         self._next_completion: Optional[Event] = None
         #: Flows whose chained completion fired but no-op'd since the last
@@ -182,7 +179,7 @@ class FlowTransport(TransportBackend):
             # Imported here so that ``import repro`` does not load numpy.
             from .flowpack import FlowPack
 
-            self._pack = FlowPack(self._capacity, RESOURCE_KINDS)
+            self._pack = FlowPack([self._kind_capacity[kind] for kind in self._kind_of], kinds, RESOURCE_KINDS)
 
     # -- public API ---------------------------------------------------------------
 
@@ -209,22 +206,27 @@ class FlowTransport(TransportBackend):
             done=lambda f, cb=done: cb(),
         )
         self._flows[flow.flow_id] = flow
-        for key, work in flow.demands.items():
-            self._members.setdefault(key, {})[flow.flow_id] = work
-            if key not in self._seen_keys:
-                self._seen_keys.add(key)
-                kind = key[0]
+        ids, works = flow.demands
+        seen = self._seen_ids
+        for rid in ids:
+            if rid not in seen:
+                seen.add(rid)
+                kind = self._kind_of[rid]
                 self._kind_capacity_total[kind] = (
-                    self._kind_capacity_total.get(kind, 0.0) + self._capacity(key)
+                    self._kind_capacity_total.get(kind, 0.0) + self._kind_capacity[kind]
                 )
         if self._pack is not None:
             self._pack.add_flow(
                 flow.flow_id,
-                flow.demands,
+                ids,
+                works,
                 remaining=flow.remaining,
                 start_us=flow.start_us,
                 floor_us=flow.floor_us,
             )
+        else:
+            for rid, work in zip(ids, works):
+                self._members.setdefault(rid, {})[flow.flow_id] = work
         self._reallocate()
 
     def utilisation_report(self, elapsed_us: float, *, clamp: bool = True) -> Dict[str, float]:
@@ -247,28 +249,29 @@ class FlowTransport(TransportBackend):
     def resource_loads(self) -> Dict[ResourceKey, float]:
         """Instantaneous per-resource load: sum of rate x work over active flows."""
         if self._pack is not None:
-            return self._pack.loads()
-        loads: Dict[ResourceKey, float] = {}
-        for key, members in self._members.items():
-            load = 0.0
-            for flow_id, work in members.items():
-                load += self._flows[flow_id].rate * work
-            if load > 0.0:
-                loads[key] = load
-        return loads
+            loads = self._pack.loads()
+        else:
+            loads = {}
+            for rid, members in self._members.items():
+                load = 0.0
+                for flow_id, work in members.items():
+                    load += self._flows[flow_id].rate * work
+                if load > 0.0:
+                    loads[rid] = load
+        return dict(zip(self.machine.resource_keys(loads), loads.values()))
 
     def capacity_of(self, key: ResourceKey) -> float:
         """Bandwidth of one resource (public for invariant checks)."""
-        return self._capacity(key)
+        return self._kind_capacity[key[0]]
 
     # -- demand construction -----------------------------------------------------------
 
-    def _build_demands(self, planned: PlannedCommunication) -> Dict[ResourceKey, float]:
-        """Demand vector for a planned communication, warm-cache aware.
+    def _build_demands(self, planned: PlannedCommunication) -> Demand:
+        """Demand of a planned communication, warm-cache aware.
 
-        The demand dict is a pure function of the traversed path for a fixed
+        The demand is a pure function of the traversed path for a fixed
         machine structure, and it is read-only once built, so machines
-        attached to a warm-start entry share one dict per endpoint pair
+        attached to a warm-start entry share one demand per endpoint pair
         across flows and across runs.  Under a load balancer the same pair
         may take different paths, so the cache keys on the full node
         sequence instead (the ``network`` section is part of the warm-start
@@ -288,51 +291,45 @@ class FlowTransport(TransportBackend):
             cache[cache_key] = demands
         return demands
 
-    def _compute_demands(self, planned: PlannedCommunication) -> Dict[ResourceKey, float]:
+    def _compute_demands(self, planned: PlannedCommunication) -> Demand:
+        """The resource ids a channel uses and its work on each.
+
+        Ids come from the path's node numbers and the numbers of the links
+        between them.  Entries run swaps, generators, then each endpoint's
+        purifier and data teleport; a resource met twice keeps its first
+        place and sums its work, and zero work adds no entry.
+        """
         plan = planned.plan
         assert plan is not None
         profile = self.machine.flow_profile(plan.hops)
-        demands: Dict[ResourceKey, float] = {}
-
-        def _add(key: ResourceKey, work: float) -> None:
-            if work > 0:
-                demands[key] = demands.get(key, 0.0) + work
-
-        path = plan.path
-        nodes = path.nodes
+        x_ids, y_ids, generator_ids, purifier_ids, _ = self.machine.resource_blocks
+        teleporter_ids = {"x": x_ids, "y": y_ids}
+        topology = self.machine.topology
+        nodes = plan.path.nodes
+        numbers = topology.node_ids(nodes)
+        link_of = topology.link_of
         # Chained-teleportation swaps at every intermediate node, charged to
-        # the teleporter set facing the outgoing direction (Figure 6).
-        for node, nxt in zip(nodes[1:], nodes[2:]):
-            kind = _TELEPORTER_KIND[teleporter_set(node, nxt)]
-            _add((kind, node.as_tuple()), profile.swap_work)
-        # Virtual-wire pair generation on every traversed link.
-        for link in path.links:
-            _add((KIND_GENERATOR, link.a.as_tuple(), link.b.as_tuple()), profile.generator_work)
+        # the teleporter set facing the outgoing direction (Figure 6), then
+        # virtual-wire pair generation on every traversed link.
+        ids = [
+            teleporter_ids[teleporter_set(node, nxt)] + number
+            for node, nxt, number in zip(nodes[1:], nodes[2:], numbers[1:])
+        ]
+        works = [profile.swap_work] * len(ids)
+        ids += [generator_ids + link_of[a][b] for a, b in zip(numbers, numbers[1:])]
+        works += [profile.generator_work] * (len(ids) - len(works))
         # Endpoint purification and data teleports.  The data teleport uses
         # the set facing the endpoint's link, exactly as the swap loop above
         # does for intermediate hops; a zero-hop path faces itself (X set).
-        first, last = (nodes[1], nodes[-2]) if len(nodes) > 1 else (path.source, path.source)
-        for endpoint, neighbour in ((path.source, first), (path.destination, last)):
-            _add((KIND_PURIFIER, endpoint.as_tuple()), profile.purifier_work)
-            kind = _TELEPORTER_KIND[teleporter_set(endpoint, neighbour)]
-            _add((kind, endpoint.as_tuple()), profile.data_teleport_work)
-        return demands
-
-    def _capacity(self, key: ResourceKey) -> float:
-        kind = key[0]
-        value = self._kind_capacity.get(kind)
-        if value is None:
-            machine = self.machine
-            if kind in (KIND_TELEPORTER_X, KIND_TELEPORTER_Y):
-                value = machine.teleporter_bandwidth_per_direction()
-            elif kind == KIND_GENERATOR:
-                value = machine.generator_bandwidth_per_link()
-            elif kind == KIND_PURIFIER:
-                value = machine.purifier_bandwidth_per_node()
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown resource kind {kind!r}")
-            self._kind_capacity[kind] = value
-        return value
+        first, last = (nodes[1], nodes[-2]) if len(nodes) > 1 else (nodes[0], nodes[0])
+        for endpoint, neighbour, number in ((nodes[0], first, numbers[0]), (nodes[-1], last, numbers[-1])):
+            ids += [purifier_ids + number, teleporter_ids[teleporter_set(endpoint, neighbour)] + number]
+            works += [profile.purifier_work, profile.data_teleport_work]
+        demands: Dict[int, float] = {}
+        for rid, work in zip(ids, works):
+            if work > 0:
+                demands[rid] = demands.get(rid, 0.0) + work
+        return tuple(demands), tuple(demands.values())
 
     # -- fluid dynamics ---------------------------------------------------------------------
 
@@ -359,8 +356,8 @@ class FlowTransport(TransportBackend):
                         )
             else:
                 for flow in self._flows.values():
-                    for key, work in flow.demands.items():
-                        kind = key[0]
+                    for rid, work in zip(*flow.demands):
+                        kind = self._kind_of[rid]
                         self._usage_integral[kind] = (
                             self._usage_integral.get(kind, 0.0) + flow.rate * work * elapsed
                         )
@@ -381,8 +378,8 @@ class FlowTransport(TransportBackend):
             new_rate = rates[flow.flow_id]
             if self._incremental and new_rate != flow.rate:
                 delta = new_rate - flow.rate
-                for key, work in flow.demands.items():
-                    kind = key[0]
+                for rid, work in zip(*flow.demands):
+                    kind = self._kind_of[rid]
                     self._kind_rate_sum[kind] = (
                         self._kind_rate_sum.get(kind, 0.0) + delta * work
                     )
@@ -466,21 +463,22 @@ class FlowTransport(TransportBackend):
         rates: Dict[int, float] = {flow.flow_id: 0.0 for flow in flows}
         if not flows:
             return rates
-        remaining_cap: Dict[ResourceKey, float] = {}
+        kind_of, capacity = self._kind_of, self._kind_capacity
+        remaining_cap: Dict[int, float] = {}
         for flow in flows:
-            for key in flow.demands:
-                remaining_cap.setdefault(key, self._capacity(key))
+            for rid in flow.demands[0]:
+                remaining_cap.setdefault(rid, capacity[kind_of[rid]])
         # Unfrozen members per resource, seeded from the persistent index
         # (flow-id ordered) and thinned as flows freeze; demand sums then walk
         # exactly the flows still being filled.
-        alive: Dict[ResourceKey, Dict[int, float]] = {
-            key: dict(self._members[key]) for key in remaining_cap
+        alive: Dict[int, Dict[int, float]] = {
+            rid: dict(self._members[rid]) for rid in remaining_cap
         }
         unfrozen = {flow.flow_id: flow for flow in flows}
         # Per-resource demand sums are cached between iterations and only
-        # recomputed for keys whose membership changed (a resummed unchanged
-        # key would give the bitwise-same float, so caching is exact).
-        denom: Dict[ResourceKey, float] = {}
+        # recomputed for ids whose membership changed (a resummed unchanged
+        # id would give the bitwise-same float, so caching is exact).
+        denom: Dict[int, float] = {}
         dirty = set(remaining_cap)
         # Progressive filling: all unfrozen rates rise together until the
         # bottleneck resource saturates; its users freeze (found through the
@@ -488,15 +486,15 @@ class FlowTransport(TransportBackend):
         for _ in range(len(flows) + 1):
             if not unfrozen:
                 break
-            for key in sorted(dirty):
+            for rid in sorted(dirty):
                 d = 0.0
-                for work in alive[key].values():
+                for work in alive[rid].values():
                     d += work
-                denom[key] = d
+                denom[rid] = d
             dirty = set()
             best_delta = float("inf")
-            for key, cap_left in remaining_cap.items():
-                d = denom[key]
+            for rid, cap_left in remaining_cap.items():
+                d = denom[rid]
                 if d > 0.0:
                     delta = cap_left / d
                     if delta < best_delta:
@@ -510,18 +508,18 @@ class FlowTransport(TransportBackend):
             for flow_id in unfrozen:
                 rates[flow_id] += best_delta
             newly_frozen = set()
-            for key, d in denom.items():
+            for rid, d in denom.items():
                 if d > 0.0:
-                    remaining_cap[key] -= best_delta * d
-                    if remaining_cap[key] <= _SATURATION_EPS:
-                        newly_frozen.update(alive[key])
+                    remaining_cap[rid] -= best_delta * d
+                    if remaining_cap[rid] <= _SATURATION_EPS:
+                        newly_frozen.update(alive[rid])
             if not newly_frozen:
                 break
             for flow_id in sorted(newly_frozen):
                 flow = unfrozen.pop(flow_id)
-                for key in flow.demands:
-                    alive[key].pop(flow_id, None)
-                    dirty.add(key)
+                for rid in flow.demands[0]:
+                    alive[rid].pop(flow_id, None)
+                    dirty.add(rid)
         return rates
 
     # -- reference (from-scratch) allocator ----------------------------------------------
@@ -530,19 +528,18 @@ class FlowTransport(TransportBackend):
         rates: Dict[int, float] = {flow.flow_id: 0.0 for flow in flows}
         if not flows:
             return rates
-        remaining_cap: Dict[ResourceKey, float] = {}
+        demands = {flow.flow_id: dict(zip(*flow.demands)) for flow in flows}
+        remaining_cap: Dict[int, float] = {}
         for flow in flows:
-            for key in flow.demands:
-                remaining_cap.setdefault(key, self._capacity(key))
-        unfrozen = {flow.flow_id: flow for flow in flows}
+            for rid in demands[flow.flow_id]:
+                remaining_cap.setdefault(rid, self._kind_capacity[self._kind_of[rid]])
+        unfrozen = {flow.flow_id: demands[flow.flow_id] for flow in flows}
         for _ in range(len(flows) + 1):
             if not unfrozen:
                 break
             best_delta = float("inf")
-            for key, cap_left in remaining_cap.items():
-                denom = sum(
-                    flow.demands.get(key, 0.0) for flow in unfrozen.values()
-                )
+            for rid, cap_left in remaining_cap.items():
+                denom = sum(demand.get(rid, 0.0) for demand in unfrozen.values())
                 if denom <= 0.0:
                     continue
                 best_delta = min(best_delta, cap_left / denom)
@@ -552,14 +549,14 @@ class FlowTransport(TransportBackend):
                 break
             for flow_id in unfrozen:
                 rates[flow_id] += best_delta
-            for key in remaining_cap:
-                denom = sum(flow.demands.get(key, 0.0) for flow in unfrozen.values())
-                remaining_cap[key] -= best_delta * denom
-            saturated = {key for key, cap in remaining_cap.items() if cap <= _SATURATION_EPS}
+            for rid in remaining_cap:
+                denom = sum(demand.get(rid, 0.0) for demand in unfrozen.values())
+                remaining_cap[rid] -= best_delta * denom
+            saturated = {rid for rid, cap in remaining_cap.items() if cap <= _SATURATION_EPS}
             newly_frozen = [
                 flow_id
-                for flow_id, flow in unfrozen.items()
-                if any(key in saturated for key in flow.demands)
+                for flow_id, demand in unfrozen.items()
+                if any(rid in saturated for rid in demand)
             ]
             if not newly_frozen:
                 break
@@ -634,16 +631,17 @@ class FlowTransport(TransportBackend):
         self._flow_set_changed = True
         if self._pack is not None:
             self._pack.remove_flow(flow.flow_id)
-        for key in flow.demands:
-            if self._incremental:
-                work = flow.demands[key]
-                kind = key[0]
-                self._kind_rate_sum[kind] = self._kind_rate_sum.get(kind, 0.0) - flow.rate * work
-            members = self._members.get(key)
-            if members is not None:
-                members.pop(flow.flow_id, None)
+        else:
+            for rid, work in zip(*flow.demands):
+                if self._incremental:
+                    kind = self._kind_of[rid]
+                    self._kind_rate_sum[kind] = (
+                        self._kind_rate_sum.get(kind, 0.0) - flow.rate * work
+                    )
+                members = self._members[rid]
+                del members[flow.flow_id]
                 if not members:
-                    del self._members[key]
+                    del self._members[rid]
         self._close_channel(
             flow.flow_id,
             flow.planned,

@@ -15,7 +15,8 @@ CSR-style numpy index arrays instead of per-flow Python dicts:
     float64 arrays.  In vectorized mode these arrays are authoritative; the
     ``ChannelFlow`` objects' scalar fields are not advanced.
 ``col_*``
-    Interned resource keys with per-column capacity.  Columns are never
+    The resource ids that entries use, in first-use order, with per-column
+    capacity; an id→column array interns them.  Columns are never
     re-numbered while referenced (their count is bounded by the topology);
     :meth:`compact` drops columns only when no surviving entry uses them.
 
@@ -33,13 +34,11 @@ types never leak into engine timestamps or trace records.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
-
-ResourceKey = Tuple[str, object]
 
 #: Compact the row/entry arrays when tombstoned rows outnumber live ones and
 #: the pack is big enough for the rebuild to pay for itself.
@@ -65,16 +64,19 @@ class FlowPack:
 
     def __init__(
         self,
-        capacity_of: Callable[[ResourceKey], float],
+        id_capacity: Sequence[float],
+        id_kind: Sequence[int],
         kinds: Iterable[str],
     ) -> None:
-        self._capacity_of = capacity_of
+        #: Capacity and index into ``kinds`` of every resource id.
+        self._id_capacity = np.asarray(id_capacity, dtype=np.float64)
+        self._id_kind = np.asarray(id_kind, dtype=np.int64)
         self.kinds: Tuple[str, ...] = tuple(kinds)
-        self._kind_index = {kind: i for i, kind in enumerate(self.kinds)}
-        # Columns: interned resource keys.
-        self._col_of_key: Dict[ResourceKey, int] = {}
-        self.col_keys: List[ResourceKey] = []
+        # Columns: the resource ids live entries use (-1: no column).
+        self._col_of_id = np.full(self._id_capacity.shape[0], -1, dtype=np.int64)
+        self._col_id = np.zeros(0, dtype=np.int64)
         self._col_cap = np.zeros(0, dtype=np.float64)
+        self.n_cols = 0
         # Rows: per-flow state (buffers sized >= n_rows; slice before use).
         self._row_of_flow: Dict[int, int] = {}
         self.n_rows = 0
@@ -100,10 +102,6 @@ class FlowPack:
         """Number of live (non-tombstoned) flows."""
         return self.n_rows - self._dead_rows
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.col_keys)
-
     def row_of(self, flow_id: int) -> int:
         return self._row_of_flow[flow_id]
 
@@ -127,6 +125,7 @@ class FlowPack:
             "entry_row": self._entry_row[:e].copy(),
             "entry_col": self._entry_col[:e].copy(),
             "entry_work": self._entry_work[:e].copy(),
+            "col_id": self._col_id[: self.n_cols].copy(),
             "col_cap": self._col_cap[: self.n_cols].copy(),
         }
 
@@ -136,7 +135,8 @@ class FlowPack:
     def add_flow(
         self,
         flow_id: int,
-        demands: Dict[ResourceKey, float],
+        ids: Sequence[int],
+        works: Sequence[float],
         *,
         remaining: float = 1.0,
         start_us: float = 0.0,
@@ -144,8 +144,9 @@ class FlowPack:
     ) -> int:
         """Append a flow row plus its demand entries; returns the row index.
 
-        Rows must arrive in increasing flow-id order (the transport's flow
-        ids are monotonic) — that invariant is what keeps every per-column
+        ``ids`` are distinct resource ids and ``works`` their demands.  Rows
+        must arrive in increasing flow-id order (the transport's flow ids are
+        monotonic) — that invariant is what keeps every per-column
         accumulation in flow-id order without sorting.
         """
         if flow_id in self._row_of_flow:
@@ -170,32 +171,33 @@ class FlowPack:
         self._rate[row] = 0.0
         self._start_us[row] = start_us
         self._floor_us[row] = floor_us
-        self._row_kind_work[row] = 0.0
+        ids_array = np.asarray(ids, dtype=np.int64)
+        works_array = np.asarray(works, dtype=np.float64)
+        # bincount sums each kind's works in entry order, as ``+=`` would.
+        self._row_kind_work[row] = np.bincount(self._id_kind[ids_array], weights=works_array, minlength=len(self.kinds))
+        cols = self._col_of_id[ids_array]
+        new_ids = ids_array[cols < 0]
+        if new_ids.size:
+            first, end = self.n_cols, self.n_cols + new_ids.size
+            self._col_id = _grown(self._col_id, end)
+            self._col_cap = _grown(self._col_cap, end)
+            self._col_id[first:end] = new_ids
+            self._col_cap[first:end] = self._id_capacity[new_ids]
+            self._col_of_id[new_ids] = np.arange(first, end)
+            self.n_cols = end
+            cols = self._col_of_id[ids_array]
         base = self.n_entries
-        needed_entries = base + len(demands)
+        needed_entries = base + ids_array.size
         self._entry_row = _grown(self._entry_row, needed_entries)
         self._entry_col = _grown(self._entry_col, needed_entries)
         self._entry_work = _grown(self._entry_work, needed_entries)
-        for offset, (key, work) in enumerate(demands.items()):
-            col = self._intern(key)
-            self._entry_row[base + offset] = row
-            self._entry_col[base + offset] = col
-            self._entry_work[base + offset] = work
-            self._row_kind_work[row, self._kind_index[key[0]]] += work
+        self._entry_row[base:needed_entries] = row
+        self._entry_col[base:needed_entries] = cols
+        self._entry_work[base:needed_entries] = works_array
         self.n_entries = needed_entries
         self.n_rows = needed
         self._row_of_flow[flow_id] = row
         return row
-
-    def _intern(self, key: ResourceKey) -> int:
-        col = self._col_of_key.get(key)
-        if col is None:
-            col = len(self.col_keys)
-            self._col_of_key[key] = col
-            self.col_keys.append(key)
-            self._col_cap = _grown(self._col_cap, col + 1)
-            self._col_cap[col] = self._capacity_of(key)
-        return col
 
     def remove_flow(self, flow_id: int) -> None:
         """Tombstone a flow's row; entries stay until the next compaction."""
@@ -226,23 +228,17 @@ class FlowPack:
         entry_row = new_row_of_old[self._entry_row[:e][keep_entry]]
         entry_old_col = self._entry_col[:e][keep_entry]
         # Re-intern surviving columns in first-use order.
-        old_keys, old_cap = self.col_keys, self._col_cap
-        self._col_of_key = {}
-        self.col_keys = []
-        self._col_cap = np.zeros(0, dtype=np.float64)
-        entry_col = np.zeros(entry_old_col.shape[0], dtype=np.int64)
-        for i, old_col in enumerate(entry_old_col):
-            key = old_keys[int(old_col)]
-            col = self._col_of_key.get(key)
-            if col is None:
-                col = len(self.col_keys)
-                self._col_of_key[key] = col
-                self.col_keys.append(key)
-                self._col_cap = _grown(self._col_cap, col + 1)
-                self._col_cap[col] = old_cap[int(old_col)]
-            entry_col[i] = col
+        used, first_use = np.unique(entry_old_col, return_index=True)
+        used = used[np.argsort(first_use)]
+        new_col_of_old = np.zeros(self.n_cols, dtype=np.int64)
+        new_col_of_old[used] = np.arange(used.size)
+        self._col_of_id[self._col_id[: self.n_cols]] = -1
+        self._col_id = self._col_id[used]
+        self._col_cap = self._col_cap[used]
+        self._col_of_id[self._col_id] = np.arange(used.size)
+        self.n_cols = used.size
         self._entry_row = entry_row
-        self._entry_col = entry_col
+        self._entry_col = new_col_of_old[entry_old_col]
         self._entry_work = self._entry_work[:e][keep_entry].copy()
         self.n_entries = entry_row.shape[0]
         self._row_flow_id = self._row_flow_id[:n][live].copy()
@@ -258,16 +254,16 @@ class FlowPack:
             int(fid): row for row, fid in enumerate(self._row_flow_id[: self.n_rows])
         }
 
-    def rebuild(self, demands_of: Callable[[int], Dict[ResourceKey, float]]) -> "FlowPack":
+    def rebuild(self, demands_of: Callable[[int], Tuple[Sequence[int], Sequence[float]]]) -> "FlowPack":
         """Fresh pack holding only the live flows, re-interned from scratch."""
-        pack = FlowPack(self._capacity_of, self.kinds)
+        pack = FlowPack(self._id_capacity, self._id_kind, self.kinds)
         for row in range(self.n_rows):
             if not self._row_active[row]:
                 continue
             flow_id = int(self._row_flow_id[row])
             pack.add_flow(
                 flow_id,
-                demands_of(flow_id),
+                *demands_of(flow_id),
                 remaining=float(self._remaining[row]),
                 start_us=float(self._start_us[row]),
                 floor_us=float(self._floor_us[row]),
@@ -386,8 +382,8 @@ class FlowPack:
         totals = self._rate[:n] @ self._row_kind_work[:n]
         return {kind: float(totals[i]) for i, kind in enumerate(self.kinds)}
 
-    def loads(self) -> Dict[ResourceKey, float]:
-        """Per-resource load ``sum(rate × work)`` over live flows.
+    def loads(self) -> Dict[int, float]:
+        """Per-resource-id load ``sum(rate × work)`` over live flows.
 
         bincount accumulates in entry (= flow-id) order, matching the
         member-dict walk of the dict-based allocators bitwise.
@@ -399,7 +395,7 @@ class FlowPack:
         )
         sums = np.bincount(self._entry_col[:e], weights=weights, minlength=self.n_cols)
         return {
-            self.col_keys[col]: float(sums[col])
+            int(self._col_id[col]): float(sums[col])
             for col in range(self.n_cols)
             if sums[col] > 0.0
         }

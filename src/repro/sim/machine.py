@@ -9,8 +9,9 @@ flow model shares between concurrent channels.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.logical import STEANE_LEVEL_2, LogicalQubitEncoding
 from ..core.placement import PurificationPlacement, endpoint_only
@@ -21,6 +22,13 @@ from ..network.layout import MachineLayout, build_layout
 from ..network.nodes import ResourceAllocation
 from ..network.routing import DimensionOrder
 from ..physics.parameters import IonTrapParameters
+
+#: The fluid model's resource kinds, in the order of their id blocks: each
+#: T' node's X and Y teleporter sets, each link's generator, each node's
+#: purifier bank.
+RESOURCE_KINDS = ("teleporter_x", "teleporter_y", "generator", "purifier")
+#: A channel's demand: the resource ids it uses and its work on each, in order.
+Demand = Tuple[Tuple[int, ...], Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -128,18 +136,27 @@ class QuantumMachine:
             order=routing_order,
         )
         self._flow_profiles: Dict[int, FlowDemandProfile] = {}
+        nodes, links = self.topology.node_count, self.topology.link_count
+        #: First resource id of each kind in :data:`RESOURCE_KINDS`, then the
+        #: id count.  Within a block, the id's offset is the topology's node
+        #: or link number.
+        self.resource_blocks = (0, nodes, 2 * nodes, 2 * nodes + links, 3 * nodes + links)
+        teleporters = self.teleporter_bandwidth_per_direction()
+        capacities = (teleporters, teleporters, self.generator_bandwidth_per_link(), self.purifier_bandwidth_per_node())
+        #: Bandwidth of one resource of each kind.
+        self.kind_capacity = dict(zip(RESOURCE_KINDS, capacities))
         #: Warm-start hooks (see :mod:`repro.scenarios.warmstart`): a shared
-        #: (source, destination) → demand-dict cache consulted by the fluid
+        #: (source, destination) → :data:`Demand` cache consulted by the fluid
         #: transport, and the attachment info surfaced in result metadata.
         #: Both stay ``None`` unless a warm-start entry is adopted.
-        self.demand_cache: Optional[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict]] = None
+        self.demand_cache: Optional[Dict[Tuple, Demand]] = None
         self.warm_start: Optional[Dict[str, object]] = None
 
     def adopt_warm_state(
         self,
         *,
         flow_profiles: Dict[int, FlowDemandProfile],
-        demand_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict],
+        demand_cache: Dict[Tuple, Demand],
         info: Dict[str, object],
     ) -> None:
         """Share warm-start state owned by a cross-run cache entry.
@@ -201,6 +218,14 @@ class QuantumMachine:
     def purifier_bandwidth_per_node(self) -> float:
         """Queue purifiers available at each endpoint P node."""
         return float(self.allocation.purifiers_per_node)
+
+    def resource_keys(self, ids: Iterable[int]) -> List[Tuple]:
+        """The tuple key of each resource id: ``(kind, (x, y))`` for a node's
+        resource, ``("generator", (ax, ay), (bx, by))`` for a link's."""
+        nodes = [(node.as_tuple(),) for node in self.topology.nodes()]
+        links = [(link.a.as_tuple(), link.b.as_tuple()) for link in self.topology.links()]
+        places = nodes + nodes + links + nodes
+        return [(RESOURCE_KINDS[bisect_right(self.resource_blocks, rid) - 1], *places[rid]) for rid in ids]
 
     # -- per-communication work ----------------------------------------------------------
 

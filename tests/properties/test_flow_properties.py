@@ -274,12 +274,31 @@ def _capacity_of(key):
     return 4.0 + index + (0.5 if kind == "beta" else 0.0)
 
 
+#: The pack's resource id of each key: one id block per kind.
+PACK_IDS = {
+    (kind, index): block * 6 + index for block, kind in enumerate(PACK_KINDS) for index in range(6)
+}
+
+
+def _new_pack():
+    return FlowPack(
+        [_capacity_of(key) for key in PACK_IDS],
+        [PACK_KINDS.index(kind) for kind, _ in PACK_IDS],
+        PACK_KINDS,
+    )
+
+
+def _ids(demands):
+    """A demand map as the (ids, works) the pack takes, in the map's order."""
+    return [PACK_IDS[key] for key in demands], list(demands.values())
+
+
 def _build_pack(demand_maps):
-    pack = FlowPack(_capacity_of, PACK_KINDS)
+    pack = _new_pack()
     for flow_id, demands in enumerate(demand_maps):
         pack.add_flow(
             flow_id,
-            demands,
+            *_ids(demands),
             remaining=1.0 + flow_id,
             start_us=10.0 * flow_id,
             floor_us=float(flow_id % 3),
@@ -288,7 +307,7 @@ def _build_pack(demand_maps):
 
 
 def _assert_packs_identical(a, b):
-    assert a.col_keys == b.col_keys
+    assert a.arrays()["col_id"].tolist() == b.arrays()["col_id"].tolist()
     left, right = a.arrays(), b.arrays()
     assert left.keys() == right.keys()
     for name in left:
@@ -362,7 +381,7 @@ class TestFlowPackStructure:
         )
         for flow_id in doomed:
             pack.remove_flow(flow_id)
-        rebuilt = pack.rebuild(lambda fid: demand_maps[fid])
+        rebuilt = pack.rebuild(lambda fid: _ids(demand_maps[fid]))
         pack.compact()
         _assert_packs_identical(pack, rebuilt)
         assert pack.n_flows == len(demand_maps) - len(doomed)
@@ -428,9 +447,9 @@ class TestFlowPackStructure:
         assert (remaining >= 0.0).all()
 
     def test_duplicate_and_non_monotonic_flow_ids_rejected(self):
-        pack = FlowPack(_capacity_of, PACK_KINDS)
-        pack.add_flow(3, {("alpha", 0): 1.0})
+        pack = _new_pack()
+        pack.add_flow(3, *_ids({("alpha", 0): 1.0}))
         with pytest.raises(SimulationError):
-            pack.add_flow(3, {("alpha", 0): 1.0})
+            pack.add_flow(3, *_ids({("alpha", 0): 1.0}))
         with pytest.raises(SimulationError):
-            pack.add_flow(2, {("alpha", 1): 1.0})
+            pack.add_flow(2, *_ids({("alpha", 1): 1.0}))

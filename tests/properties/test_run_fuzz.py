@@ -6,8 +6,9 @@ policy and whether noise is tracked.  The numeric draws come from the field
 declarations in :mod:`repro.scenarios.spec`, for every numeric field of
 every section, tenants included: each field's minimum, its maximum (a large
 value where none is declared) and its default, or its midpoint when it has
-none.  Service scenarios also draw their traffic at, inside and just past
-the bounds on offered requests and MMPP phases.
+none.  The count parameters of the workloads are drawn alike, with the
+workload kind that takes them.  Service scenarios also draw their traffic
+at, inside and just past the bounds on offered requests and MMPP phases.
 Each spec goes through :func:`repro.api.run` with warnings raised as errors
 and must either complete with finite results or raise a
 :class:`~repro.errors.ReproError`: the validator or the machine build
@@ -60,7 +61,9 @@ from repro.scenarios.spec import (
     TOPOLOGY_OPTION,
     TRAFFIC_FIELDS,
     WORKLOAD_FIELDS,
+    WORKLOAD_PARAM_FIELDS,
 )
+from repro.workloads.registry import list_workloads, workload_params
 
 #: Events one fuzzed run may dispatch before it must stop and say so.
 MAX_EVENTS = 50_000
@@ -110,6 +113,9 @@ def in_range(draws):
 
 #: The fabric that takes each ``topology.options`` name.
 OPTION_FABRICS = {name: kind for kind in list_topologies() for name in topology_options(kind)}
+#: The workload that takes each ``workload.params`` name.
+PARAM_WORKLOADS = {name: kind for kind in list_workloads() for name in workload_params(kind)}
+PARAMS = "workload.params."
 
 #: Every numeric field of the batch sections; ``runtime.max_events`` stays
 #: at :data:`MAX_EVENTS`.
@@ -117,6 +123,7 @@ BATCH_DRAWS = {
     **section_draws("topology", TopologySpec, TOPOLOGY_FIELDS),
     **section_draws("topology.options", None, dict.fromkeys(OPTION_FABRICS, TOPOLOGY_OPTION)),
     **section_draws("workload", WorkloadSpec, WORKLOAD_FIELDS),
+    **section_draws("workload.params", None, WORKLOAD_PARAM_FIELDS),
     **section_draws("physics", PhysicsSpec, PHYSICS_FIELDS),
     **section_draws("noise", NoiseSpec, NOISE_FIELDS),
     **section_draws("network.routing", RoutingSpec, ROUTING_FIELDS),
@@ -192,9 +199,18 @@ def traffic_changes(draw, tenants):
     return changes
 
 
+def with_param_workload(data, changes):
+    """``data`` running the workload that takes each drawn workload parameter."""
+    for path in changes:
+        if path.startswith(PARAMS):
+            data["workload"] = {**data["workload"], "params": {}}
+            data["workload"]["kind"] = PARAM_WORKLOADS[path[len(PARAMS) :]]
+    return data
+
+
 def fuzzed_spec(base, changes, noise, policy):
     """Validate ``base`` with the drawn changes applied (may raise ReproError)."""
-    data = get_scenario(base).to_dict()
+    data = with_param_workload(get_scenario(base).to_dict(), changes)
     data["noise"] = noise
     data["network"] = None if policy is None else {"routing": {"policy": policy}}
     return ScenarioSpec.from_dict(apply_overrides(data, changes))
@@ -257,5 +273,6 @@ def test_values_just_past_a_declared_end_are_refused(base, path, value):
     changes = {path: value}
     if path.startswith("topology.options."):
         changes["topology.kind"] = OPTION_FABRICS[path.rsplit(".", 1)[1]]
+    data = with_param_workload(get_scenario(base).to_dict(), changes)
     with pytest.raises(ScenarioError, match=re.escape(path)):
-        ScenarioSpec.from_dict(apply_overrides(get_scenario(base).to_dict(), changes))
+        ScenarioSpec.from_dict(apply_overrides(data, changes))

@@ -21,6 +21,7 @@ from repro.scenarios.spec import (
     TOPOLOGY_FIELDS,
     TRAFFIC_FIELDS,
     WORKLOAD_FIELDS,
+    WORKLOAD_PARAM_FIELDS,
     NetworkSpec,
     PhysicsSpec,
     RoutingSpec,
@@ -221,7 +222,35 @@ SECTIONS = [
 ]
 
 
+#: Every float field of the tables, as (scenario, dotted path).
+FLOAT_FIELDS = [
+    (base, f"{prefix}.{key}")
+    for base, prefix, fields in [
+        ("smoke", "physics", PHYSICS_FIELDS),
+        ("smoke", "noise", NOISE_FIELDS),
+        ("smoke", "network.routing", ROUTING_FIELDS),
+        ("service_smoke", "traffic", TRAFFIC_FIELDS),
+        ("service_smoke", "traffic.tenants.bulk", TENANT_FIELDS),
+    ]
+    for key, decl in fields.items()
+    if decl.kind is float
+]
+
+
 class TestDeclarations:
+    def test_no_other_table_has_a_float_field(self):
+        tables = [TOPOLOGY_FIELDS, WORKLOAD_FIELDS, WORKLOAD_PARAM_FIELDS, RUNTIME_FIELDS]
+        assert not [key for table in tables for key, decl in table.items() if decl.kind is float]
+
+    @pytest.mark.parametrize("base, path", FLOAT_FIELDS)
+    def test_float_field_given_a_huge_integer_is_refused(self, base, path):
+        # float(10**400) raises OverflowError, which used to escape validation.
+        data = apply_overrides(get_scenario(base).to_dict(), {path: 10**400})
+        if path.startswith("network.routing."):
+            data["network"]["routing"]["policy"] = "ecmp"
+        with pytest.raises(ScenarioError, match=re.escape(path) + " must be finite"):
+            ScenarioSpec.from_dict(data)
+
     @pytest.mark.parametrize(
         "cls, declared, by_hand", SECTIONS, ids=[cls.__name__ for cls, _, _ in SECTIONS]
     )
@@ -236,12 +265,15 @@ class TestDeclarations:
             ("smoke", "topology.width", 100_000),
             ("smoke", "physics.protocol", "foo"),
             ("service_smoke", "traffic.tenants.bulk.channels", 1_000_000),
+            ("line_neighbours", "workload.params.rounds", 1_000_000),
         ],
     )
     def test_specs_that_never_finished_fail_validation_at_once(self, base, field, value):
         # Width 100,000 never finished machine build, a million channels per
-        # request ran for over 40 s, and an unknown protocol got as far as
-        # machine build before failing without naming the field.
+        # request ran for over 40 s, a million nearest-neighbour rounds did
+        # not finish in 30 s even under runtime.max_events, and an unknown
+        # protocol got as far as machine build before failing without naming
+        # the field.
         changes = {field: value}
         if field.endswith(".channels"):
             changes[field.replace(".channels", ".max_channels")] = value
