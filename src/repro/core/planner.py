@@ -83,8 +83,6 @@ class ChannelPlanner:
         )
         self._budget_cache: dict = {}
         self._plan_cache: dict = {}
-        # Instance-local memos for multi-path fabrics; deliberately NOT part
-        # of the warm-start exchange (budgets — the expensive part — are).
         self._candidate_cache: dict = {}
         self._path_plan_cache: dict = {}
 
@@ -108,7 +106,12 @@ class ChannelPlanner:
         return cached
 
     def budget_for_hops(self, hops: int) -> ChannelBudget:
-        """EPR budget for a channel of ``hops`` hops (cached per distance)."""
+        """EPR budget for a channel of ``hops`` hops (cached per distance).
+
+        The budget depends only on ``params``, ``protocol``, ``placement``
+        and ``hops``, so planners with the same three inputs may share one
+        cache (:meth:`adopt_budgets`).
+        """
         if hops not in self._budget_cache:
             self._budget_cache[hops] = self._budget_model.budget(hops)
         return self._budget_cache[hops]
@@ -122,10 +125,9 @@ class ChannelPlanner:
         """Plan a channel between two T' nodes (memoized per endpoint pair).
 
         Plans are immutable and deterministic in (source, destination) for a
-        fixed planner configuration, so the memo — shared across runs by the
-        warm-start cache — is exact.  Service mode plans a channel per
-        dispatched request, which makes repeated endpoint pairs the common
-        case.
+        fixed planner configuration, so the memo is exact.  Service mode
+        plans a channel per dispatched request, which makes repeated endpoint
+        pairs the common case.
         """
         key = (source, destination)
         cached = self._plan_cache.get(key)
@@ -170,14 +172,13 @@ class ChannelPlanner:
         self._path_plan_cache[key] = plan
         return plan
 
-    def adopt_caches(self, *, budgets: dict, plans: dict) -> None:
-        """Share memo dicts owned by a cross-run warm-start entry.
+    def adopt_budgets(self, budgets: dict) -> None:
+        """Use ``budgets`` as this planner's per-distance budget cache.
 
-        Both caches hold pure functions of the planner configuration (which
-        the warm-start key covers), so adoption only skips recompute.
+        The caller shares one dict among planners with equal ``params``,
+        ``protocol`` and ``placement``; adoption only skips recomputation.
         """
         self._budget_cache = budgets
-        self._plan_cache = plans
 
     def plan_many(
         self, endpoints: Sequence[Tuple[Coordinate, Coordinate]]

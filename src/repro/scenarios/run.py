@@ -40,7 +40,7 @@ from ..trace import TraceBus
 from ..workloads.instructions import InstructionStream
 from ..workloads.registry import build_workload
 from .spec import NoiseSpec, ScenarioSpec
-from .warmstart import attach as attach_warm_start
+from .warmstart import global_cache
 
 #: Results carry a schema version so downstream consumers (the sweep cache
 #: and journal) can evolve without guessing.  Version 2 added the fidelity
@@ -81,7 +81,9 @@ def build_machine(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> QuantumMachin
 
     A ``noise`` section turns fidelity tracking on: its error overrides fold
     into the parameter bundle and its ``target_fidelity`` (when given) drives
-    purification-level selection machine-wide.
+    purification-level selection machine-wide.  The planner's EPR budgets
+    come from the process-wide memo of :mod:`repro.scenarios.warmstart`, so
+    machines with the same physics share them across runs.
     """
     spec = _as_spec(spec)
     topo = spec.topology
@@ -115,10 +117,7 @@ def build_machine(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> QuantumMachin
         routing_hysteresis=routing.hysteresis if routing is not None else None,
         topology_options=dict(topo.options),
     )
-    # Adopt (or create) the cross-run warm-start entry for this machine
-    # structure: repeated sweep points and service runs then share channel
-    # plans, EPR budgets, flow profiles and demand vectors.
-    attach_warm_start(machine, spec)
+    machine.planner.adopt_budgets(global_cache().budgets_for(machine.planner))
     return machine
 
 

@@ -269,13 +269,17 @@ WORKLOAD_FIELDS = {
     "kind": FieldDecl(str, choices=list_workloads),
     "num_qubits": FieldDecl(int, 2, NUM_QUBITS_MAX),
 }
-#: The count parameters of the registered workloads.  The stream is built
-#: before ``runtime.max_events`` can act, so each count is bounded here.
+#: The parameters of the registered workloads.  The stream is built before
+#: ``runtime.max_events`` can act, so each count is bounded here.  A seed is
+#: any integer (None means 0), and ``split`` is the share of the qubits in the
+#: first register, strictly between 0 and 1.
 WORKLOAD_PARAM_FIELDS = {
     "rounds": FieldDecl(int, 1, ROUNDS_MAX),
     "num_operations": FieldDecl(int, 1, OPERATIONS_MAX, nullable=True),
     "steps": FieldDecl(int, 1, STEPS_MAX),
     "modexp_steps": FieldDecl(int, 1, STEPS_MAX),
+    "seed": FieldDecl(int, nullable=True),
+    "split": FieldDecl(float, 0.0, 1.0, low_open=True, high_open=True),
 }
 
 

@@ -1,138 +1,66 @@
-"""Cross-run warm-starting for sweeps and service runs.
+"""Cross-run memo of channel EPR budgets.
 
-Sweeps and service workloads replay near-identical machines thousands of
-times: the spec-hash result cache only hits on *exact* spec matches, so a
-sweep over, say, ``physics.generator_bandwidth_scale`` rebuilds every channel
-plan, EPR budget, flow profile and demand vector at every point even though
-none of them depend on the swept scalar.  :class:`WarmStartCache` closes that
-gap (psim's ``GContext::this_run()`` cross-run cache is the model): entries
-are keyed by a **structural hash** — the scenario's canonical dict minus the
-knobs proven not to affect the cached state — and carry the memo dicts the
-machine stack consults:
+A channel's EPR budget (purification rounds, pairs per logical communication,
+setup latency; paper Sections 3-4) depends on the ion-trap parameters, the
+purification protocol and its placement, and the channel's hop count — not
+on the resource allocation, the layout, the fabric or the workload.  Sweeps
+such as Figure 16 vary exactly those over fixed physics, so
+:func:`repro.scenarios.run.build_machine` hands every machine's planner the
+``{hops: ChannelBudget}`` dict of its physics from one process-global LRU
+memo, keyed by the planner's budget-model inputs ``(params, protocol,
+placement)``.  Budgets are immutable and a pure function of that key and the
+hop count, so sharing them only skips recomputation.
 
-* the planner's per-distance EPR budgets, which carry the arrival and
-  delivered pair states,
-* the planner's per-endpoint-pair channel plans,
-* the machine's per-distance flow demand profiles, and
-* the fluid transport's per-endpoint-pair demands — the resource ids and
-  works the vectorized allocator packs into its CSR arrays, so repeated
-  points also skip rebuilding that structure.
-
-Every cached object is a pure function of the structural key (the exclusions
-below are each argued at the definition), so adoption can only skip
-recomputation, never change a computed value — the verify harness's bitwise
-gates run with warm-starting active and pin that.
-
-Excluded from the key:
-
-``runtime.allocator`` / ``runtime.backend`` / ``runtime.max_events``
-    Execution strategy; plans, budgets, profiles and demands are computed
-    from the machine structure the same way under all of them.
-``physics.logical_gate_us``
-    Gate latency enters the simulators' op scheduling only; no planner or
-    profile quantity reads it.
-``physics.generator_bandwidth_scale``
-    Scales resource *capacities*, which live in the per-run transport, not
-    in any warm-started object (demand works are pair counts × times).
-``traffic``
-    The offered request stream; structure-independent.
-
-The cache is process-global: a single-process sweep (``workers=1``, the
-in-process fast path) or a service simulator hits it across points and
-requests.  Pool workers are separate processes with their own (empty) global
-cache, so multi-worker sweeps warm up per worker rather than sharing hits.
+Nothing else crosses runs: channel plans, flow profiles and demands stay
+with the run that built them.  Pool workers are separate processes, each
+with its own memo.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Tuple
-
-from .spec import ScenarioSpec
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.machine import QuantumMachine
+    from ..core.budget import ChannelBudget
+    from ..core.planner import ChannelPlanner
 
-#: Entries kept before the least-recently-used one is evicted.  Entries are
-#: small (memo dicts over distances and endpoint pairs), but sweeps over
-#: structural axes (grid size, topology kind) would otherwise grow the cache
+#: Budget dicts kept before the least-recently-used one is evicted.  A dict
+#: holds one budget per hop count, so an entry is small, but a sweep over the
+#: physics (noise, hop length, protocol) would otherwise grow the memo
 #: without bound.
 MAX_ENTRIES = 64
 
 
-def structural_key(spec: ScenarioSpec) -> str:
-    """Hash of everything that can affect warm-started state.
-
-    Starts from the spec's canonical dict (the result-cache key) and removes
-    the documented non-structural knobs, so sweep points differing only in
-    those share one entry.
-    """
-    from ..runtime.cache import parameter_hash
-
-    payload: Dict[str, Any] = copy.deepcopy(spec.canonical_dict())
-    payload.pop("traffic", None)
-    runtime = payload.get("runtime")
-    if isinstance(runtime, dict):
-        for knob in ("allocator", "backend", "max_events"):
-            runtime.pop(knob, None)
-    physics = payload.get("physics")
-    if isinstance(physics, dict):
-        for knob in ("logical_gate_us", "generator_bandwidth_scale"):
-            physics.pop(knob, None)
-    return str(parameter_hash(payload))
-
-
-@dataclass
-class WarmStartEntry:
-    """The shared memo dicts for one machine structure."""
-
-    key: str
-    budget_cache: Dict[int, Any] = field(default_factory=dict)
-    plan_cache: Dict[Tuple[Any, Any], Any] = field(default_factory=dict)
-    flow_profiles: Dict[int, Any] = field(default_factory=dict)
-    demand_cache: Dict[Tuple[Any, ...], Tuple[Tuple[int, ...], Tuple[float, ...]]] = field(
-        default_factory=dict
-    )
-    reuses: int = 0
-
-
-class WarmStartCache:
-    """LRU cache of :class:`WarmStartEntry` keyed by structural hash."""
+class BudgetMemo:
+    """LRU memo of ``{hops: ChannelBudget}`` dicts keyed by budget-model inputs."""
 
     def __init__(self, max_entries: int = MAX_ENTRIES) -> None:
         self.max_entries = max_entries
-        self._entries: "OrderedDict[str, WarmStartEntry]" = OrderedDict()
+        self._entries: OrderedDict[Tuple, Dict[int, ChannelBudget]] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def entry_for(self, key: str) -> Tuple[WarmStartEntry, bool]:
-        """The entry for ``key`` plus whether it already existed (a hit)."""
+    def budgets_for(self, planner: ChannelPlanner) -> Dict[int, ChannelBudget]:
+        """The shared budget dict for ``planner``'s physics (created on a miss)."""
+        key = (planner.params, planner.protocol, planner.placement)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            budgets = self._entries.get(key)
+            if budgets is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                entry.reuses += 1
-                return entry, True
+                return budgets
             self.misses += 1
-            entry = WarmStartEntry(key=key)
-            self._entries[key] = entry
-            while len(self._entries) > self.max_entries:
+            budgets = self._entries[key] = {}
+            if len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-            return entry, False
+            return budgets
 
     def stats(self) -> Dict[str, int]:
-        """Counters for result metadata."""
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-            }
+            return {"hits": self.hits, "misses": self.misses, "entries": len(self._entries)}
 
     def clear(self) -> None:
         with self._lock:
@@ -141,44 +69,9 @@ class WarmStartCache:
             self.misses = 0
 
 
-#: The process-global cache ``build_machine`` attaches through.
-_GLOBAL_CACHE = WarmStartCache()
+_GLOBAL_CACHE = BudgetMemo()
 
 
-def global_cache() -> WarmStartCache:
+def global_cache() -> BudgetMemo:
+    """The process-global memo :func:`repro.scenarios.run.build_machine` uses."""
     return _GLOBAL_CACHE
-
-
-def attach(
-    machine: "QuantumMachine",
-    spec: ScenarioSpec,
-    cache: WarmStartCache | None = None,
-) -> Dict[str, object]:
-    """Adopt the warm-start entry for ``spec`` onto a freshly built machine.
-
-    Returns the attachment info dict also stored on the machine as
-    ``machine.warm_start``.  From there a batch run copies it into its
-    ``SimulationResult`` metadata, and both batch and service runs emit it as
-    the ``warm_start`` trace record.
-    """
-    if cache is None:
-        cache = _GLOBAL_CACHE
-    key = structural_key(spec)
-    entry, hit = cache.entry_for(key)
-    machine.planner.adopt_caches(budgets=entry.budget_cache, plans=entry.plan_cache)
-    info: Dict[str, object] = {
-        "key": key,
-        "hit": hit,
-        "reuses": entry.reuses,
-        "plans": len(entry.plan_cache),
-        "profiles": len(entry.flow_profiles),
-        "demands": len(entry.demand_cache),
-        "hits": cache.hits,
-        "misses": cache.misses,
-    }
-    machine.adopt_warm_state(
-        flow_profiles=entry.flow_profiles,
-        demand_cache=entry.demand_cache,
-        info=info,
-    )
-    return info

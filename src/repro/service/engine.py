@@ -40,7 +40,7 @@ from ..trace import (
     RunEnded,
     TraceBus,
 )
-from ..trace.records import WarmStartApplied, machine_record, warm_start_record_fields
+from ..trace.records import machine_record
 from .admission import create_admission
 from .arrivals import ServiceRequest, generate_requests
 from .metrics import SteadyStateCollector
@@ -177,9 +177,6 @@ class ServiceSimulator:
                     operations=len(requests),
                 )
             )
-        warm_start = self.machine.warm_start
-        if trace is not None and warm_start is not None and trace.wants(WarmStartApplied.kind):
-            trace.emit(WarmStartApplied(t_us=0.0, **warm_start_record_fields(warm_start)))
 
         def pump() -> None:
             nonlocal inflight

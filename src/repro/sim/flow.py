@@ -267,31 +267,6 @@ class FlowTransport(TransportBackend):
     # -- demand construction -----------------------------------------------------------
 
     def _build_demands(self, planned: PlannedCommunication) -> Demand:
-        """Demand of a planned communication, warm-cache aware.
-
-        The demand is a pure function of the traversed path for a fixed
-        machine structure, and it is read-only once built, so machines
-        attached to a warm-start entry share one demand per endpoint pair
-        across flows and across runs.  Under a load balancer the same pair
-        may take different paths, so the cache keys on the full node
-        sequence instead (the ``network`` section is part of the warm-start
-        structural key, so balanced and unbalanced runs never share entries).
-        """
-        cache = self.machine.demand_cache
-        if cache is None:
-            return self._compute_demands(planned)
-        path = planned.plan.path
-        if self.balancer is not None:
-            cache_key = tuple(node.as_tuple() for node in path.nodes)
-        else:
-            cache_key = (path.source.as_tuple(), path.destination.as_tuple())
-        demands = cache.get(cache_key)
-        if demands is None:
-            demands = self._compute_demands(planned)
-            cache[cache_key] = demands
-        return demands
-
-    def _compute_demands(self, planned: PlannedCommunication) -> Demand:
         """The resource ids a channel uses and its work on each.
 
         Ids come from the path's node numbers and the numbers of the links
@@ -477,21 +452,23 @@ class FlowTransport(TransportBackend):
         unfrozen = {flow.flow_id: flow for flow in flows}
         # Per-resource demand sums are cached between iterations and only
         # recomputed for ids whose membership changed (a resummed unchanged
-        # id would give the bitwise-same float, so caching is exact).
+        # id would give the bitwise-same float, so caching is exact).  Each
+        # sum is taken on its own and freezing a flow only removes it, so the
+        # order ids are resummed and flows frozen in changes no value.
         denom: Dict[int, float] = {}
-        dirty = set(remaining_cap)
+        dirty: Dict[int, None] = dict.fromkeys(remaining_cap)
         # Progressive filling: all unfrozen rates rise together until the
         # bottleneck resource saturates; its users freeze (found through the
         # index), and the rest keep rising.
         for _ in range(len(flows) + 1):
             if not unfrozen:
                 break
-            for rid in sorted(dirty):
+            for rid in dirty:
                 d = 0.0
                 for work in alive[rid].values():
                     d += work
                 denom[rid] = d
-            dirty = set()
+            dirty = {}
             best_delta = float("inf")
             for rid, cap_left in remaining_cap.items():
                 d = denom[rid]
@@ -507,7 +484,7 @@ class FlowTransport(TransportBackend):
                 break
             for flow_id in unfrozen:
                 rates[flow_id] += best_delta
-            newly_frozen = set()
+            newly_frozen: Dict[int, float] = {}
             for rid, d in denom.items():
                 if d > 0.0:
                     remaining_cap[rid] -= best_delta * d
@@ -515,11 +492,11 @@ class FlowTransport(TransportBackend):
                         newly_frozen.update(alive[rid])
             if not newly_frozen:
                 break
-            for flow_id in sorted(newly_frozen):
+            for flow_id in newly_frozen:
                 flow = unfrozen.pop(flow_id)
                 for rid in flow.demands[0]:
                     alive[rid].pop(flow_id, None)
-                    dirty.add(rid)
+                    dirty[rid] = None
         return rates
 
     # -- reference (from-scratch) allocator ----------------------------------------------

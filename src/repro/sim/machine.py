@@ -145,30 +145,6 @@ class QuantumMachine:
         capacities = (teleporters, teleporters, self.generator_bandwidth_per_link(), self.purifier_bandwidth_per_node())
         #: Bandwidth of one resource of each kind.
         self.kind_capacity = dict(zip(RESOURCE_KINDS, capacities))
-        #: Warm-start hooks (see :mod:`repro.scenarios.warmstart`): a shared
-        #: (source, destination) → :data:`Demand` cache consulted by the fluid
-        #: transport, and the attachment info surfaced in result metadata.
-        #: Both stay ``None`` unless a warm-start entry is adopted.
-        self.demand_cache: Optional[Dict[Tuple, Demand]] = None
-        self.warm_start: Optional[Dict[str, object]] = None
-
-    def adopt_warm_state(
-        self,
-        *,
-        flow_profiles: Dict[int, FlowDemandProfile],
-        demand_cache: Dict[Tuple, Demand],
-        info: Dict[str, object],
-    ) -> None:
-        """Share warm-start state owned by a cross-run cache entry.
-
-        The adopted dicts replace this machine's empty per-run memos; they
-        hold pure functions of the machine *structure* (the warm-start key),
-        so sharing them across runs cannot change any computed value — it
-        only skips recomputation.
-        """
-        self._flow_profiles = flow_profiles
-        self.demand_cache = demand_cache
-        self.warm_start = info
 
     # -- descriptions -----------------------------------------------------------------
 

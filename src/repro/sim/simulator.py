@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from ..errors import SimulationError
 from ..trace import OperationIssued, OperationRetired, RunEnded, TraceBus
-from ..trace.records import WarmStartApplied, machine_record, warm_start_record_fields
+from ..trace.records import machine_record
 from ..workloads.instructions import InstructionStream, TwoQubitOp
 from .control import ControlUnit, PlannedCommunication
 from .engine import SimulationEngine
@@ -108,9 +108,6 @@ class CommunicationSimulator:
                     operations=scheduler.total_operations,
                 )
             )
-        warm_start = self.machine.warm_start
-        if trace is not None and warm_start is not None and trace.wants(WarmStartApplied.kind):
-            trace.emit(WarmStartApplied(t_us=0.0, **warm_start_record_fields(warm_start)))
 
         def issue_ready() -> None:
             for op in scheduler.ready_operations():
@@ -229,10 +226,5 @@ class CommunicationSimulator:
                 "logical_gate_us": self.machine.logical_gate_us,
                 "allocation": self.machine.allocation.label,
                 "layout": self.machine.layout_name,
-                # Cross-run warm-start counters (None when the machine was
-                # built without warm-start attachment, e.g. directly in
-                # tests).  Metadata is not part of the flat batch record, so
-                # the historical schema-2 bytes are unaffected.
-                "warm_start": dict(warm_start) if warm_start is not None else None,
             },
         )

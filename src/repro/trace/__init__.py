@@ -32,10 +32,8 @@ from .records import (
     RunStarted,
     TeleportPerformed,
     TraceRecord,
-    WarmStartApplied,
     machine_record,
     record_from_payload,
-    warm_start_record_fields,
 )
 from .serialize import (
     line_to_record,
@@ -71,10 +69,8 @@ __all__ = [
     "TeleportPerformed",
     "TraceBus",
     "TraceRecord",
-    "WarmStartApplied",
     "line_to_record",
     "machine_record",
-    "warm_start_record_fields",
     "read_jsonl",
     "record_from_payload",
     "record_to_line",

@@ -18,7 +18,7 @@ stay small and stable under performance refactors that preserve the physics.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 from ..errors import ConfigurationError
 
@@ -280,26 +280,6 @@ class TeleportPerformed(TraceRecord):
     turn: bool
 
 
-@dataclass(frozen=True)
-class WarmStartApplied(TraceRecord):
-    """A run adopted a cross-run warm-start entry (repro.scenarios.warmstart).
-
-    Observability only: the adopted caches hold pure functions of the entry's
-    structural key, so this record is deliberately *not* canonical — golden
-    fixtures and the differential harness ignore it, the same way they ignore
-    ``EventDispatched``.
-    """
-
-    kind: ClassVar[str] = "warm_start"
-
-    key: str
-    hit: bool
-    reuses: int
-    plans: int
-    profiles: int
-    demands: int
-
-
 #: kind tag -> record class, for deserialization.
 RECORD_TYPES: Dict[str, Type[TraceRecord]] = {
     cls.kind: cls
@@ -322,7 +302,6 @@ RECORD_TYPES: Dict[str, Type[TraceRecord]] = {
         EprPairGenerated,
         PurificationMilestone,
         TeleportPerformed,
-        WarmStartApplied,
     )
 }
 
@@ -357,18 +336,6 @@ CANONICAL_KINDS = (
     )
     | REQUEST_KINDS
 )
-
-
-def warm_start_record_fields(info: Mapping[str, Any]) -> Dict[str, Any]:
-    """Project a warm-start attachment info dict onto the record's fields.
-
-    The info dict (from :func:`repro.scenarios.warmstart.attach`) also
-    carries cache-wide counters the record deliberately omits.
-    """
-    return {
-        name: info[name]
-        for name in ("key", "hit", "reuses", "plans", "profiles", "demands")
-    }
 
 
 def record_from_payload(payload: Dict[str, Any]) -> TraceRecord:

@@ -19,7 +19,6 @@ import pytest
 
 from repro.scenarios.catalog import get_scenario, list_scenarios
 from repro.scenarios.run import run
-from repro.scenarios.warmstart import global_cache
 from repro.sim.flow import FlowTransport
 
 DEMAND_PINS = Path(__file__).with_name("demand_pins.json")
@@ -37,7 +36,6 @@ def _channel_demands(name, monkeypatch):
         return ids, works
 
     monkeypatch.setattr(FlowTransport, "_build_demands", recording)
-    global_cache().clear()
     try:
         run(get_scenario(name))
     finally:

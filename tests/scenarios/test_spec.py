@@ -229,6 +229,7 @@ FLOAT_FIELDS = [
         ("smoke", "physics", PHYSICS_FIELDS),
         ("smoke", "noise", NOISE_FIELDS),
         ("smoke", "network.routing", ROUTING_FIELDS),
+        ("mesh_modexp", "workload.params", WORKLOAD_PARAM_FIELDS),
         ("service_smoke", "traffic", TRAFFIC_FIELDS),
         ("service_smoke", "traffic.tenants.bulk", TENANT_FIELDS),
     ]
@@ -239,7 +240,7 @@ FLOAT_FIELDS = [
 
 class TestDeclarations:
     def test_no_other_table_has_a_float_field(self):
-        tables = [TOPOLOGY_FIELDS, WORKLOAD_FIELDS, WORKLOAD_PARAM_FIELDS, RUNTIME_FIELDS]
+        tables = [TOPOLOGY_FIELDS, WORKLOAD_FIELDS, RUNTIME_FIELDS]
         assert not [key for table in tables for key, decl in table.items() if decl.kind is float]
 
     @pytest.mark.parametrize("base, path", FLOAT_FIELDS)
@@ -282,6 +283,24 @@ class TestDeclarations:
         with pytest.raises(ScenarioError, match=re.escape(field)):
             ScenarioSpec.from_dict(data)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            ("torus_permutation", "workload.params.seed", 1.5),
+            ("torus_permutation", "workload.params.seed", True),
+            ("mesh_modexp", "workload.params.split", 2.0),
+            ("mesh_modexp", "workload.params.split", -1),
+            ("mesh_modexp", "workload.params.split", "x"),
+            ("mesh_modexp", "workload.params.split", float("nan")),
+        ],
+    )
+    def test_workload_seed_and_split_are_validated(self, base, field, value):
+        # A fractional or boolean seed ran as another seed under its own spec
+        # hash, a split outside (0, 1) was clamped when the stream was built,
+        # and a non-numeric split failed only there.
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            ScenarioSpec.from_dict(apply_overrides(get_scenario(base).to_dict(), {field: value}))
 
 
 def _service(overrides):

@@ -25,7 +25,6 @@ from repro.trace import (
     RunStarted,
     TeleportPerformed,
     TraceBus,
-    WarmStartApplied,
     line_to_record,
     read_jsonl,
     record_to_line,
@@ -106,17 +105,9 @@ class TestTracedFlowRuns:
         assert all(isinstance(record, EventDispatched) for record in bus.records)
 
     def test_identical_traces_across_allocators(self):
-        # warm_start records reflect cross-run cache state (the first run
-        # misses, later ones hit), so — like EventDispatched in goldens —
-        # they are excluded from cross-run trace comparisons.
-        def fingerprint(bus):
-            return trace_fingerprint(
-                [r for r in bus.records if r.kind != WarmStartApplied.kind]
-            )
-
         inc, _ = _traced_smoke("incremental")
         ref, _ = _traced_smoke("reference")
-        assert fingerprint(inc) == fingerprint(ref)
+        assert trace_fingerprint(inc.records) == trace_fingerprint(ref.records)
 
     def test_vectorized_trace_identical_up_to_heap_sequence(self):
         # The vectorized allocator keeps ONE chained completion event instead
@@ -126,8 +117,6 @@ class TestTracedFlowRuns:
         def normalised(bus):
             out = []
             for record in bus.records:
-                if record.kind == WarmStartApplied.kind:
-                    continue
                 if isinstance(record, EventDispatched):
                     out.append(("event", record.t_us, record.priority))
                 else:
@@ -137,14 +126,6 @@ class TestTracedFlowRuns:
         inc, _ = _traced_smoke("incremental")
         vec, _ = _traced_smoke("vectorized")
         assert normalised(inc) == normalised(vec)
-
-    def test_warm_start_traced_and_hits_on_repeat(self):
-        first, _ = _traced_smoke()
-        second, _ = _traced_smoke()
-        records = second.filtered([WarmStartApplied.kind])
-        assert len(records) == 1
-        assert records[0].hit  # the first run populated the entry
-        assert records[0].plans > 0
 
 
 class TestTracedDetailedRuns:
