@@ -268,7 +268,7 @@ class _DetailedChannel:
             machine = self.transport.machine
             swap_us = machine.params.times.teleport(0.0)
             residual = max(machine.data_teleport_us(len(self.links)) - swap_us, 0.0)
-            self.transport.engine.schedule(residual, self._complete)
+            self.transport.engine.post(residual, self._complete)
 
     def _complete(self) -> None:
         self.transport._finish_channel(self)

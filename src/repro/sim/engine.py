@@ -1,12 +1,30 @@
 """Minimal discrete-event simulation kernel.
 
-A deliberately small, dependency-free engine.  The heap holds
-``(time, priority, sequence, event)`` tuples: Python compares tuples in C,
-and because every sequence number is unique no comparison ever reaches the
-:class:`Event` handle in the fourth slot.  Events therefore run in time
+A deliberately small, dependency-free engine.  The heap holds five-slot
+``(time, priority, sequence, callback, handle)`` entries: Python compares
+tuples in C, and because every sequence number is unique no comparison ever
+reaches the callback in the fourth slot.  Events therefore run in time
 order, ties broken by lower priority first and then by insertion order,
-which makes simulations fully deterministic.  The handle carries the
-callback and the cancellation flag.
+which makes simulations fully deterministic.
+
+Two calls put an entry on the heap, and both take the next number from one
+sequence counter, so interleaving them keeps call order:
+
+* :meth:`SimulationEngine.post` pushes ``(time, 0, sequence, callback,
+  None)``.  Nearly every event is posted (a
+  :class:`~repro.sim.resources.ServiceCenter` job completion, a logical
+  gate, a detailed channel's last latency), and nothing cancels them, so
+  they carry no handle.
+* :meth:`SimulationEngine.schedule` and :meth:`~SimulationEngine.schedule_at`
+  return an :class:`Event` handle, held in the fifth slot, that can cancel
+  the entry.  Only the fluid transport cancels: it re-arms a completion
+  event after each reallocation.  A cancelled entry stays in the heap until
+  it is popped or the heap is compacted; the handle reports it, which keeps
+  the heap within about twice its live events.
+
+A negative, infinite or NaN delay, or an absolute time before ``now`` or
+not finite, raises :class:`~repro.errors.SimulationError`: no run computes
+through NaN or inf.
 
 Both the detailed per-pair simulator and the flow simulator drive their
 state machines through this kernel, so simulated time handling, determinism
@@ -30,30 +48,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: half the heap is cancelled — which bounds the heap at ~2x the live events.
 _COMPACT_MIN_HEAP = 64
 
+_INF = math.inf
+
+#: One heap entry: time, priority, sequence, callback and the handle or None.
+HeapEntry = Tuple[float, int, int, Callable[[], None], Optional["Event"]]
+
 
 class Event:
-    """Handle on one scheduled callback.
+    """Cancellable handle on one scheduled callback.
 
-    ``time``, ``priority`` and ``sequence`` repeat the event's heap key.
-    ``owner`` is the engine whose heap holds the event.  It is cleared when
-    the entry leaves the heap by firing or by :meth:`SimulationEngine.drain`,
-    so a late :meth:`cancel` is not counted as a dead heap entry.
+    ``time`` and ``priority`` repeat the event's heap key.  ``owner`` is the
+    engine whose heap holds the event.  It is cleared when the entry leaves
+    the heap by firing or by :meth:`SimulationEngine.drain`, so a late
+    :meth:`cancel` is not counted as a dead heap entry.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "cancelled", "owner")
+    __slots__ = ("time", "priority", "cancelled", "owner")
 
     def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: Callable[[], None],
-        owner: Optional["SimulationEngine"] = None,
+        self, time: float, priority: int, owner: Optional["SimulationEngine"] = None
     ) -> None:
         self.time = time
         self.priority = priority
-        self.sequence = sequence
-        self.callback = callback
         self.cancelled = False
         self.owner = owner
 
@@ -76,29 +92,28 @@ class Event:
 class SimulationEngine:
     """Heap-based discrete-event loop with deterministic ordering.
 
-    ``trace`` optionally attaches a :class:`~repro.trace.TraceBus`; components
-    driving their state machines through the engine discover it there, so one
-    constructor argument wires observability through a whole simulation.
+    ``now`` is the current simulated time in microseconds; only :meth:`run`
+    advances it.  ``trace`` optionally attaches a :class:`~repro.trace.TraceBus`;
+    components driving their state machines through the engine discover it
+    there, so one constructor argument wires observability through a whole
+    simulation.
     """
 
     def __init__(self, *, trace: Optional["TraceBus"] = None) -> None:
-        self._now = 0.0
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self.now = 0.0
+        self._heap: List[HeapEntry] = []
         self._sequence = 0
         self._processed = 0
         self._cancelled_pending = 0
         self.trace = trace
 
-    # -- clock -----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
-
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far."""
+        """Number of events executed so far.
+
+        :meth:`run` adds its events as it returns or raises, so a callback
+        reading this sees only the events of earlier runs.
+        """
         return self._processed
 
     @property
@@ -113,31 +128,40 @@ class SimulationEngine:
 
     # -- scheduling ----------------------------------------------------------------
 
+    def post(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` ``delay`` microseconds from now, at priority 0.
+
+        The entry carries no handle and cannot be cancelled.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay}")
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (self.now + delay, 0, sequence, callback, None))
+
     def schedule(
         self, delay: float, callback: Callable[[], None], *, priority: int = 0
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, self)
-        heapq.heappush(self._heap, (time, priority, sequence, event))
-        return event
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay}")
+        return self._push(self.now + delay, priority, callback)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], *, priority: int = 0
     ) -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"time must be finite and not before now={self.now}, got {time}"
             )
+        return self._push(time, priority, callback)
+
+    def _push(self, time: float, priority: int, callback: Callable[[], None]) -> Event:
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, self)
-        heapq.heappush(self._heap, (time, priority, sequence, event))
+        event = Event(time, priority, self)
+        heapq.heappush(self._heap, (time, priority, sequence, callback, event))
         return event
 
     # -- cancellation accounting ------------------------------------------------------
@@ -158,7 +182,9 @@ class SimulationEngine:
         simulation.  The list is rebuilt in place: a callback inside
         :meth:`run` can trigger compaction while the loop holds the list.
         """
-        self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
+        self._heap[:] = [
+            entry for entry in self._heap if entry[4] is None or not entry[4].cancelled
+        ]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
 
@@ -178,34 +204,36 @@ class SimulationEngine:
         heap = self._heap
         pop = heapq.heappop
         trace = self.trace
-        horizon = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         executed = 0
-        while heap and executed < budget:
-            time, _, _, event = heap[0]
-            if event.cancelled:
-                pop(heap)
-                self._cancelled_pending -= 1
-                continue
-            if time > horizon:
-                self._now = horizon
-                break
-            pop(heap)
-            self._now = time
-            self._processed += 1
-            executed += 1
-            event.owner = None
-            if trace is not None and trace.wants(EventDispatched.kind):
-                trace.emit(
-                    EventDispatched(t_us=time, sequence=event.sequence, priority=event.priority)
-                )
-            event.callback()
-        return self._now
+        try:
+            while heap and executed < budget:
+                entry = pop(heap)
+                time, priority, sequence, callback, event = entry
+                if event is not None and event.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+                if time > horizon:
+                    # Back on the heap, for the next run to fire.
+                    heapq.heappush(heap, entry)
+                    self.now = horizon
+                    break
+                if event is not None:
+                    event.owner = None
+                self.now = time
+                executed += 1
+                if trace is not None and trace.wants(EventDispatched.kind):
+                    trace.emit(EventDispatched(t_us=time, sequence=sequence, priority=priority))
+                callback()
+        finally:
+            self._processed += executed
+        return self.now
 
     def drain(self) -> None:
         """Discard all pending events (used when aborting a simulation)."""
         for entry in self._heap:
-            entry[3].owner = None
+            if entry[4] is not None:
+                entry[4].owner = None
         self._heap.clear()
         self._cancelled_pending = 0
-

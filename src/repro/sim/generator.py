@@ -102,7 +102,9 @@ class LinkGenerator:
 
     def take_pair(self, callback: Callable[[], None]) -> None:
         """Consume one link pair; ``callback`` runs when a pair is available."""
-        if self.take_buffered():
+        if self._available:
+            self._available -= 1
+            self._consumed += 1
             callback()
         else:
             self._waiters.append(callback)

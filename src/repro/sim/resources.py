@@ -9,6 +9,7 @@ was, which is the whole point of Figure 16.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -16,6 +17,8 @@ from typing import Callable, Deque, Optional
 
 from ..errors import SimulationError
 from .engine import SimulationEngine
+
+_INF = math.inf
 
 
 @dataclass
@@ -84,7 +87,18 @@ class ResourcePool:
 
 
 class ServiceCenter:
-    """``capacity`` identical servers with a FIFO queue of fixed-duration jobs."""
+    """``capacity`` identical servers with a FIFO queue of fixed-duration jobs.
+
+    :meth:`submit` is every job's entry: a job that finds a server free and no
+    job waiting is posted to the engine at once as its completion event, any
+    other joins the queue.  A completion frees its server, runs the job's
+    ``done`` callback, then hands the server to the oldest waiting job.
+
+    Inside that ``done`` callback the freed server is idle while older jobs
+    wait; a job submitted there queues behind them and the oldest takes the
+    server at once.  So at most one server is idle while jobs wait, and a
+    completion dispatches at most one job.
+    """
 
     def __init__(self, engine: SimulationEngine, capacity: int, name: str = "service") -> None:
         if capacity < 1:
@@ -106,43 +120,41 @@ class ServiceCenter:
 
     def submit(self, duration: float, done: Optional[Callable[[], None]] = None) -> None:
         """Queue a job of ``duration`` microseconds; ``done`` fires at completion."""
-        if duration < 0:
-            raise SimulationError(f"duration must be non-negative, got {duration}")
+        if not 0.0 <= duration < _INF:
+            raise SimulationError(f"duration must be finite and non-negative, got {duration}")
         queue = self._queue
-        free = self._busy < self.capacity
-        if free and not queue:
-            self._serve(duration, done)
+        stats = self.stats
+        if self._busy < self.capacity:
+            if queue:
+                # Inside a completion's ``done``: the oldest waiting job takes
+                # the freed server and this one queues behind the rest.
+                now = self._engine.now
+                queue.append((now, duration, done))
+                arrival, duration, done = queue.popleft()
+                stats.total_wait += now - arrival
+            self._busy += 1
+            stats.jobs_served += 1
+            stats.busy_time += duration
+            self._engine.post(duration, partial(self._finish, done))
             return
         queue.append((self._engine.now, duration, done))
-        if free:
-            # Inside a completion's ``done`` a server is free while older
-            # jobs still wait: they are served first.
-            self._dispatch()
-        stats = self.stats
         if len(queue) > stats.max_queue_length:
             stats.max_queue_length = len(queue)
-
-    def _serve(self, duration: float, done: Optional[Callable[[], None]]) -> None:
-        self._busy += 1
-        stats = self.stats
-        stats.jobs_served += 1
-        stats.busy_time += duration
-        self._engine.schedule(duration, partial(self._finish, done))
-
-    def _dispatch(self) -> None:
-        queue = self._queue
-        now = self._engine.now
-        while self._busy < self.capacity and queue:
-            arrival, duration, done = queue.popleft()
-            self.stats.total_wait += now - arrival
-            self._serve(duration, done)
 
     def _finish(self, done: Optional[Callable[[], None]]) -> None:
         self._busy -= 1
         if done is not None:
             done()
-        if self._queue:
-            self._dispatch()
+        queue = self._queue
+        if queue and self._busy < self.capacity:
+            arrival, duration, done = queue.popleft()
+            engine = self._engine
+            stats = self.stats
+            stats.total_wait += engine.now - arrival
+            self._busy += 1
+            stats.jobs_served += 1
+            stats.busy_time += duration
+            engine.post(duration, partial(self._finish, done))
 
     def throughput_per_us(self, job_duration: float) -> float:
         """Steady-state job completion rate for jobs of ``job_duration``."""

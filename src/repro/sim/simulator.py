@@ -144,7 +144,7 @@ class CommunicationSimulator:
                 return
             if not state.gate_done:
                 state.gate_done = True
-                engine.schedule(self.machine.logical_gate_us, lambda s=state: complete(s))
+                engine.post(self.machine.logical_gate_us, lambda s=state: complete(s))
                 return
             complete(state)
 
@@ -154,7 +154,7 @@ class CommunicationSimulator:
             # trips) happen after the gate.
             if not state.gate_done and state.next_index >= 1:
                 state.gate_done = True
-                engine.schedule(self.machine.logical_gate_us, lambda s=state: advance(s))
+                engine.post(self.machine.logical_gate_us, lambda s=state: advance(s))
                 return
             advance(state)
 

@@ -136,4 +136,4 @@ class TeleporterNodeSim:
                     turn=turn,
                 )
             )
-        self.service_for(dimension).submit(duration, done)
+        self._sets[dimension].submit(duration, done)

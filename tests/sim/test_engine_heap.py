@@ -1,4 +1,6 @@
-"""Heap compaction: cancelled events must not accumulate."""
+"""Heap compaction and posted events: cancelled events must not accumulate."""
+
+import pytest
 
 from repro.sim.engine import _COMPACT_MIN_HEAP, SimulationEngine
 
@@ -99,3 +101,98 @@ class TestHeapCompaction:
             event = engine.schedule(float(i % 13 + 1), lambda: None)
         assert engine.pending_events <= _COMPACT_MIN_HEAP
         assert engine.pending_events - engine.cancelled_pending == 1
+
+
+class TestPostedEvents:
+    """``post`` pushes handle-less entries on the heap ``schedule`` uses."""
+
+    def test_post_and_schedule_share_one_sequence_counter(self):
+        engine = SimulationEngine()
+        fired = []
+        for i in range(6):
+            if i % 2:
+                engine.post(1.0, lambda i=i: fired.append(i))
+            else:
+                engine.schedule(1.0, lambda i=i: fired.append(i))
+        engine.run()
+        assert fired == list(range(6))
+        assert engine.processed_events == 6
+
+    def test_posted_entry_survives_compaction_and_drain_clears_it(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.post(3.0, lambda: fired.append("posted"))
+        doomed = [engine.schedule(1.0 + i, lambda: fired.append("doomed")) for i in range(100)]
+        for event in doomed:
+            event.cancel()
+        # Cancelling more than half a heap of 64 or more compacts it.
+        assert engine.pending_events < 101
+        engine._compact()
+        assert engine.pending_events == 1
+        assert engine.cancelled_pending == 0
+        assert engine.run() == 3.0
+        assert fired == ["posted"]
+        engine.post(1.0, lambda: fired.append("drained"))
+        engine.drain()
+        assert engine.pending_events == 0
+        assert engine.run() == 3.0
+        assert fired == ["posted"]
+
+    def test_run_until_leaves_a_later_posted_entry_pending(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.post(1.0, lambda: fired.append(1.0))
+        engine.post(10.0, lambda: fired.append(10.0))
+        assert engine.run(until=5.0) == 5.0
+        assert fired == [1.0]
+        assert engine.pending_events == 1
+        assert engine.run() == 10.0
+        assert fired == [1.0, 10.0]
+        assert engine.processed_events == 2
+
+    def test_max_events_and_step_count_posted_events(self):
+        engine = SimulationEngine()
+        for i in range(5):
+            engine.post(float(i + 1), lambda: None)
+        assert engine.run(max_events=2) == 2.0
+        assert engine.processed_events == 2
+        assert engine.step()
+        assert engine.now == 3.0
+        assert engine.processed_events == 3
+        assert engine.pending_events == 2
+
+    def test_processed_events_stays_exact_when_a_callback_raises(self):
+        engine = SimulationEngine()
+
+        def fail():
+            raise RuntimeError("boom")
+
+        engine.post(1.0, lambda: None)
+        engine.schedule(2.0, fail)
+        engine.post(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert engine.processed_events == 2
+        assert engine.now == 2.0
+        assert engine.run() == 3.0
+        assert engine.processed_events == 3
+
+    def test_cancel_among_posted_entries_counts_and_compacts(self):
+        engine = SimulationEngine()
+        fired = []
+        for i in range(_COMPACT_MIN_HEAP):
+            engine.post(float(i), lambda i=i: fired.append(i))
+        handles = [
+            engine.schedule(0.5 + i, lambda: fired.append(-1))
+            for i in range(_COMPACT_MIN_HEAP + 1)
+        ]
+        for handle in handles[:-1]:
+            handle.cancel()
+        assert engine.cancelled_pending == _COMPACT_MIN_HEAP
+        assert engine.pending_events == 2 * _COMPACT_MIN_HEAP + 1
+        handles[-1].cancel()
+        # Now more than half the heap is cancelled: it compacts to the posts.
+        assert engine.cancelled_pending == 0
+        assert engine.pending_events == _COMPACT_MIN_HEAP
+        engine.run()
+        assert fired == list(range(_COMPACT_MIN_HEAP))

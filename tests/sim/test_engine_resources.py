@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine and resource primitives."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -72,6 +74,33 @@ class TestEngine:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             SimulationEngine().schedule(-1.0, lambda: None)
+
+    # NaN compares false with everything, so a plain ``delay < 0`` test let
+    # it in: a NaN event fired first and the run returned an infinite or NaN
+    # clock.  Each entry point refuses the value and names it.
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_schedule_refuses_non_finite_delays(self, delay):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match=str(delay)):
+            engine.schedule(delay, lambda: None)
+        assert engine.pending_events == 0
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    def test_post_refuses_non_finite_and_negative_delays(self, delay):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match=str(delay)):
+            engine.post(delay, lambda: None)
+        assert engine.pending_events == 0
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_schedule_at_refuses_non_finite_times(self, time):
+        engine = SimulationEngine()
+        engine.schedule(5.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError, match=str(time)):
+            engine.schedule_at(time, lambda: None)
+        assert engine.pending_events == 0
+        assert engine.run() == 5.0
 
 
 class TestResourcePool:
@@ -146,6 +175,17 @@ class TestServiceCenter:
         engine.run()
         assert busy.stats.max_queue_length == 2
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_submit_refuses_non_finite_and_negative_durations(self, duration):
+        # A NaN job completed at NaN, and so did every job queued behind it.
+        engine = SimulationEngine()
+        center = ServiceCenter(engine, 1)
+        with pytest.raises(SimulationError, match=str(duration)):
+            center.submit(duration)
+        center.submit(2.0)
+        assert engine.run() == 2.0
+        assert center.stats.jobs_served == 1
+
     def test_jobs_waiting_inside_a_completion_are_served_first(self):
         # ``done`` runs before the freed server is re-dispatched; a job
         # submitted from it must queue behind the jobs already waiting.
@@ -157,6 +197,31 @@ class TestServiceCenter:
         engine.run()
         assert order == ["early", "late"]
         assert engine.now == 3.0
+
+    def test_a_completion_on_two_servers_dispatches_the_oldest_job_once(self):
+        engine = SimulationEngine()
+        center = ServiceCenter(engine, 2)
+        order = []
+
+        def finished(job):
+            return lambda: order.append((job, engine.now))
+
+        def a_done():
+            order.append(("a", engine.now))
+            center.submit(1.0, finished("e"))
+
+        center.submit(2.0, a_done)
+        center.submit(2.0, finished("b"))
+        center.submit(1.0, finished("c"))
+        center.submit(1.0, finished("d"))
+        engine.run()
+        # "e" arrives while "c" and "d" wait for the server "a" freed: "c"
+        # takes it, "d" takes "b"'s, and "e" waits for the next one.
+        assert order == [("a", 2.0), ("b", 2.0), ("c", 3.0), ("d", 3.0), ("e", 4.0)]
+        assert center.stats.jobs_served == 5
+        assert center.stats.total_wait == 2.0 + 2.0 + 1.0
+        assert center.stats.max_queue_length == 2
+        assert center.busy == 0 and center.queue_length == 0
 
     def test_throughput_per_us(self):
         center = ServiceCenter(SimulationEngine(), 4)
