@@ -91,9 +91,7 @@ def _start_storm(allocator, pairs):
     for _ in range(len(pairs)):
         assert engine.step()
     wall = time.perf_counter() - start
-    rates = {flow_id: flow.rate for flow_id, flow in transport._flows.items()}
-    if transport._pack is not None:
-        rates = {flow_id: transport._pack.rate_of(flow_id) for flow_id in rates}
+    rates = {flow_id: transport._plane.rate_of(flow_id) for flow_id in transport._flows}
     return wall, transport.active_flows, rates, transport.resource_loads()
 
 

@@ -105,12 +105,6 @@ def _time_reallocation(transport, reps=REALLOC_REPS):
     return best
 
 
-def _flow_rates(transport):
-    if transport._pack is not None:
-        return {fid: transport._pack.rate_of(fid) for fid in transport._flows}
-    return {fid: flow.rate for fid, flow in transport._flows.items()}
-
-
 def test_vectorized_speedup_at_10k_flows_on_1024_host_fat_tree():
     walls = {}
     states = {}
@@ -122,7 +116,8 @@ def test_vectorized_speedup_at_10k_flows_on_1024_host_fat_tree():
         assert transport._link_flows and max(transport._link_flows.values()) > 1
         admits[allocator] = admit_wall
         walls[allocator] = _time_reallocation(transport)
-        states[allocator] = (_flow_rates(transport), transport.resource_loads())
+        rates = {fid: transport._plane.rate_of(fid) for fid in transport._flows}
+        states[allocator] = (rates, transport.resource_loads())
     speedup = walls["incremental"] / walls["vectorized"]
     print(
         f"\n10k-flow reallocation (k={FAT_TREE_ARITY} fat tree, 1024 hosts, 2/2/1):\n"

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Unio
 from ..errors import ScenarioError
 from ..network.fabrics import list_topologies, topology_options
 from ..network.routing import list_balancers
+from ..sim.flow import ALLOCATORS
 from ..workloads.registry import list_workloads, workload_params
 
 #: Layout aliases accepted by :func:`repro.network.layout.build_layout`,
@@ -39,11 +40,13 @@ LAYOUT_ALIASES = {
     "mobile_qubit": "mobile_qubit",
     "mobile": "mobile_qubit",
 }
-ALLOCATOR_NAMES = ("incremental", "reference", "vectorized")
+#: Allocator names accepted by ``runtime.allocator``, declared once by the
+#: fluid transport.
+ALLOCATOR_NAMES = ALLOCATORS
 ROUTING_NAMES = ("xy", "yx")
 #: Transport backend names accepted by ``runtime.backend``.  Mirrors the
-#: registry in :mod:`repro.sim.transport` (kept literal here so validating a
-#: spec never imports the simulation stack; a test pins the two in sync).
+#: registry in :mod:`repro.sim.transport`, kept literal here (a test pins the
+#: two in sync).
 BACKEND_NAMES = ("fluid", "detailed")
 #: Purification protocols accepted by ``physics.protocol``, mirrored from
 #: :mod:`repro.physics.purification` for the same reason (a test pins them).

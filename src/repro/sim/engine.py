@@ -17,9 +17,10 @@ sequence counter, so interleaving them keeps call order:
   they carry no handle.
 * :meth:`SimulationEngine.schedule` and :meth:`~SimulationEngine.schedule_at`
   return an :class:`Event` handle, held in the fifth slot, that can cancel
-  the entry.  Only the fluid transport cancels: it re-arms a completion
-  event after each reallocation.  A cancelled entry stays in the heap until
-  it is popped or the heap is compacted; the handle reports it, which keeps
+  the entry.  Only the fluid transport cancels, whatever its allocator: it
+  keeps one chained completion event and re-arms it when a reallocation
+  moves the earliest finish.  A cancelled entry stays in the heap until it
+  is popped or the heap is compacted; the handle reports it, which keeps
   the heap within about twice its live events.
 
 A negative, infinite or NaN delay, or an absolute time before ``now`` or
@@ -79,9 +80,9 @@ class Event:
         The entry stays in its engine's heap (removing from the middle of a
         binary heap is O(n)) but the engine is told, so it can compact the
         heap once cancelled entries dominate — without that accounting a
-        workload that reschedules aggressively (the flow transport cancels
-        and reissues a completion event per reallocation) leaks heap entries
-        linearly in event count.
+        workload that reschedules aggressively (the flow transport may cancel
+        and reissue its completion event at every reallocation) leaks heap
+        entries linearly in event count.
         """
         if not self.cancelled:
             self.cancelled = True

@@ -28,34 +28,35 @@ the final data teleportation, which bounds how fast a communication can finish
 even with unlimited bandwidth (the paper's t = g = p = 1024 normalisation
 point).
 
-Three allocators are available:
+One transport runs over one of two *data planes*, which hold the per-flow
+fluid state (remaining work, rate, start and floor) and the flow × resource
+incidence, and solve the rates.  The allocator name picks the plane, once, in
+:class:`FlowTransport`'s constructor:
 
-* ``incremental`` (the default) maintains a persistent resource→flows index
-  so each progressive-filling iteration recomputes a resource's demand only
-  over the flows actually registered on it, freezes bottlenecked flows
-  through the index, and advances the utilisation integral from per-kind rate
-  sums instead of walking every flow's demand vector.  An event costs
-  O(iterations · (resources + index entries)) instead of the from-scratch
-  O(flows² · resources).  The arithmetic is ordered to be *bitwise identical*
-  to the reference allocator — skipping a flow's denominators contributes
-  exact zeros — so both allocators produce the same event trace, not merely
-  statistically similar ones (degenerate max-min ties would otherwise break
+* :class:`FlowTable` (``incremental``, the default, and ``reference``) keeps
+  per-flow rows in dicts and a persistent resource → {flow: work} index.
+  ``incremental`` runs progressive filling through the index, recomputing a
+  resource's demand only over the flows registered on it and freezing
+  bottlenecked flows through it; ``reference`` rescans every flow for every
+  resource on every solve (the original seed behaviour) and is kept as the
+  rate oracle.  Skipping a flow's denominators contributes exact zeros, so
+  both solves give *bitwise* identical rates — the same event trace, not a
+  statistically similar one (degenerate max-min ties would otherwise break
   differently and cascade into diverging makespans).
-* ``vectorized`` moves the whole data plane into flat numpy arrays
-  (:mod:`repro.sim.flowpack`): demand sums become sequential ``bincount``
-  accumulations in flow-id order, the bottleneck delta a vectorized
-  ``cap_left / denom`` min-reduction, freezing a boolean mask — all ordered
-  to stay bitwise identical to the other two allocators.  It also collapses
-  the per-flow completion events into a single chained next-completion event
-  (the event-loop compaction for the reallocate/complete storm): every
-  reallocation recomputes each flow's finish time exactly as
-  ``_schedule_completion`` would, takes the argmin (ties resolve to the
-  lowest flow id, which is also the event-priority order the per-flow heap
-  uses), and keeps one pending event instead of N.
-* ``reference`` recomputes every rate by scanning every flow for every
-  resource on every solve (the original seed behaviour).  It is kept as the
-  oracle the benchmarks and property tests compare the fast allocators
-  against.
+* :class:`~repro.sim.flowpack.FlowPack` (``vectorized``) holds the same
+  state in flat numpy arrays: demand sums become sequential ``bincount``
+  accumulations in flow-id order, the bottleneck delta a ``cap_left /
+  denom`` min-reduction, freezing a boolean mask — all ordered to stay
+  bitwise identical to the dict solves.
+
+The transport's path is the same over either plane.  After each solve it
+asks the plane for the earliest finish time (ties resolve to the lowest flow
+id) and keeps one chained completion event for it, so all three allocators
+dispatch the same event stream, sequence numbers included.  The usage
+integral advances from the plane's per-kind rate sums: :class:`FlowTable`
+keeps them by per-change deltas (``incremental`` and ``reference`` report
+bitwise-equal utilisation), :class:`~repro.sim.flowpack.FlowPack` takes one
+dot product per solve (equal within 1e-9 relative).
 
 Under every allocator the transport solves once per change to the set of
 live flows.  Rates depend on nothing else, so when a completion's callback
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import SimulationError
 from ..trace.records import FlowRateChanged
@@ -83,7 +84,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``("generator", (ax, ay), (bx, by))`` for a link's generator.
 ResourceKey = Tuple
 
-#: The allocator names FlowTransport accepts (mirrored by the scenario codec).
+#: The allocator names FlowTransport accepts: the one declaration, which
+#: ``runtime.allocator`` validates against and the verify CLI defaults to.
 ALLOCATORS = ("incremental", "reference", "vectorized")
 
 #: Residual capacity below which a resource counts as saturated.
@@ -101,26 +103,273 @@ _COMPLETION_EPS = 1e-9
 class ChannelFlow:
     """One in-flight logical communication in the fluid model.
 
-    Under the ``vectorized`` allocator the scalar ``remaining``/``rate``
-    fields are *not* advanced — the flowpack arrays are authoritative — and
-    ``completion_event`` stays unused (the transport keeps a single chained
-    next-completion event instead).
+    It carries what the transport needs to close the channel; the flow's
+    fluid state (remaining work, rate, start and floor) lives in the
+    transport's data plane under ``flow_id``.
     """
 
     flow_id: int
     planned: PlannedCommunication
-    demands: Demand
-    floor_us: float
     pairs_transited: float
     start_us: float
-    done: Callable[["ChannelFlow"], None]
+    done: Callable[[], None]
+
+
+@dataclass(slots=True)
+class _Row:
+    """One flow's demand and fluid state in a :class:`FlowTable`."""
+
+    ids: Sequence[int]
+    works: Sequence[float]
+    start_us: float
+    floor_us: float
     remaining: float = 1.0
     rate: float = 0.0
-    completion_event: Optional[Event] = None
 
-    @property
-    def hops(self) -> int:
-        return self.planned.hops
+
+class FlowTable:
+    """The dict allocators' data plane: per-flow rows and a resource index.
+
+    It answers the transport's calls as :class:`~repro.sim.flowpack.FlowPack`
+    does, with the same arithmetic in the same order.  Rows are kept in
+    insertion order, which is flow-id order because the transport's flow ids
+    increase, and every walk over flows follows it, as the pack's row and
+    entry arrays do.  The per-kind rate sums are kept by the delta of each
+    rate change and each removal.  ``reference=True`` solves from scratch
+    instead of through the index.
+    """
+
+    def __init__(self, id_capacity: Sequence[float], id_kind: Sequence[str], *, reference: bool = False) -> None:
+        #: Capacity and kind of every resource id.
+        self._capacity = id_capacity
+        self._kind_of = id_kind
+        self._rows: Dict[int, _Row] = {}
+        #: Resource id → {flow_id: demand work}, each in flow-id order.
+        self._members: Dict[int, Dict[int, float]] = {}
+        #: Per-kind sum of rate × work over live flows.
+        self._kind_rate_sum: Dict[str, float] = {}
+        self._solve = self._reference_rates if reference else self._max_min_rates
+
+    def rate_of(self, flow_id: int) -> float:
+        return self._rows[flow_id].rate
+
+    def remaining_of(self, flow_id: int) -> float:
+        return self._rows[flow_id].remaining
+
+    # -- mutation -------------------------------------------------------------------
+
+    def add_flow(
+        self, flow_id: int, ids: Sequence[int], works: Sequence[float], *, start_us: float, floor_us: float
+    ) -> None:
+        """Add a flow's row, all its work remaining, and index it on each resource it uses."""
+        self._rows[flow_id] = _Row(ids, works, start_us, floor_us)
+        for rid, work in zip(ids, works):
+            self._members.setdefault(rid, {})[flow_id] = work
+
+    def remove_flow(self, flow_id: int) -> None:
+        """Drop a flow, its index entries and its share of the rate sums."""
+        row = self._rows.pop(flow_id)
+        sums, kind_of = self._kind_rate_sum, self._kind_of
+        for rid, work in zip(row.ids, row.works):
+            kind = kind_of[rid]
+            sums[kind] = sums.get(kind, 0.0) - row.rate * work
+            members = self._members[rid]
+            del members[flow_id]
+            if not members:
+                del self._members[rid]
+
+    # -- fluid-state kernels --------------------------------------------------------
+
+    def advance(self, elapsed: float) -> None:
+        """``remaining -= rate * elapsed`` clamped at 0, over all rows."""
+        for row in self._rows.values():
+            row.remaining = max(row.remaining - row.rate * elapsed, 0.0)
+
+    def reallocate(self, saturation_eps: float, *, collect_changes: bool = False) -> List[Tuple[int, float]]:
+        """Solve and store the new rates; optionally list the changes.
+
+        Returns ``(flow_id, new_rate)`` for each flow whose rate changed
+        bitwise, in flow-id order, when ``collect_changes``.
+        """
+        rates = self._solve(saturation_eps)
+        sums, kind_of = self._kind_rate_sum, self._kind_of
+        changes: List[Tuple[int, float]] = []
+        for flow_id, row in self._rows.items():
+            new_rate = rates[flow_id]
+            if new_rate != row.rate:
+                delta = new_rate - row.rate
+                for rid, work in zip(row.ids, row.works):
+                    kind = kind_of[rid]
+                    sums[kind] = sums.get(kind, 0.0) + delta * work
+                if collect_changes:
+                    changes.append((flow_id, new_rate))
+                row.rate = new_rate
+        return changes
+
+    def kind_rate_sums(self) -> Dict[str, float]:
+        """Per-kind ``rate × work`` over live flows (the table's own dict)."""
+        return self._kind_rate_sum
+
+    def loads(self) -> Dict[int, float]:
+        """Per-resource-id load ``sum(rate × work)`` over live flows."""
+        loads: Dict[int, float] = {}
+        rows = self._rows
+        for rid, members in self._members.items():
+            load = 0.0
+            for flow_id, work in members.items():
+                load += rows[flow_id].rate * work
+            if load > 0.0:
+                loads[rid] = load
+        return loads
+
+    def next_completion(
+        self, now: float, completion_eps: float, *, exclude_flow_ids: Optional[Set[int]] = None
+    ) -> Optional[Tuple[int, float]]:
+        """Earliest completion as ``(flow_id, finish_time)``, or None.
+
+        Per row, :meth:`FlowPack.next_completion
+        <repro.sim.flowpack.FlowPack.next_completion>`'s arithmetic: a
+        residue at or below ``completion_eps`` finishes now, a zero rate
+        never, otherwise ``now + remaining / rate``; all clamped to the
+        channel floor.  The strict ``<`` keeps the first of tied rows, as
+        the pack's ``argmin`` does.
+        """
+        best: Optional[int] = None
+        best_finish = math.inf
+        for flow_id, row in self._rows.items():
+            if exclude_flow_ids and flow_id in exclude_flow_ids:
+                continue
+            remaining = row.remaining
+            if remaining <= completion_eps:
+                finish = now
+            elif row.rate <= 0.0:
+                continue
+            else:
+                finish = now + remaining / row.rate
+            finish = max(finish, row.start_us + row.floor_us)
+            if finish < best_finish:
+                best, best_finish = flow_id, finish
+        return None if best is None else (best, best_finish)
+
+    # -- solves ---------------------------------------------------------------------
+
+    def _max_min_rates(self, saturation_eps: float) -> Dict[int, float]:
+        """Progressive filling accelerated by the resource→flows index.
+
+        Each iteration recomputes a resource's unfrozen demand by walking only
+        the flows registered on it, and finds the flows to freeze from the
+        saturated resources' member lists.  Skipped flows would contribute
+        exact ``0.0`` terms, so every float operation matches the reference
+        solve bit for bit — the two produce identical rates, merely at
+        O(iterations · index entries) instead of O(iterations · resources ·
+        flows).
+        """
+        rows = self._rows
+        rates: Dict[int, float] = dict.fromkeys(rows, 0.0)
+        if not rows:
+            return rates
+        capacity = self._capacity
+        remaining_cap: Dict[int, float] = {}
+        for row in rows.values():
+            for rid in row.ids:
+                remaining_cap.setdefault(rid, capacity[rid])
+        # Unfrozen members per resource, seeded from the persistent index
+        # (flow-id ordered) and thinned as flows freeze; demand sums then walk
+        # exactly the flows still being filled.
+        alive: Dict[int, Dict[int, float]] = {
+            rid: dict(self._members[rid]) for rid in remaining_cap
+        }
+        unfrozen = dict(rows)
+        # Per-resource demand sums are cached between iterations and only
+        # recomputed for ids whose membership changed (a resummed unchanged
+        # id would give the bitwise-same float, so caching is exact).  Each
+        # sum is taken on its own and freezing a flow only removes it, so the
+        # order ids are resummed and flows frozen in changes no value.
+        denom: Dict[int, float] = {}
+        dirty: Dict[int, None] = dict.fromkeys(remaining_cap)
+        # Progressive filling: all unfrozen rates rise together until the
+        # bottleneck resource saturates; its users freeze (found through the
+        # index), and the rest keep rising.
+        for _ in range(len(rows) + 1):
+            if not unfrozen:
+                break
+            for rid in dirty:
+                d = 0.0
+                for work in alive[rid].values():
+                    d += work
+                denom[rid] = d
+            dirty = {}
+            best_delta = math.inf
+            for rid, cap_left in remaining_cap.items():
+                d = denom[rid]
+                if d > 0.0:
+                    delta = cap_left / d
+                    if delta < best_delta:
+                        best_delta = delta
+            if best_delta == math.inf:
+                # No shared resource constrains the remaining flows; give them
+                # an effectively unconstrained rate (their floor dominates).
+                for flow_id in unfrozen:
+                    rates[flow_id] += 1.0
+                break
+            for flow_id in unfrozen:
+                rates[flow_id] += best_delta
+            newly_frozen: Dict[int, float] = {}
+            for rid, d in denom.items():
+                if d > 0.0:
+                    remaining_cap[rid] -= best_delta * d
+                    if remaining_cap[rid] <= saturation_eps:
+                        newly_frozen.update(alive[rid])
+            if not newly_frozen:
+                break
+            for flow_id in newly_frozen:
+                row = unfrozen.pop(flow_id)
+                for rid in row.ids:
+                    alive[rid].pop(flow_id, None)
+                    dirty[rid] = None
+        return rates
+
+    def _reference_rates(self, saturation_eps: float) -> Dict[int, float]:
+        """Progressive filling from scratch: every flow, every resource, every round."""
+        rows = self._rows
+        rates: Dict[int, float] = dict.fromkeys(rows, 0.0)
+        if not rows:
+            return rates
+        demands = {flow_id: dict(zip(row.ids, row.works)) for flow_id, row in rows.items()}
+        remaining_cap: Dict[int, float] = {}
+        for demand in demands.values():
+            for rid in demand:
+                remaining_cap.setdefault(rid, self._capacity[rid])
+        unfrozen = dict(demands)
+        for _ in range(len(rows) + 1):
+            if not unfrozen:
+                break
+            best_delta = math.inf
+            for rid, cap_left in remaining_cap.items():
+                denom = sum(demand.get(rid, 0.0) for demand in unfrozen.values())
+                if denom <= 0.0:
+                    continue
+                best_delta = min(best_delta, cap_left / denom)
+            if best_delta == math.inf:
+                for flow_id in unfrozen:
+                    rates[flow_id] += 1.0
+                break
+            for flow_id in unfrozen:
+                rates[flow_id] += best_delta
+            for rid in remaining_cap:
+                denom = sum(demand.get(rid, 0.0) for demand in unfrozen.values())
+                remaining_cap[rid] -= best_delta * denom
+            saturated = {rid for rid, cap in remaining_cap.items() if cap <= saturation_eps}
+            newly_frozen = [
+                flow_id
+                for flow_id, demand in unfrozen.items()
+                if any(rid in saturated for rid in demand)
+            ]
+            if not newly_frozen:
+                break
+            for flow_id in newly_frozen:
+                del unfrozen[flow_id]
+        return rates
 
 
 @register_backend
@@ -147,15 +396,10 @@ class FlowTransport(TransportBackend):
             )
         super().__init__(engine, machine)
         self.allocator = allocator
-        self._incremental = allocator == "incremental"
-        self._vectorized = allocator == "vectorized"
         self._flows: Dict[int, ChannelFlow] = {}
         self._last_update = 0.0
         self._usage_integral: Dict[str, float] = {}
-        #: Persistent resource id → {flow_id: demand work} index (the dict
-        #: allocators only; the vectorized pack keeps its own incidence).
-        self._members: Dict[int, Dict[int, float]] = {}
-        #: Per-kind sum of rate * work over active flows (usage accounting).
+        #: Per-kind sum of rate * work over active flows, as of the last solve.
         self._kind_rate_sum: Dict[str, float] = {}
         blocks = machine.resource_blocks
         kinds = [k for k in range(len(RESOURCE_KINDS)) for _ in range(blocks[k], blocks[k + 1])]
@@ -166,20 +410,23 @@ class FlowTransport(TransportBackend):
         #: first used (utilisation divides by them).
         self._kind_capacity_total: Dict[str, float] = {}
         self._seen_ids: Set[int] = set()
-        self._pack: Optional["FlowPack"] = None
+        capacities = [self._kind_capacity[kind] for kind in self._kind_of]
+        self._plane: Union["FlowPack", FlowTable]
+        if allocator == "vectorized":
+            # Imported here so that ``import repro`` does not load numpy.
+            from .flowpack import FlowPack
+
+            self._plane = FlowPack(capacities, kinds, RESOURCE_KINDS)
+        else:
+            self._plane = FlowTable(capacities, self._kind_of, reference=allocator == "reference")
+        #: The one pending completion event: the earliest finish.
         self._next_completion: Optional[Event] = None
         #: Flows whose chained completion fired but no-op'd since the last
-        #: reallocation (mirrors the per-flow heap, where a fired event is
-        #: spent until the next reallocation re-schedules it).
+        #: reallocation; the chain skips them until the next one.
         self._spent_completions: Set[int] = set()
         #: Whether a flow finished since the last solve.  Rates depend only
         #: on the live flow set, so re-solving an unchanged set is a no-op.
         self._flow_set_changed = False
-        if self._vectorized:
-            # Imported here so that ``import repro`` does not load numpy.
-            from .flowpack import FlowPack
-
-            self._pack = FlowPack([self._kind_capacity[kind] for kind in self._kind_of], kinds, RESOURCE_KINDS)
 
     # -- public API ---------------------------------------------------------------
 
@@ -196,17 +443,9 @@ class FlowTransport(TransportBackend):
         self._advance_time()
         flow_id, planned = self._open_channel(planned)
         profile = self.machine.flow_profile(planned.plan.hops)
-        flow = ChannelFlow(
-            flow_id=flow_id,
-            planned=planned,
-            demands=self._build_demands(planned),
-            floor_us=profile.floor_us,
-            pairs_transited=profile.pairs,
-            start_us=self.engine.now,
-            done=lambda f, cb=done: cb(),
-        )
-        self._flows[flow.flow_id] = flow
-        ids, works = flow.demands
+        start_us = self.engine.now
+        self._flows[flow_id] = ChannelFlow(flow_id, planned, profile.pairs, start_us, done)
+        ids, works = self._build_demands(planned)
         seen = self._seen_ids
         for rid in ids:
             if rid not in seen:
@@ -215,18 +454,7 @@ class FlowTransport(TransportBackend):
                 self._kind_capacity_total[kind] = (
                     self._kind_capacity_total.get(kind, 0.0) + self._kind_capacity[kind]
                 )
-        if self._pack is not None:
-            self._pack.add_flow(
-                flow.flow_id,
-                ids,
-                works,
-                remaining=flow.remaining,
-                start_us=flow.start_us,
-                floor_us=flow.floor_us,
-            )
-        else:
-            for rid, work in zip(ids, works):
-                self._members.setdefault(rid, {})[flow.flow_id] = work
+        self._plane.add_flow(flow_id, ids, works, start_us=start_us, floor_us=profile.floor_us)
         self._reallocate()
 
     def utilisation_report(self, elapsed_us: float, *, clamp: bool = True) -> Dict[str, float]:
@@ -248,16 +476,7 @@ class FlowTransport(TransportBackend):
 
     def resource_loads(self) -> Dict[ResourceKey, float]:
         """Instantaneous per-resource load: sum of rate x work over active flows."""
-        if self._pack is not None:
-            loads = self._pack.loads()
-        else:
-            loads = {}
-            for rid, members in self._members.items():
-                load = 0.0
-                for flow_id, work in members.items():
-                    load += self._flows[flow_id].rate * work
-                if load > 0.0:
-                    loads[rid] = load
+        loads = self._plane.loads()
         return dict(zip(self.machine.resource_keys(loads), loads.values()))
 
     def capacity_of(self, key: ResourceKey) -> float:
@@ -313,319 +532,87 @@ class FlowTransport(TransportBackend):
         now = self.engine.now
         elapsed = now - self._last_update
         if elapsed > 0:
-            if self._pack is not None:
-                self._pack.advance(elapsed)
-            else:
-                # Per-flow progress uses the same arithmetic in all modes so
-                # the allocators stay bitwise comparable.
-                for flow in self._flows.values():
-                    flow.remaining = max(flow.remaining - flow.rate * elapsed, 0.0)
-            if self._incremental or self._vectorized:
-                # The usage integral advances from per-kind rate sums
-                # maintained at rate changes: O(kinds) instead of walking
-                # every flow's demand vector.
-                for kind, total in self._kind_rate_sum.items():
-                    if total > 0.0:
-                        self._usage_integral[kind] = (
-                            self._usage_integral.get(kind, 0.0) + total * elapsed
-                        )
-            else:
-                for flow in self._flows.values():
-                    for rid, work in zip(*flow.demands):
-                        kind = self._kind_of[rid]
-                        self._usage_integral[kind] = (
-                            self._usage_integral.get(kind, 0.0) + flow.rate * work * elapsed
-                        )
+            self._plane.advance(elapsed)
+            # The usage integral advances from the per-kind rate sums: O(kinds)
+            # instead of walking every flow's demand vector.
+            for kind, total in self._kind_rate_sum.items():
+                if total > 0.0:
+                    self._usage_integral[kind] = (
+                        self._usage_integral.get(kind, 0.0) + total * elapsed
+                    )
         self._last_update = now
 
     def _reallocate(self) -> None:
-        """Recompute max-min fair rates and reschedule completion events."""
+        """Recompute max-min fair rates and re-arm the completion chain."""
         self._flow_set_changed = False
-        if self._pack is not None:
-            self._reallocate_vectorized()
-            return
-        allocate = self._max_min_rates if self._incremental else self._max_min_rates_reference
-        rates = allocate(list(self._flows.values()))
-        trace = self.engine.trace
-        if trace is not None and not trace.wants(FlowRateChanged.kind):
-            trace = None
-        for flow in self._flows.values():
-            new_rate = rates[flow.flow_id]
-            if self._incremental and new_rate != flow.rate:
-                delta = new_rate - flow.rate
-                for rid, work in zip(*flow.demands):
-                    kind = self._kind_of[rid]
-                    self._kind_rate_sum[kind] = (
-                        self._kind_rate_sum.get(kind, 0.0) + delta * work
-                    )
-            if trace is not None and new_rate != flow.rate:
-                # Only genuine changes are emitted, so the rate timeline is a
-                # pure function of the fluid dynamics — identical across
-                # allocators (they compute bitwise-equal rates) and across
-                # re-runs, which is what the differential harness diffs.
-                trace.emit(
-                    FlowRateChanged(t_us=self.engine.now, flow_id=flow.flow_id, rate=new_rate)
-                )
-            flow.rate = new_rate
-            self._schedule_completion(flow)
-
-    def _reallocate_vectorized(self) -> None:
-        """Vectorized rates plus the single chained next-completion event."""
-        pack = self._pack
-        assert pack is not None
         self._spent_completions.clear()
         trace = self.engine.trace
         if trace is not None and not trace.wants(FlowRateChanged.kind):
             trace = None
-        changes = pack.reallocate(_SATURATION_EPS, collect_changes=trace is not None)
+        changes = self._plane.reallocate(_SATURATION_EPS, collect_changes=trace is not None)
         if trace is not None:
+            # Only genuine changes are listed, so the rate timeline is a pure
+            # function of the fluid dynamics — identical across allocators
+            # (they compute bitwise-equal rates) and across re-runs, which is
+            # what the differential harness diffs.
             now = self.engine.now
             for flow_id, rate in changes:
                 trace.emit(FlowRateChanged(t_us=now, flow_id=flow_id, rate=rate))
-        self._kind_rate_sum = pack.kind_rate_sums()
+        self._kind_rate_sum = self._plane.kind_rate_sums()
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
         """Keep exactly one pending completion event: the earliest one.
 
-        Ties resolve to the lowest flow id — the same order the per-flow
-        heap's ``1 + flow_id`` priorities impose — and completing that flow
+        Ties resolve to the lowest flow id, whose ``1 + flow_id`` priority
+        also orders equal-time events on the heap, and completing that flow
         triggers a reallocation that re-arms the chain, so simultaneous
-        completions still fire one by one in identical order.
+        completions fire one by one in flow-id order.  An armed event whose
+        time and priority are unchanged is kept rather than re-pushed.
         """
-        pack = self._pack
-        assert pack is not None
-        nxt = pack.next_completion(
-            self.engine.now,
-            _COMPLETION_EPS,
-            exclude_flow_ids=self._spent_completions or None,
+        nxt = self._plane.next_completion(
+            self.engine.now, _COMPLETION_EPS, exclude_flow_ids=self._spent_completions or None
         )
         event = self._next_completion
-        if nxt is None:
-            if event is not None:
-                event.cancel()
-                self._next_completion = None
-            return
-        flow_id, finish = nxt
-        priority = 1 + flow_id
-        if (
-            event is not None
-            and not event.cancelled
-            and event.priority == priority
-            and event.time == finish
-        ):
-            return
         if event is not None:
+            if nxt is not None and not event.cancelled and (event.priority, event.time) == (1 + nxt[0], nxt[1]):
+                return
             event.cancel()
-        flow = self._flows[flow_id]
-        self._next_completion = self.engine.schedule_at(
-            finish, lambda f=flow: self._complete(f), priority=priority
-        )
-
-    # -- incremental allocator ----------------------------------------------------------
-
-    def _max_min_rates(self, flows: List[ChannelFlow]) -> Dict[int, float]:
-        """Progressive filling accelerated by the resource→flows index.
-
-        Each iteration recomputes a resource's unfrozen demand by walking only
-        the flows registered on it, and finds the flows to freeze from the
-        saturated resources' member lists.  Skipped flows would contribute
-        exact ``0.0`` terms, so every float operation matches the reference
-        allocator bit for bit — the two produce identical rates, merely at
-        O(iterations · index entries) instead of O(iterations · resources ·
-        flows).
-        """
-        rates: Dict[int, float] = {flow.flow_id: 0.0 for flow in flows}
-        if not flows:
-            return rates
-        kind_of, capacity = self._kind_of, self._kind_capacity
-        remaining_cap: Dict[int, float] = {}
-        for flow in flows:
-            for rid in flow.demands[0]:
-                remaining_cap.setdefault(rid, capacity[kind_of[rid]])
-        # Unfrozen members per resource, seeded from the persistent index
-        # (flow-id ordered) and thinned as flows freeze; demand sums then walk
-        # exactly the flows still being filled.
-        alive: Dict[int, Dict[int, float]] = {
-            rid: dict(self._members[rid]) for rid in remaining_cap
-        }
-        unfrozen = {flow.flow_id: flow for flow in flows}
-        # Per-resource demand sums are cached between iterations and only
-        # recomputed for ids whose membership changed (a resummed unchanged
-        # id would give the bitwise-same float, so caching is exact).  Each
-        # sum is taken on its own and freezing a flow only removes it, so the
-        # order ids are resummed and flows frozen in changes no value.
-        denom: Dict[int, float] = {}
-        dirty: Dict[int, None] = dict.fromkeys(remaining_cap)
-        # Progressive filling: all unfrozen rates rise together until the
-        # bottleneck resource saturates; its users freeze (found through the
-        # index), and the rest keep rising.
-        for _ in range(len(flows) + 1):
-            if not unfrozen:
-                break
-            for rid in dirty:
-                d = 0.0
-                for work in alive[rid].values():
-                    d += work
-                denom[rid] = d
-            dirty = {}
-            best_delta = float("inf")
-            for rid, cap_left in remaining_cap.items():
-                d = denom[rid]
-                if d > 0.0:
-                    delta = cap_left / d
-                    if delta < best_delta:
-                        best_delta = delta
-            if best_delta == float("inf"):
-                # No shared resource constrains the remaining flows; give them
-                # an effectively unconstrained rate (their floor dominates).
-                for flow_id in unfrozen:
-                    rates[flow_id] += 1.0
-                break
-            for flow_id in unfrozen:
-                rates[flow_id] += best_delta
-            newly_frozen: Dict[int, float] = {}
-            for rid, d in denom.items():
-                if d > 0.0:
-                    remaining_cap[rid] -= best_delta * d
-                    if remaining_cap[rid] <= _SATURATION_EPS:
-                        newly_frozen.update(alive[rid])
-            if not newly_frozen:
-                break
-            for flow_id in newly_frozen:
-                flow = unfrozen.pop(flow_id)
-                for rid in flow.demands[0]:
-                    alive[rid].pop(flow_id, None)
-                    dirty[rid] = None
-        return rates
-
-    # -- reference (from-scratch) allocator ----------------------------------------------
-
-    def _max_min_rates_reference(self, flows: List[ChannelFlow]) -> Dict[int, float]:
-        rates: Dict[int, float] = {flow.flow_id: 0.0 for flow in flows}
-        if not flows:
-            return rates
-        demands = {flow.flow_id: dict(zip(*flow.demands)) for flow in flows}
-        remaining_cap: Dict[int, float] = {}
-        for flow in flows:
-            for rid in demands[flow.flow_id]:
-                remaining_cap.setdefault(rid, self._kind_capacity[self._kind_of[rid]])
-        unfrozen = {flow.flow_id: demands[flow.flow_id] for flow in flows}
-        for _ in range(len(flows) + 1):
-            if not unfrozen:
-                break
-            best_delta = float("inf")
-            for rid, cap_left in remaining_cap.items():
-                denom = sum(demand.get(rid, 0.0) for demand in unfrozen.values())
-                if denom <= 0.0:
-                    continue
-                best_delta = min(best_delta, cap_left / denom)
-            if best_delta == float("inf"):
-                for flow_id in unfrozen:
-                    rates[flow_id] += 1.0
-                break
-            for flow_id in unfrozen:
-                rates[flow_id] += best_delta
-            for rid in remaining_cap:
-                denom = sum(demand.get(rid, 0.0) for demand in unfrozen.values())
-                remaining_cap[rid] -= best_delta * denom
-            saturated = {rid for rid, cap in remaining_cap.items() if cap <= _SATURATION_EPS}
-            newly_frozen = [
-                flow_id
-                for flow_id, demand in unfrozen.items()
-                if any(rid in saturated for rid in demand)
-            ]
-            if not newly_frozen:
-                break
-            for flow_id in newly_frozen:
-                del unfrozen[flow_id]
-        return rates
+            self._next_completion = None
+        if nxt is not None:
+            flow_id, finish = nxt
+            flow = self._flows[flow_id]
+            self._next_completion = self.engine.schedule_at(
+                finish, lambda f=flow: self._complete(f), priority=1 + flow_id
+            )
 
     # -- completion -----------------------------------------------------------------------
 
-    def _schedule_completion(self, flow: ChannelFlow) -> None:
-        """(Re-)arm a flow's completion event, keeping it when unchanged.
-
-        The finish time is recomputed from the current rate on every
-        reallocation; if it lands bitwise on the already-pending event's time
-        the event is kept instead of cancelled and re-pushed, which cuts the
-        reallocate/complete storm's heap churn without changing a single
-        observable (the kept event has the identical time and priority the
-        fresh push would get).
-        """
-        now = self.engine.now
-        if flow.remaining <= _COMPLETION_EPS:
-            finish = now
-        elif flow.rate <= 0.0:
-            # Stalled; will be rescheduled at the next reallocation.
-            if flow.completion_event is not None:
-                flow.completion_event.cancel()
-                flow.completion_event = None
-            return
-        else:
-            finish = now + flow.remaining / flow.rate
-        finish = max(finish, flow.start_us + flow.floor_us)
-        event = flow.completion_event
-        if event is not None:
-            if not event.cancelled and event.time == finish:
-                return
-            event.cancel()
-        # Priority encodes the flow id so simultaneous completions execute in
-        # flow order by construction rather than by heap insertion sequence,
-        # keeping the event order deterministic and identical across
-        # allocators even if one of them ever reschedules less eagerly.
-        flow.completion_event = self.engine.schedule_at(
-            finish, lambda f=flow: self._complete(f), priority=1 + flow.flow_id
-        )
-
     def _complete(self, flow: ChannelFlow) -> None:
-        if flow.flow_id not in self._flows:
-            return
-        if self._pack is not None:
-            # The fired event was the single chained one; it is spent.
-            self._next_completion = None
-        else:
-            # The fired event must never be cancelled or kept again.
-            flow.completion_event = None
+        # The fired event was the chained one; it is spent.
+        self._next_completion = None
         self._advance_time()
-        if self._pack is not None:
-            remaining = self._pack.remaining_of(flow.flow_id)
-            rate = self._pack.rate_of(flow.flow_id)
-        else:
-            remaining, rate = flow.remaining, flow.rate
+        plane = self._plane
+        remaining = plane.remaining_of(flow.flow_id)
+        rate = plane.rate_of(flow.flow_id)
         # On a long clock the finish time ``now + remaining / rate`` rounds,
         # leaving about ``rate * ulp(now)`` of work when the event fires.
         if remaining > max(_COMPLETION_EPS, rate * 4 * math.ulp(self.engine.now)):
-            # A reallocation slowed the flow after this event was scheduled;
-            # let the next reallocation re-arm it.  In chained mode the other
-            # flows' completions must stay armed, so re-arm the chain with
-            # this flow excluded (its per-flow event would be spent too).
-            if self._pack is not None:
-                self._spent_completions.add(flow.flow_id)
-                self._schedule_next_completion()
+            # The flow is not done: leave it out of the chain until the next
+            # reallocation, and keep the other flows' completions armed.
+            self._spent_completions.add(flow.flow_id)
+            self._schedule_next_completion()
             return
         del self._flows[flow.flow_id]
         self._flow_set_changed = True
-        if self._pack is not None:
-            self._pack.remove_flow(flow.flow_id)
-        else:
-            for rid, work in zip(*flow.demands):
-                if self._incremental:
-                    kind = self._kind_of[rid]
-                    self._kind_rate_sum[kind] = (
-                        self._kind_rate_sum.get(kind, 0.0) - flow.rate * work
-                    )
-                members = self._members[rid]
-                del members[flow.flow_id]
-                if not members:
-                    del self._members[rid]
+        plane.remove_flow(flow.flow_id)
         self._close_channel(
             flow.flow_id,
             flow.planned,
             start_us=flow.start_us,
             pairs_transited=flow.pairs_transited,
         )
-        flow.done(flow)
+        flow.done()
         # A callback that started a flow (the next operation, a service
         # dispatch) has already solved the new flow set.
         if self._flow_set_changed:

@@ -1,19 +1,21 @@
 """Flat-array data plane for the ``vectorized`` max-min allocator.
 
 :class:`FlowPack` keeps the flow×resource incidence of the fluid transport as
-CSR-style numpy index arrays instead of per-flow Python dicts:
+CSR-style numpy index arrays, where :class:`~repro.sim.flow.FlowTable` keeps
+per-flow Python dicts; the transport drives both through the same methods.
+The arrays:
 
 ``entry_row`` / ``entry_col`` / ``entry_work``
     One entry per (flow, resource) demand, appended flow-major.  Flow ids are
     monotonically increasing (``TransportBackend._next_flow_id``), so rows —
     and therefore entries — are always sorted by flow id.  That ordering is
     the whole bitwise-parity argument: every per-resource accumulation walks
-    entries in flow-id order, exactly the order ``_max_min_rates`` walks its
-    member dicts.
+    entries in flow-id order, exactly the order
+    :meth:`FlowTable._max_min_rates <repro.sim.flow.FlowTable._max_min_rates>`
+    walks its member dicts.
 ``row_*``
     Per-flow state (``remaining``, ``rate``, ``start_us``, ``floor_us``) as
-    float64 arrays.  In vectorized mode these arrays are authoritative; the
-    ``ChannelFlow`` objects' scalar fields are not advanced.
+    float64 arrays, the only copy of it under the ``vectorized`` allocator.
 ``col_*``
     The resource ids that entries use, in first-use order, with per-column
     capacity; an id→column array interns them.  Columns are never
@@ -22,7 +24,8 @@ CSR-style numpy index arrays instead of per-flow Python dicts:
 
 Summation uses ``np.bincount(cols, weights=w)``, which accumulates strictly
 in input-array order (a sequential C loop), so per-resource demand sums are
-bitwise identical to the incremental allocator's Python loop at every size.
+bitwise identical to :class:`~repro.sim.flow.FlowTable`'s Python loop at
+every size.
 The other obvious kernels are not: on numpy 2.4.6, ``np.add.reduceat``
 already differs from a sequential sum on 3-element arrays (359 of 2,000
 uniform random arrays) and ``np.add.reduce`` on 8-element ones (767 of
@@ -357,9 +360,10 @@ class FlowPack:
         """Run the kernel and store the new rates; optionally list changes.
 
         Returns ``(flow_id, new_rate)`` pairs for live rows whose rate
-        changed bitwise, in ascending flow-id order — the exact stream the
-        dict-based allocators feed to ``FlowRateChanged``.  The list is only
-        materialised when ``collect_changes`` (i.e. the trace wants it).
+        changed bitwise, in ascending flow-id order — the exact list
+        :meth:`FlowTable.reallocate <repro.sim.flow.FlowTable.reallocate>`
+        returns.  The list is only materialised when ``collect_changes``
+        (i.e. the trace wants ``FlowRateChanged``).
         """
         n = self.n_rows
         new_rates = self.max_min_rates(saturation_eps)
@@ -374,9 +378,9 @@ class FlowPack:
     def kind_rate_sums(self) -> Dict[str, float]:
         """Aggregate ``rate × work`` per resource kind (utilisation integrals).
 
-        Dot-product accumulation order differs from the incremental
-        allocator's running ±delta updates, but utilisation is compared at
-        1e-9 relative tolerance, not bitwise.
+        Dot-product accumulation order differs from
+        :class:`~repro.sim.flow.FlowTable`'s running ±delta updates, but
+        utilisation is compared at 1e-9 relative tolerance, not bitwise.
         """
         n = self.n_rows
         totals = self._rate[:n] @ self._row_kind_work[:n]
@@ -385,8 +389,8 @@ class FlowPack:
     def loads(self) -> Dict[int, float]:
         """Per-resource-id load ``sum(rate × work)`` over live flows.
 
-        bincount accumulates in entry (= flow-id) order, matching the
-        member-dict walk of the dict-based allocators bitwise.
+        bincount accumulates in entry (= flow-id) order, matching
+        :class:`~repro.sim.flow.FlowTable`'s member-dict walk bitwise.
         """
         n, e = self.n_rows, self.n_entries
         erow = self._entry_row[:e]
@@ -409,14 +413,13 @@ class FlowPack:
     ) -> Optional[Tuple[int, float]]:
         """Earliest completion as ``(flow_id, finish_time)``, or None.
 
-        Per live row, bitwise-identical to ``_schedule_completion``:
-        ``remaining <= eps`` finishes now; ``rate <= 0`` is stalled (inf);
-        otherwise ``now + remaining / rate``; all clamped to the channel
-        floor.  ``argmin`` ties resolve to the lowest row index, i.e. the
-        lowest flow id — and the completion chain re-arms after each event,
-        so tied flows still fire one by one in flow-id (priority) order.
-        ``exclude_flow_ids`` masks flows whose (virtual) completion event is
-        spent until the next reallocation.
+        Per live row: ``remaining <= eps`` finishes now; ``rate <= 0`` is
+        stalled (inf); otherwise ``now + remaining / rate``; all clamped to
+        the channel floor.  ``argmin`` ties resolve to the lowest row index,
+        i.e. the lowest flow id — and the transport's completion chain
+        re-arms after each event, so tied flows still fire one by one in
+        flow-id (priority) order.  ``exclude_flow_ids`` masks flows whose
+        completion fired with work left, until the next reallocation.
         """
         n = self.n_rows
         if not n:
@@ -438,18 +441,3 @@ class FlowPack:
         if not np.isfinite(finish[row]):
             return None
         return int(self._row_flow_id[row]), float(finish[row])
-
-    def resource_view(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-resource (CSC) transpose: ``(indptr, entry_index)``.
-
-        ``entry_index[indptr[c]:indptr[c+1]]`` lists this pack's entry
-        indices for column ``c`` in flow-id order (the argsort is stable and
-        entries are appended flow-major).  Used by resource-major consumers
-        and the structure property tests.
-        """
-        e = self.n_entries
-        order = np.argsort(self._entry_col[:e], kind="stable")
-        counts = np.bincount(self._entry_col[:e], minlength=self.n_cols)
-        indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, order

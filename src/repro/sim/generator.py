@@ -96,7 +96,7 @@ class LinkGenerator:
             consumer()
         else:
             self._available += 1
-        self.top_up()
+        # available + in_production == buffer_capacity + waiters still holds, so a top_up would submit nothing.
 
     # -- consumption ------------------------------------------------------------------
 

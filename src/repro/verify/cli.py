@@ -40,13 +40,12 @@ import argparse
 from typing import TYPE_CHECKING, List
 
 from ..errors import ScenarioError
+from ..sim.flow import ALLOCATORS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.spec import ScenarioSpec
 
-#: Mirrored from :data:`repro.scenarios.spec.ALLOCATOR_NAMES` at call time;
-#: the parser needs the default string before the scenario stack is imported.
-_DEFAULT_ALLOCATORS = "incremental,reference,vectorized"
+_DEFAULT_ALLOCATORS = ",".join(ALLOCATORS)
 
 
 def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:

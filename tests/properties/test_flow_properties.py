@@ -5,8 +5,8 @@ the fairness invariants are checked after *every* event:
 
 * rate conservation — no resource is ever allocated beyond its capacity;
 * the incremental and vectorized allocators agree with the from-scratch
-  reference **bitwise**: identical flow-rate timelines and identical channel
-  event traces, not merely close makespans;
+  reference **bitwise**: identical flow-rate timelines, dispatched engine
+  events and channel records, not merely close makespans;
 * ``utilisation_report`` never needs its ``min(..., 1.0)`` clamp on a
   well-formed run (the usage integral stays within physical capacity);
 * the vectorized allocator's CSR structure round-trips: adding and removing
@@ -22,11 +22,11 @@ from repro.network.layout import CommRequest
 from repro.network.nodes import ResourceAllocation
 from repro.sim.control import PlannedCommunication
 from repro.sim.engine import SimulationEngine
-from repro.sim.flow import FlowTransport
+from repro.sim.flow import ALLOCATORS, FlowTransport
 from repro.sim.machine import QuantumMachine
-from repro.trace import FlowRateChanged, RouteChosen, TraceBus
+from repro.trace import EventDispatched, FlowRateChanged, RouteChosen, TraceBus
 
-ALL_ALLOCATORS = ("incremental", "reference", "vectorized")
+ALL_ALLOCATORS = ALLOCATORS
 
 GRID_SIDE = 5
 #: Relative head-room for float round-off in capacity checks.
@@ -124,18 +124,19 @@ class TestMaxMinFairnessInvariants:
     @settings(max_examples=25, deadline=None)
     def test_all_allocators_bitwise_identical(self, allocation, specs):
         """reference/incremental/vectorized: bitwise-equal rate timelines,
-        channel records, completion order and makespan on random scenarios."""
+        dispatched events (heap sequence numbers included), channel records,
+        completion order and makespan on random scenarios."""
         specs = [(s, d, t) for s, d, t in specs if s != d]
         if not specs:
             return
         outcomes = {}
         for allocator in ALL_ALLOCATORS:
-            bus = TraceBus(kinds=[FlowRateChanged.kind])
+            bus = TraceBus(kinds=[FlowRateChanged.kind, EventDispatched.kind])
             transport, engine = _run_transport(allocation, specs, allocator, trace=bus)
             outcomes[allocator] = {
-                # FlowRateChanged is a frozen dataclass: == is exact field
-                # (bitwise float) equality, so this pins the full rate dict
-                # timeline, not just the makespan.
+                # Records are frozen dataclasses: == is exact field (bitwise
+                # float) equality, so this pins the full rate timeline and
+                # event stream, not just the makespan.
                 "rates": list(bus.records),
                 "channels": [tuple(sorted(vars(r).items())) for r in transport.records],
                 "now": engine.now,
@@ -421,21 +422,6 @@ class TestFlowPackStructure:
         pack = _build_pack(demand_maps)
         pack.remove_flow(2)
         _assert_kernel_matches_filling(pack, demand_maps, [0, 1])
-
-    @given(pack_demands)
-    @settings(max_examples=40, deadline=None)
-    def test_resource_view_is_exact_transpose(self, demand_maps):
-        pack = _build_pack(demand_maps)
-        indptr, order = pack.resource_view()
-        arrays = pack.arrays()
-        assert indptr[-1] == pack.n_entries
-        for col in range(pack.n_cols):
-            entries = order[indptr[col] : indptr[col + 1]]
-            # Every listed entry belongs to this column, in flow-id order.
-            assert (arrays["entry_col"][entries] == col).all()
-            assert (np.diff(entries) > 0).all()
-        # The transpose covers each entry exactly once.
-        assert sorted(order.tolist()) == list(range(pack.n_entries))
 
     @given(pack_demands)
     @settings(max_examples=40, deadline=None)

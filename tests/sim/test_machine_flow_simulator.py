@@ -5,6 +5,10 @@ import pytest
 from repro.core.placement import virtual_wire
 from repro.errors import SimulationError
 from repro.network.nodes import ResourceAllocation
+from repro.scenarios.catalog import get_scenario, list_scenarios
+from repro.scenarios.run import run
+from repro.scenarios.spec import apply_overrides
+from repro.sim.flow import ALLOCATORS
 from repro.sim.machine import QuantumMachine
 from repro.sim.simulator import CommunicationSimulator
 from repro.workloads.instructions import InstructionStream
@@ -158,7 +162,7 @@ class TestFigure16Behaviour:
 class TestCompletionEpsilonUnification:
     """Regression for the completion-epsilon split.
 
-    ``_schedule_completion`` used to test residual work against the far
+    Completion scheduling used to test residual work against the far
     tighter ``_SATURATION_EPS`` (1e-12) while ``_complete`` accepted at
     ``_COMPLETION_EPS`` (1e-9).  A flow whose residue landed strictly between
     the two scheduled an immediate completion event whose handler then
@@ -167,7 +171,7 @@ class TestCompletionEpsilonUnification:
     under every allocator.
     """
 
-    @pytest.mark.parametrize("allocator", ["incremental", "reference", "vectorized"])
+    @pytest.mark.parametrize("allocator", ALLOCATORS)
     def test_residue_in_epsilon_gap_still_completes(self, allocator):
         from repro.network.geometry import Coordinate
         from repro.network.layout import CommRequest
@@ -186,20 +190,30 @@ class TestCompletionEpsilonUnification:
         completed = []
         transport.start(planned, lambda: completed.append(True))
         assert transport.active_flows == 1
-        # Drop the residual work into the gap between the two epsilons.
-        residue = 5e-10
-        assert _SATURATION_EPS < residue <= _COMPLETION_EPS
-        flow = next(iter(transport._flows.values()))
-        if transport._pack is not None:
-            transport._pack._remaining[transport._pack.row_of(flow.flow_id)] = residue
-        else:
-            flow.remaining = residue
+        # Advance the flow's work into the gap between the two epsilons.
+        (flow_id,) = transport._flows
+        plane = transport._plane
+        plane.advance((1.0 - 5e-10) / plane.rate_of(flow_id))
+        assert _SATURATION_EPS < plane.remaining_of(flow_id) <= _COMPLETION_EPS
         transport._reallocate()
         for _ in range(64):
             if not engine.step():
                 break
         assert completed == [True]
         assert transport.active_flows == 0
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_reference_utilisation_equals_incremental_bitwise(name):
+    """Both dict allocators keep the per-kind rate sums by per-change deltas,
+    so their utilisation agrees bit for bit, key order included."""
+    shares = {}
+    for allocator in ("incremental", "reference"):
+        result = run(apply_overrides(get_scenario(name).to_dict(), {"runtime.allocator": allocator}))
+        utilisation = (result.batch or result.service).utilisation
+        shares[allocator] = [(kind, share.hex()) for kind, share in utilisation.items()]
+    assert shares["incremental"]
+    assert shares["reference"] == shares["incremental"]
 
 
 class TestLongClock:
@@ -212,12 +226,8 @@ class TestLongClock:
     a reallocation that never came, ending the run short of its operations.
     """
 
-    @pytest.mark.parametrize("allocator", ["incremental", "reference", "vectorized"])
+    @pytest.mark.parametrize("allocator", ALLOCATORS)
     def test_all_operations_complete(self, allocator):
-        from repro.scenarios.catalog import get_scenario
-        from repro.scenarios.run import run
-        from repro.scenarios.spec import apply_overrides
-
         for scenario in ("smoke", "ring_qft", "paper_mobile"):
             spec = apply_overrides(
                 get_scenario(scenario).to_dict(), {"runtime.allocator": allocator}
@@ -238,7 +248,7 @@ class TestOneSolvePerFlowSetChange:
 
     SOLVES = {"smoke": 49, "service_smoke": 17, "paper_baseline": 381}
 
-    @pytest.mark.parametrize("allocator", ["incremental", "reference", "vectorized"])
+    @pytest.mark.parametrize("allocator", ALLOCATORS)
     @pytest.mark.parametrize("scenario", sorted(SOLVES))
     def test_no_two_consecutive_solves_see_the_same_flows(self, monkeypatch, scenario, allocator):
         from repro.scenarios.catalog import get_scenario

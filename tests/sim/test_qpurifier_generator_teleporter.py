@@ -6,6 +6,8 @@ from repro.errors import ConfigurationError
 from repro.network.geometry import Coordinate
 from repro.network.nodes import ResourceAllocation
 from repro.physics.parameters import IonTrapParameters
+from repro.scenarios import build_machine, build_stream, get_scenario
+from repro.sim import CommunicationSimulator
 from repro.sim.detailed import DetailedTransport
 from repro.sim.engine import SimulationEngine
 from repro.sim.generator import LinkGenerator
@@ -139,6 +141,30 @@ class TestLinkGenerator:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
             LinkGenerator(SimulationEngine(), generators=0)
+
+    def test_buffer_plus_production_covers_capacity_plus_waiters(self, monkeypatch):
+        """After every ``top_up`` and every finished pair of a detailed ``smoke``
+        run, buffered plus in-production pairs equal capacity plus waiters, so
+        ``_pair_ready`` needs no ``top_up`` of its own."""
+        spec = get_scenario("smoke")
+        checked = {"top_up": 0, "_pair_ready": 0}
+
+        def checking(name):
+            original = getattr(LinkGenerator, name)
+
+            def wrapper(generator):
+                original(generator)
+                checked[name] += 1
+                assert generator._available + generator._in_production == (
+                    generator.buffer_capacity + len(generator._waiters)
+                ), name
+
+            monkeypatch.setattr(LinkGenerator, name, wrapper)
+
+        checking("top_up")
+        checking("_pair_ready")
+        CommunicationSimulator(build_machine(spec), backend="detailed").run(build_stream(spec))
+        assert checked["top_up"] and checked["_pair_ready"]
 
 
 class TestTeleporterNodeSim:

@@ -9,6 +9,7 @@ from repro.scenarios import build_machine, build_stream, get_scenario
 from repro.sim.control import PlannedCommunication
 from repro.sim.detailed import DetailedTransport
 from repro.sim.engine import SimulationEngine
+from repro.sim.flow import ALLOCATORS
 from repro.sim.machine import QuantumMachine
 from repro.sim.simulator import CommunicationSimulator
 from repro.trace import (
@@ -105,27 +106,13 @@ class TestTracedFlowRuns:
         assert all(isinstance(record, EventDispatched) for record in bus.records)
 
     def test_identical_traces_across_allocators(self):
-        inc, _ = _traced_smoke("incremental")
-        ref, _ = _traced_smoke("reference")
-        assert trace_fingerprint(inc.records) == trace_fingerprint(ref.records)
-
-    def test_vectorized_trace_identical_up_to_heap_sequence(self):
-        # The vectorized allocator keeps ONE chained completion event instead
-        # of N per-flow ones, so heap insertion *sequence* numbers differ —
-        # but every event still executes at the identical (time, priority)
-        # and every non-bookkeeping record is bitwise identical.
-        def normalised(bus):
-            out = []
-            for record in bus.records:
-                if isinstance(record, EventDispatched):
-                    out.append(("event", record.t_us, record.priority))
-                else:
-                    out.append(record)
-            return out
-
-        inc, _ = _traced_smoke("incremental")
-        vec, _ = _traced_smoke("vectorized")
-        assert normalised(inc) == normalised(vec)
+        # Every allocator keeps one chained completion event, so the whole
+        # trace, EventDispatched records and their heap sequence numbers
+        # included, is identical (records compare exactly, floats bitwise).
+        traces = {allocator: _traced_smoke(allocator)[0].records for allocator in ALLOCATORS}
+        assert any(isinstance(record, EventDispatched) for record in traces["incremental"])
+        assert traces["reference"] == traces["incremental"]
+        assert traces["vectorized"] == traces["incremental"]
 
 
 class TestTracedDetailedRuns:
