@@ -77,11 +77,13 @@ def _schedule_all(machine, engine, transport, pairs):
 
 
 def _start_storm(allocator, pairs):
-    """Dispatch exactly the ``len(pairs)`` start events; return wall + state.
+    """Dispatch the ``len(pairs)`` start events, each followed by its
+    instant's publish; return wall + state.
 
-    The storm is the allocator-bound regime: every start triggers a full
-    reallocation over all flows admitted so far.  State is captured as the
-    exact per-flow rate map and per-resource load map for bitwise comparison.
+    The storm is the allocator-bound regime: every start (one per instant)
+    triggers a full reallocation over all flows admitted so far.  State is
+    captured as the exact per-flow rate map and per-resource load map for
+    bitwise comparison.
     """
     machine = build_machine(_contention_spec())
     engine = SimulationEngine()
@@ -89,7 +91,8 @@ def _start_storm(allocator, pairs):
     _schedule_all(machine, engine, transport, pairs)
     start = time.perf_counter()
     for _ in range(len(pairs)):
-        assert engine.step()
+        assert engine.step()  # the start
+        assert engine.step()  # its instant's publish
     wall = time.perf_counter() - start
     rates = {flow_id: transport._plane.rate_of(flow_id) for flow_id in transport._flows}
     return wall, transport.active_flows, rates, transport.resource_loads()

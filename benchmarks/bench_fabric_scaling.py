@@ -10,9 +10,11 @@ admitted flows), so this benchmark separates the two costs:
 
 * **admission** — 10k flows are admitted through the real transport path
   (balancer choice, route bookkeeping, demand construction) with the
-  per-start reallocation stubbed out, reaching exactly 10k concurrent flows;
-* **reallocation at depth** — the progressive-filling kernel is then timed
-  at the full 10k-flow incidence, where the gate holds: the vectorized
+  per-start change point stubbed out (no solve, no publish), reaching
+  exactly 10k concurrent flows;
+* **reallocation at depth** — one change point and its publish are then
+  timed at the full 10k-flow incidence (the dict plane solves at the change
+  point, the pack at the publish), where the gate holds: the vectorized
   allocator is **>=5x** faster than incremental (measured ~8x), and the two
   produce **bitwise**-identical per-flow rates and per-resource loads.
 
@@ -76,14 +78,14 @@ def _admit_storm(allocator, count=FLOW_COUNT):
 
     The transport's real admission path runs — ECMP candidate enumeration
     and choice, per-link flow bookkeeping, demand-vector construction, pack
-    insertion — but the per-start rate recomputation (the quantity under
-    test) is stubbed to a no-op until the storm is fully admitted.
+    insertion — but the per-start change point, whose solve is the quantity
+    under test, is stubbed to a no-op until the storm is fully admitted.
     """
     machine = _fabric_machine()
     pairs = _random_host_pairs(machine, count)
     engine = SimulationEngine()
     transport = FlowTransport(engine, machine, allocator=allocator)
-    transport._reallocate = lambda: None  # shadow during admission only
+    transport._changed = lambda: None  # shadow during admission only
     start = time.perf_counter()
     for qubit, (source, dest) in enumerate(pairs):
         plan = machine.planner.plan(source, dest)
@@ -92,15 +94,17 @@ def _admit_storm(allocator, count=FLOW_COUNT):
         )
         transport.start(planned, lambda: None)
     admit_wall = time.perf_counter() - start
-    del transport._reallocate  # restore the real method
+    del transport._changed  # restore the real method
     return transport, admit_wall
 
 
 def _time_reallocation(transport, reps=REALLOC_REPS):
+    """Best wall of one change point plus the publish it posts."""
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        transport._reallocate()
+        transport._changed()
+        assert transport.engine.step()  # the instant's publish
         best = min(best, time.perf_counter() - start)
     return best
 

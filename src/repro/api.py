@@ -154,9 +154,10 @@ def sweep(
     if backend is not None:
         resolved = [spec.with_backend(backend) for spec in resolved]
     runner = ExperimentRunner(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
+    canonicals = [spec.canonical_dict() for spec in resolved]
     points = runner.sweep_records(
         run_record,
-        [{"spec": spec.canonical_dict()} for spec in resolved],
+        [{"spec": canonical} for canonical in canonicals],
         force=force,
         journal=journal,
         timeout_s=point_timeout_s,
@@ -164,11 +165,12 @@ def sweep(
         progress=progress,
     )
     records: List[Dict[str, Any]] = []
-    for spec, point in zip(resolved, points):
+    for spec, canonical, point in zip(resolved, canonicals, points):
         identity = {
             "name": spec.name,
             "label": spec.label,
-            "spec": spec.to_dict(),
+            # ``to_dict()``, rebuilt from the canonical dict in field order.
+            "spec": {"name": spec.name, **canonical, "description": spec.description},
             "cached": point.cached,
             "journaled": point.journaled,
         }

@@ -339,12 +339,13 @@ def run(
             fidelity=result.fidelity_summary(),
         )
     wall_time_s = time.perf_counter() - started
+    payload = spec.to_dict()
     return RunResult(
         schema=schema,
         name=spec.name,
         label=spec.label,
-        spec_hash=spec.spec_hash,
-        spec=spec.to_dict(),
+        spec_hash=spec.hash_of(payload),
+        spec=payload,
         machine=machine.describe(),
         workload=workload,
         topology_kind=spec.topology.kind,

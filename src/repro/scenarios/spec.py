@@ -686,17 +686,19 @@ class ScenarioSpec:
             payload["topology"].pop("options")
         return payload
 
-    def canonical_dict(self) -> Dict[str, Any]:
+    def canonical_dict(self, payload: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """The dict form minus the cosmetic fields (name, description).
 
         This is what result-cache keys and :attr:`spec_hash` are computed
         from, so renaming or re-describing a scenario neither invalidates nor
-        duplicates its cached results.
+        duplicates its cached results.  ``payload`` is this spec's
+        :meth:`to_dict`, when the caller has made it already; it is not
+        changed.
         """
-        payload = self.to_dict()
-        payload.pop("name")
-        payload.pop("description")
-        return payload
+        canonical = self.to_dict() if payload is None else dict(payload)
+        canonical.pop("name")
+        canonical.pop("description")
+        return canonical
 
     def with_name(self, name: str) -> "ScenarioSpec":
         return replace(self, name=name)
@@ -743,9 +745,13 @@ class ScenarioSpec:
         The name and description are cosmetic, so two differently-named specs
         describing the same experiment share a hash (and a cache slot).
         """
+        return self.hash_of(self.to_dict())
+
+    def hash_of(self, payload: Mapping[str, Any]) -> str:
+        """:attr:`spec_hash`, from this spec's :meth:`to_dict` ``payload``."""
         from ..runtime.cache import parameter_hash
 
-        return parameter_hash(self.canonical_dict())
+        return parameter_hash(self.canonical_dict(payload))
 
     @property
     def label(self) -> str:

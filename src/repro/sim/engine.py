@@ -7,21 +7,23 @@ reaches the callback in the fourth slot.  Events therefore run in time
 order, ties broken by lower priority first and then by insertion order,
 which makes simulations fully deterministic.
 
-Two calls put an entry on the heap, and both take the next number from one
+Every call that puts an entry on the heap takes the next number from one
 sequence counter, so interleaving them keeps call order:
 
 * :meth:`SimulationEngine.post` pushes ``(time, 0, sequence, callback,
   None)``.  Nearly every event is posted (a
   :class:`~repro.sim.resources.ServiceCenter` job completion, a logical
   gate, a detailed channel's last latency), and nothing cancels them, so
-  they carry no handle.
+  they carry no handle.  :meth:`~SimulationEngine.post_at` does the same at
+  an absolute time and a given priority: the fluid transport posts its
+  once-per-instant rate publish that way.
 * :meth:`SimulationEngine.schedule` and :meth:`~SimulationEngine.schedule_at`
   return an :class:`Event` handle, held in the fifth slot, that can cancel
   the entry.  Only the fluid transport cancels, whatever its allocator: it
-  keeps one chained completion event and re-arms it when a reallocation
-  moves the earliest finish.  A cancelled entry stays in the heap until it
-  is popped or the heap is compacted; the handle reports it, which keeps
-  the heap within about twice its live events.
+  keeps one chained completion event and re-arms it when a publish moves
+  the earliest finish.  A cancelled entry stays in the heap until it is
+  popped or the heap is compacted; the handle reports it, which keeps the
+  heap within about twice its live events.
 
 A negative, infinite or NaN delay, or an absolute time before ``now`` or
 not finite, raises :class:`~repro.errors.SimulationError`: no run computes
@@ -81,7 +83,7 @@ class Event:
         binary heap is O(n)) but the engine is told, so it can compact the
         heap once cancelled entries dominate — without that accounting a
         workload that reschedules aggressively (the flow transport may cancel
-        and reissue its completion event at every reallocation) leaks heap
+        and reissue its completion event at every publish) leaks heap
         entries linearly in event count.
         """
         if not self.cancelled:
@@ -139,6 +141,16 @@ class SimulationEngine:
         sequence = self._sequence
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (self.now + delay, 0, sequence, callback, None))
+
+    def post_at(self, time: float, callback: Callable[[], None], *, priority: int = 0) -> None:
+        """Run ``callback`` at absolute simulated time ``time``, without a handle."""
+        if not self.now <= time < _INF:
+            raise SimulationError(
+                f"time must be finite and not before now={self.now}, got {time}"
+            )
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, priority, sequence, callback, None))
 
     def schedule(
         self, delay: float, callback: Callable[[], None], *, priority: int = 0

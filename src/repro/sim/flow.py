@@ -29,9 +29,9 @@ even with unlimited bandwidth (the paper's t = g = p = 1024 normalisation
 point).
 
 One transport runs over one of two *data planes*, which hold the per-flow
-fluid state (remaining work, rate, start and floor) and the flow × resource
-incidence, and solve the rates.  The allocator name picks the plane, once, in
-:class:`FlowTransport`'s constructor:
+fluid state (remaining work, rate, and the deadline its floor sets) and the
+flow × resource incidence, and solve the rates.  The allocator name picks
+the plane, once, in :class:`FlowTransport`'s constructor:
 
 * :class:`FlowTable` (``incremental``, the default, and ``reference``) keeps
   per-flow rows in dicts and a persistent resource → {flow: work} index.
@@ -49,23 +49,39 @@ incidence, and solve the rates.  The allocator name picks the plane, once, in
   denom`` min-reduction, freezing a boolean mask — all ordered to stay
   bitwise identical to the dict solves.
 
-The transport's path is the same over either plane.  After each solve it
-asks the plane for the earliest finish time (ties resolve to the lowest flow
-id) and keeps one chained completion event for it, so all three allocators
-dispatch the same event stream, sequence numbers included.  The usage
-integral advances from the plane's per-kind rate sums: :class:`FlowTable`
-keeps them by per-change deltas (``incremental`` and ``reference`` report
-bitwise-equal utilisation), :class:`~repro.sim.flowpack.FlowPack` takes one
-dot product per solve (equal within 1e-9 relative).
+The transport's path is the same over either plane, in two steps.  Rates
+depend only on the set of live flows, so the transport marks a *change
+point* once per change to that set: at the end of ``start``, and at the end
+of a completion whose callback started no flow (when it did, the change
+point in ``start`` covers the completion too).  The first change point at a
+simulated time (an *instant*) posts the instant's one *publish*, at a heap
+priority above every completion's, so it runs after every other event at
+that time.  The publish takes the plane's rates, emits ``FlowRateChanged``
+for the ones that changed since the last publish, and re-arms the one
+chained completion event at the earliest finish (ties resolve to the lowest
+flow id), so all three allocators dispatch the same event stream, sequence
+numbers included.  Simultaneous completions still fire one at a time in
+flow-id order, each after its own publish.
 
-Under every allocator the transport solves once per change to the set of
-live flows.  Rates depend on nothing else, so when a completion's callback
-starts the next flow, the solve in ``start`` covers the completion too.
+Where each plane solves follows from how it sums the per-kind rates that
+advance the usage integral.  :class:`FlowTable` keeps them by per-solve
+deltas, whose bits depend on every solve, so it solves at every change
+point (``incremental`` and ``reference`` report bitwise-equal
+utilisation).  :class:`~repro.sim.flowpack.FlowPack` takes one dot product
+of the final rates, so it solves only at the publish: an instant with many
+changes, such as the channels a permutation opens at t = 0, costs it one
+solve.  Both hand back the *published* rate from ``rate_of``, the rate that
+set the armed finish time.  Against publishing at every change point, only
+three things differ: heap sequence numbers, the publish events themselves
+(``runtime.max_events`` counts them), and the ``FlowRateChanged`` records of
+rates that lasted zero time, which are no longer emitted.  Goldens exclude
+all three.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -97,6 +113,9 @@ _SATURATION_EPS = 1e-12
 #: tighter ``_SATURATION_EPS`` — so a flow with residue in between scheduled
 #: an immediate event that no-op'd and was left stalled.)
 _COMPLETION_EPS = 1e-9
+#: Heap priority of an instant's publish: above every completion's
+#: ``1 + flow_id``, so it runs after every other event at its time.
+_PUBLISH_PRIORITY = sys.maxsize
 
 
 @dataclass
@@ -104,8 +123,8 @@ class ChannelFlow:
     """One in-flight logical communication in the fluid model.
 
     It carries what the transport needs to close the channel; the flow's
-    fluid state (remaining work, rate, start and floor) lives in the
-    transport's data plane under ``flow_id``.
+    fluid state (remaining work, rate and deadline) lives in the transport's
+    data plane under ``flow_id``.
     """
 
     flow_id: int
@@ -117,14 +136,20 @@ class ChannelFlow:
 
 @dataclass(slots=True)
 class _Row:
-    """One flow's demand and fluid state in a :class:`FlowTable`."""
+    """One flow's demand and fluid state in a :class:`FlowTable`.
+
+    ``rate`` is the latest solve's and ``published`` the transport's last
+    publish's; they differ only between a change point and its instant's
+    publish.
+    """
 
     ids: Sequence[int]
     works: Sequence[float]
-    start_us: float
-    floor_us: float
+    #: The channel's start plus its latency floor: it finishes no earlier.
+    deadline: float
     remaining: float = 1.0
     rate: float = 0.0
+    published: float = 0.0
 
 
 class FlowTable:
@@ -134,9 +159,16 @@ class FlowTable:
     does, with the same arithmetic in the same order.  Rows are kept in
     insertion order, which is flow-id order because the transport's flow ids
     increase, and every walk over flows follows it, as the pack's row and
-    entry arrays do.  The per-kind rate sums are kept by the delta of each
-    rate change and each removal.  ``reference=True`` solves from scratch
-    instead of through the index.
+    entry arrays do.  ``reference=True`` solves from scratch instead of
+    through the index.
+
+    The table solves at every change point (:meth:`flows_changed`) and keeps
+    the per-kind rate sums by the delta of each solve's rate changes and of
+    each removal, so where it solves fixes the bits of the sums.  At the
+    instant's publish, :meth:`reallocate` only hands over the rates those
+    solves left.  Everything the transport reads back (:meth:`rate_of`,
+    :meth:`advance`, :meth:`loads`, :meth:`next_completion`) sees the
+    published rates, as it does on the pack.
     """
 
     def __init__(self, id_capacity: Sequence[float], id_kind: Sequence[str], *, reference: bool = False) -> None:
@@ -151,7 +183,7 @@ class FlowTable:
         self._solve = self._reference_rates if reference else self._max_min_rates
 
     def rate_of(self, flow_id: int) -> float:
-        return self._rows[flow_id].rate
+        return self._rows[flow_id].published
 
     def remaining_of(self, flow_id: int) -> float:
         return self._rows[flow_id].remaining
@@ -159,10 +191,17 @@ class FlowTable:
     # -- mutation -------------------------------------------------------------------
 
     def add_flow(
-        self, flow_id: int, ids: Sequence[int], works: Sequence[float], *, start_us: float, floor_us: float
+        self,
+        flow_id: int,
+        ids: Sequence[int],
+        works: Sequence[float],
+        *,
+        remaining: float = 1.0,
+        start_us: float,
+        floor_us: float,
     ) -> None:
-        """Add a flow's row, all its work remaining, and index it on each resource it uses."""
-        self._rows[flow_id] = _Row(ids, works, start_us, floor_us)
+        """Add a flow's row and index it on each resource it uses."""
+        self._rows[flow_id] = _Row(ids, works, start_us + floor_us, remaining)
         for rid, work in zip(ids, works):
             self._members.setdefault(rid, {})[flow_id] = work
 
@@ -183,17 +222,12 @@ class FlowTable:
     def advance(self, elapsed: float) -> None:
         """``remaining -= rate * elapsed`` clamped at 0, over all rows."""
         for row in self._rows.values():
-            row.remaining = max(row.remaining - row.rate * elapsed, 0.0)
+            row.remaining = max(row.remaining - row.published * elapsed, 0.0)
 
-    def reallocate(self, saturation_eps: float, *, collect_changes: bool = False) -> List[Tuple[int, float]]:
-        """Solve and store the new rates; optionally list the changes.
-
-        Returns ``(flow_id, new_rate)`` for each flow whose rate changed
-        bitwise, in flow-id order, when ``collect_changes``.
-        """
+    def flows_changed(self, saturation_eps: float) -> None:
+        """Solve the new flow set and carry each rate change into the kind sums."""
         rates = self._solve(saturation_eps)
         sums, kind_of = self._kind_rate_sum, self._kind_of
-        changes: List[Tuple[int, float]] = []
         for flow_id, row in self._rows.items():
             new_rate = rates[flow_id]
             if new_rate != row.rate:
@@ -201,9 +235,21 @@ class FlowTable:
                 for rid, work in zip(row.ids, row.works):
                     kind = kind_of[rid]
                     sums[kind] = sums.get(kind, 0.0) + delta * work
-                if collect_changes:
-                    changes.append((flow_id, new_rate))
                 row.rate = new_rate
+
+    def reallocate(self, saturation_eps: float, *, collect_changes: bool = False) -> List[Tuple[int, float]]:
+        """Publish the rates the instant's solves left; optionally list the changes.
+
+        Returns ``(flow_id, new_rate)`` for each flow whose rate differs
+        bitwise from its published one, in flow-id order, when
+        ``collect_changes``.  ``saturation_eps`` went to the solves.
+        """
+        changes: List[Tuple[int, float]] = []
+        for flow_id, row in self._rows.items():
+            if row.rate != row.published:
+                if collect_changes:
+                    changes.append((flow_id, row.rate))
+                row.published = row.rate
         return changes
 
     def kind_rate_sums(self) -> Dict[str, float]:
@@ -217,7 +263,7 @@ class FlowTable:
         for rid, members in self._members.items():
             load = 0.0
             for flow_id, work in members.items():
-                load += rows[flow_id].rate * work
+                load += rows[flow_id].published * work
             if load > 0.0:
                 loads[rid] = load
         return loads
@@ -242,11 +288,11 @@ class FlowTable:
             remaining = row.remaining
             if remaining <= completion_eps:
                 finish = now
-            elif row.rate <= 0.0:
+            elif row.published <= 0.0:
                 continue
             else:
-                finish = now + remaining / row.rate
-            finish = max(finish, row.start_us + row.floor_us)
+                finish = now + remaining / row.published
+            finish = max(finish, row.deadline)
             if finish < best_finish:
                 best, best_finish = flow_id, finish
         return None if best is None else (best, best_finish)
@@ -399,7 +445,7 @@ class FlowTransport(TransportBackend):
         self._flows: Dict[int, ChannelFlow] = {}
         self._last_update = 0.0
         self._usage_integral: Dict[str, float] = {}
-        #: Per-kind sum of rate * work over active flows, as of the last solve.
+        #: Per-kind sum of rate * work over active flows, as of the last publish.
         self._kind_rate_sum: Dict[str, float] = {}
         blocks = machine.resource_blocks
         kinds = [k for k in range(len(RESOURCE_KINDS)) for _ in range(blocks[k], blocks[k + 1])]
@@ -422,11 +468,13 @@ class FlowTransport(TransportBackend):
         #: The one pending completion event: the earliest finish.
         self._next_completion: Optional[Event] = None
         #: Flows whose chained completion fired but no-op'd since the last
-        #: reallocation; the chain skips them until the next one.
+        #: publish; the chain skips them until the next one.
         self._spent_completions: Set[int] = set()
-        #: Whether a flow finished since the last solve.  Rates depend only
-        #: on the live flow set, so re-solving an unchanged set is a no-op.
+        #: Whether a flow finished since the last change point.  Rates depend
+        #: only on the live flow set, so an unchanged set needs no new one.
         self._flow_set_changed = False
+        #: Whether this instant's publish is on the heap.
+        self._publish_pending = False
 
     # -- public API ---------------------------------------------------------------
 
@@ -455,7 +503,7 @@ class FlowTransport(TransportBackend):
                     self._kind_capacity_total.get(kind, 0.0) + self._kind_capacity[kind]
                 )
         self._plane.add_flow(flow_id, ids, works, start_us=start_us, floor_us=profile.floor_us)
-        self._reallocate()
+        self._changed()
 
     def utilisation_report(self, elapsed_us: float, *, clamp: bool = True) -> Dict[str, float]:
         """Average utilisation per resource *class* over ``elapsed_us``.
@@ -542,9 +590,23 @@ class FlowTransport(TransportBackend):
                     )
         self._last_update = now
 
-    def _reallocate(self) -> None:
-        """Recompute max-min fair rates and re-arm the completion chain."""
+    def _changed(self) -> None:
+        """A change point: the live flow set changed at this instant.
+
+        The plane takes note (:class:`FlowTable` solves here), and the
+        instant gets its one publish if it has none yet.  Nothing cancels a
+        publish, so it goes on the heap without a handle.
+        """
         self._flow_set_changed = False
+        self._plane.flows_changed(_SATURATION_EPS)
+        if not self._publish_pending:
+            self._publish_pending = True
+            engine = self.engine
+            engine.post_at(engine.now, self._publish, priority=_PUBLISH_PRIORITY)
+
+    def _publish(self) -> None:
+        """Publish the instant's max-min rates and re-arm the completion chain."""
+        self._publish_pending = False
         self._spent_completions.clear()
         trace = self.engine.trace
         if trace is not None and not trace.wants(FlowRateChanged.kind):
@@ -566,9 +628,10 @@ class FlowTransport(TransportBackend):
 
         Ties resolve to the lowest flow id, whose ``1 + flow_id`` priority
         also orders equal-time events on the heap, and completing that flow
-        triggers a reallocation that re-arms the chain, so simultaneous
-        completions fire one by one in flow-id order.  An armed event whose
-        time and priority are unchanged is kept rather than re-pushed.
+        triggers a publish that re-arms the chain, so simultaneous
+        completions fire one by one in flow-id order, each after its own
+        publish.  An armed event whose time and priority are unchanged is
+        kept rather than re-pushed.
         """
         nxt = self._plane.next_completion(
             self.engine.now, _COMPLETION_EPS, exclude_flow_ids=self._spent_completions or None
@@ -599,9 +662,11 @@ class FlowTransport(TransportBackend):
         # leaving about ``rate * ulp(now)`` of work when the event fires.
         if remaining > max(_COMPLETION_EPS, rate * 4 * math.ulp(self.engine.now)):
             # The flow is not done: leave it out of the chain until the next
-            # reallocation, and keep the other flows' completions armed.
+            # publish, and keep the other flows' completions armed (a pending
+            # publish re-arms the chain itself).
             self._spent_completions.add(flow.flow_id)
-            self._schedule_next_completion()
+            if not self._publish_pending:
+                self._schedule_next_completion()
             return
         del self._flows[flow.flow_id]
         self._flow_set_changed = True
@@ -614,6 +679,6 @@ class FlowTransport(TransportBackend):
         )
         flow.done()
         # A callback that started a flow (the next operation, a service
-        # dispatch) has already solved the new flow set.
+        # dispatch) has already marked the new flow set.
         if self._flow_set_changed:
-            self._reallocate()
+            self._changed()

@@ -3,6 +3,11 @@
 :class:`FlowPack` keeps the flow×resource incidence of the fluid transport as
 CSR-style numpy index arrays, where :class:`~repro.sim.flow.FlowTable` keeps
 per-flow Python dicts; the transport drives both through the same methods.
+Unlike the table, the pack solves only at the transport's once-per-instant
+publish (:meth:`FlowPack.reallocate`) and ignores the change points
+(:meth:`FlowPack.flows_changed`): its per-kind rate sums are one dot product
+of the published rates, whose bits do not depend on how many solves came
+before, and ``_rate`` holds only published rates.
 The arrays:
 
 ``entry_row`` / ``entry_col`` / ``entry_work``
@@ -14,8 +19,9 @@ The arrays:
     :meth:`FlowTable._max_min_rates <repro.sim.flow.FlowTable._max_min_rates>`
     walks its member dicts.
 ``row_*``
-    Per-flow state (``remaining``, ``rate``, ``start_us``, ``floor_us``) as
-    float64 arrays, the only copy of it under the ``vectorized`` allocator.
+    Per-flow state (``remaining``, ``rate`` and the ``deadline``, the
+    channel's start plus its latency floor, +inf once tombstoned) as float64
+    arrays, the only copy of it under the ``vectorized`` allocator.
 ``col_*``
     The resource ids that entries use, in first-use order, with per-column
     capacity; an id→column array interns them.  Columns are never
@@ -87,8 +93,7 @@ class FlowPack:
         self._row_active = np.zeros(0, dtype=bool)
         self._remaining = np.zeros(0, dtype=np.float64)
         self._rate = np.zeros(0, dtype=np.float64)
-        self._start_us = np.zeros(0, dtype=np.float64)
-        self._floor_us = np.zeros(0, dtype=np.float64)
+        self._deadline = np.zeros(0, dtype=np.float64)
         self._row_kind_work = np.zeros((0, len(self.kinds)), dtype=np.float64)
         # Entries: flow-major (row, col, work) triples.
         self.n_entries = 0
@@ -122,8 +127,7 @@ class FlowPack:
             "row_active": self._row_active[:n].copy(),
             "remaining": self._remaining[:n].copy(),
             "rate": self._rate[:n].copy(),
-            "start_us": self._start_us[:n].copy(),
-            "floor_us": self._floor_us[:n].copy(),
+            "deadline": self._deadline[:n].copy(),
             "row_kind_work": self._row_kind_work[:n].copy(),
             "entry_row": self._entry_row[:e].copy(),
             "entry_col": self._entry_col[:e].copy(),
@@ -165,15 +169,13 @@ class FlowPack:
         self._row_active = _grown(self._row_active, needed)
         self._remaining = _grown(self._remaining, needed)
         self._rate = _grown(self._rate, needed)
-        self._start_us = _grown(self._start_us, needed)
-        self._floor_us = _grown(self._floor_us, needed)
+        self._deadline = _grown(self._deadline, needed)
         self._row_kind_work = _grown(self._row_kind_work, needed)
         self._row_flow_id[row] = flow_id
         self._row_active[row] = True
         self._remaining[row] = remaining
         self._rate[row] = 0.0
-        self._start_us[row] = start_us
-        self._floor_us[row] = floor_us
+        self._deadline[row] = start_us + floor_us
         ids_array = np.asarray(ids, dtype=np.int64)
         works_array = np.asarray(works, dtype=np.float64)
         # bincount sums each kind's works in entry order, as ``+=`` would.
@@ -208,6 +210,7 @@ class FlowPack:
         self._row_active[row] = False
         self._rate[row] = 0.0
         self._remaining[row] = 0.0
+        self._deadline[row] = np.inf
         self._dead_rows += 1
         if self._dead_rows * 2 > self.n_rows and self.n_rows >= _COMPACT_MIN_ROWS:
             self.compact()
@@ -248,8 +251,7 @@ class FlowPack:
         self._row_active = self._row_active[:n][live].copy()
         self._remaining = self._remaining[:n][live].copy()
         self._rate = self._rate[:n][live].copy()
-        self._start_us = self._start_us[:n][live].copy()
-        self._floor_us = self._floor_us[:n][live].copy()
+        self._deadline = self._deadline[:n][live].copy()
         self._row_kind_work = self._row_kind_work[:n][live].copy()
         self.n_rows = old_rows.shape[0]
         self._dead_rows = 0
@@ -268,8 +270,8 @@ class FlowPack:
                 flow_id,
                 *demands_of(flow_id),
                 remaining=float(self._remaining[row]),
-                start_us=float(self._start_us[row]),
-                floor_us=float(self._floor_us[row]),
+                # A live row's deadline plus a zero floor keeps its bits.
+                start_us=float(self._deadline[row]),
             )
             pack._rate[pack._row_of_flow[flow_id]] = self._rate[row]
         return pack
@@ -354,13 +356,19 @@ class FlowPack:
         rates[alive] = level
         return rates
 
+    def flows_changed(self, saturation_eps: float) -> None:
+        """A change point: nothing to do, the pack solves at the publish."""
+
     def reallocate(
         self, saturation_eps: float, *, collect_changes: bool = False
     ) -> List[Tuple[int, float]]:
-        """Run the kernel and store the new rates; optionally list changes.
+        """Run the kernel and store (publish) the new rates; optionally list changes.
 
-        Returns ``(flow_id, new_rate)`` pairs for live rows whose rate
-        changed bitwise, in ascending flow-id order — the exact list
+        The transport calls it once per simulated instant, after the
+        instant's last change to the flow set, so the pack solves only the
+        set whose rates last a non-zero time.  Returns ``(flow_id,
+        new_rate)`` pairs for live rows whose rate changed bitwise, in
+        ascending flow-id order — the exact list
         :meth:`FlowTable.reallocate <repro.sim.flow.FlowTable.reallocate>`
         returns.  The list is only materialised when ``collect_changes``
         (i.e. the trace wants ``FlowRateChanged``).
@@ -419,19 +427,23 @@ class FlowPack:
         i.e. the lowest flow id — and the transport's completion chain
         re-arms after each event, so tied flows still fire one by one in
         flow-id (priority) order.  ``exclude_flow_ids`` masks flows whose
-        completion fired with work left, until the next reallocation.
+        completion fired with work left, until the next publish.
+
+        Five array operations give those values.  Rates are never negative
+        and a positive residue over a ``+0.0`` rate divides to +inf, which is
+        the stalled case; the only NaN, ``0 / 0``, has a residue at or below
+        ``eps`` and is overwritten with ``now``.  A tombstoned row (residue
+        0) then meets its +inf deadline in the clamp.
         """
         n = self.n_rows
         if not n:
             return None
         remaining = self._remaining[:n]
-        rate = self._rate[:n]
         with np.errstate(divide="ignore", invalid="ignore"):
-            finish = now + remaining / rate
-        finish = np.where(remaining <= completion_eps, now, finish)
-        finish = np.where((rate <= 0.0) & (remaining > completion_eps), np.inf, finish)
-        finish = np.maximum(finish, self._start_us[:n] + self._floor_us[:n])
-        finish = np.where(self._row_active[:n], finish, np.inf)
+            finish = remaining / self._rate[:n]
+        finish += now
+        finish[remaining <= completion_eps] = now
+        np.maximum(finish, self._deadline[:n], out=finish)
         if exclude_flow_ids is not None:
             for flow_id in exclude_flow_ids:
                 row = self._row_of_flow.get(flow_id)

@@ -240,7 +240,7 @@ class RouteChosen(TraceRecord):
 
 @dataclass(frozen=True)
 class FlowRateChanged(TraceRecord):
-    """A max-min reallocation changed one flow's service rate."""
+    """An instant's publish of max-min rates changed one flow's service rate."""
 
     kind: ClassVar[str] = "flow_rate"
 

@@ -81,6 +81,21 @@ class TestSweep:
         assert second[0]["cached"] is True
         assert first[0]["spec_hash"] == second[0]["spec_hash"]
 
+    def test_sweep_turns_each_spec_into_a_dict_twice(self, tmp_path, monkeypatch):
+        """Once for the point's canonical payload and once for the run's
+        record: the record's spec hash and the sweep's identity ``spec``
+        reuse those dicts instead of converting the spec again."""
+        from repro.scenarios import spec as spec_module
+
+        specs = [get_scenario(name) for name in ("smoke", "smoke_noisy", "service_smoke")]
+        expected = [(json.dumps(spec.to_dict()), spec.spec_hash) for spec in specs]
+        calls = []
+        asdict = spec_module.asdict
+        monkeypatch.setattr(spec_module, "asdict", lambda obj: calls.append(obj) or asdict(obj))
+        records = api.sweep(specs, cache_dir=str(tmp_path), use_cache=False, workers=1)
+        assert len(calls) == 2 * len(specs)
+        assert [(json.dumps(r["spec"]), r["spec_hash"]) for r in records] == expected
+
     def test_sweep_rejects_empty_input(self):
         with pytest.raises(ScenarioError, match="at least one"):
             api.sweep([])

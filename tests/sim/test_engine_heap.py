@@ -118,6 +118,16 @@ class TestPostedEvents:
         assert fired == list(range(6))
         assert engine.processed_events == 6
 
+    def test_post_at_runs_after_lower_priorities_at_its_time(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.post_at(2.0, lambda: fired.append("publish"), priority=9)
+        engine.schedule_at(2.0, lambda: fired.append("completion"), priority=3)
+        engine.post(2.0, lambda: fired.append("gate"))
+        engine.run()
+        assert fired == ["gate", "completion", "publish"]
+        assert engine.cancelled_pending == 0
+
     def test_posted_entry_survives_compaction_and_drain_clears_it(self):
         engine = SimulationEngine()
         fired = []

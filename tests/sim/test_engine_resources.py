@@ -92,13 +92,14 @@ class TestEngine:
             engine.post(delay, lambda: None)
         assert engine.pending_events == 0
 
-    @pytest.mark.parametrize("time", [math.nan, math.inf])
-    def test_schedule_at_refuses_non_finite_times(self, time):
+    @pytest.mark.parametrize("method", ["schedule_at", "post_at"])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, 4.0])
+    def test_absolute_times_refuse_non_finite_and_past_times(self, time, method):
         engine = SimulationEngine()
         engine.schedule(5.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError, match=str(time)):
-            engine.schedule_at(time, lambda: None)
+            getattr(engine, method)(time, lambda: None)
         assert engine.pending_events == 0
         assert engine.run() == 5.0
 

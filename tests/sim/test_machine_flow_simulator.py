@@ -168,7 +168,8 @@ class TestCompletionEpsilonUnification:
     the two scheduled an immediate completion event whose handler then
     no-op'd, leaving the channel stalled forever.  Both sides now share
     ``_COMPLETION_EPS``; this pins that a gap-residue flow really completes
-    under every allocator.
+    under every allocator, and that each data plane finishes a gap-residue
+    flow at once even when it has no rate to finish by.
     """
 
     @pytest.mark.parametrize("allocator", ALLOCATORS)
@@ -179,7 +180,8 @@ class TestCompletionEpsilonUnification:
         from repro.sim.engine import SimulationEngine
         from repro.sim.flow import _COMPLETION_EPS, _SATURATION_EPS, FlowTransport
 
-        machine = QuantumMachine(4)
+        # Scarce bandwidth, so the flow's work outlasts its latency floor.
+        machine = QuantumMachine(4, allocation=ResourceAllocation.uniform(1))
         engine = SimulationEngine()
         transport = FlowTransport(engine, machine, allocator=allocator)
         source, dest = Coordinate(0, 0), Coordinate(3, 3)
@@ -190,17 +192,47 @@ class TestCompletionEpsilonUnification:
         completed = []
         transport.start(planned, lambda: completed.append(True))
         assert transport.active_flows == 1
-        # Advance the flow's work into the gap between the two epsilons.
+        # The start's instant publishes the flow's rate and arms its finish.
+        assert engine.step()
+        floor = machine.flow_profile(planned.plan.hops).floor_us
+        finish = transport._next_completion.time
+        assert floor < finish
+        # Past the floor, advance the flow's work into the gap between the
+        # two epsilons and re-arm the completion chain from there: it must
+        # finish now, not ``remaining / rate`` later.
+        engine.post_at((floor + finish) / 2, lambda: None)
+        assert engine.step()
+        transport._advance_time()
         (flow_id,) = transport._flows
         plane = transport._plane
-        plane.advance((1.0 - 5e-10) / plane.rate_of(flow_id))
+        plane.advance((plane.remaining_of(flow_id) - 5e-10) / plane.rate_of(flow_id))
         assert _SATURATION_EPS < plane.remaining_of(flow_id) <= _COMPLETION_EPS
-        transport._reallocate()
+        transport._schedule_next_completion()
+        assert transport._next_completion.time == engine.now
         for _ in range(64):
             if not engine.step():
                 break
         assert completed == [True]
         assert transport.active_flows == 0
+
+    @pytest.mark.parametrize("plane", ["table", "pack"])
+    def test_stalled_gap_residue_finishes_now_on_each_plane(self, plane):
+        from repro.sim.flow import _COMPLETION_EPS, _SATURATION_EPS, FlowTable
+        from repro.sim.flowpack import FlowPack
+
+        if plane == "table":
+            data = FlowTable([1.0], ["purifier"])
+        else:
+            data = FlowPack([1.0], [0], ["purifier"])
+        # Never solved, so both rates are 0: the flow with all its work left
+        # is stalled, and only the residue test can finish the other one.
+        data.add_flow(6, [0], [1.0], start_us=0.0, floor_us=1.0)
+        data.add_flow(7, [0], [1.0], remaining=5e-10, start_us=0.0, floor_us=1.0)
+        assert _SATURATION_EPS < data.remaining_of(7) <= _COMPLETION_EPS
+        assert data.rate_of(7) == 0.0
+        assert data.next_completion(5.0, _COMPLETION_EPS) == (7, 5.0)
+        data.remove_flow(7)
+        assert data.next_completion(5.0, _COMPLETION_EPS) is None
 
 
 @pytest.mark.parametrize("name", list_scenarios())
@@ -242,29 +274,72 @@ class TestLongClock:
 
 class TestOneSolvePerFlowSetChange:
     """Rates are a pure function of the live flow set, so the transport
-    solves once per change to it.  A completion whose callback starts the
-    next flow leaves the solve to ``start`` instead of solving the same set
-    again at the end of ``_complete``."""
+    marks a change point once per change to it, and publishes once per
+    simulated instant with a change point, after every other event at that
+    time.  ``FlowTable`` solves at every change point, which keeps the bits
+    of its delta-kept kind sums; ``FlowPack`` solves only at the publish.  A
+    completion whose callback starts the next flow leaves the change point
+    to ``start`` instead of marking the same set again at the end of
+    ``_complete``."""
 
-    SOLVES = {"smoke": 49, "service_smoke": 17, "paper_baseline": 381}
+    #: FlowTable solves (``incremental`` and ``reference``): one per change point.
+    TABLE_SOLVES = {
+        "smoke": 49,
+        "service_smoke": 17,
+        "paper_baseline": 381,
+        "paper_mobile": 256,
+        "fattree_smoke": 215,
+        "ring_qft": 90,
+    }
+    #: Publishes under every allocator, which are FlowPack's solves.
+    PUBLISHES = {
+        "smoke": 41,
+        "service_smoke": 17,
+        "paper_baseline": 321,
+        "paper_mobile": 179,
+        "fattree_smoke": 178,
+        "ring_qft": 76,
+    }
+
+    @staticmethod
+    def _record(monkeypatch, owner, method, live_set):
+        seen = []
+        original = getattr(owner, method)
+
+        def recording(self, *args, **kwargs):
+            seen.append(frozenset(live_set(self)))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, method, recording)
+        return seen
+
+    @staticmethod
+    def _run(scenario, allocator):
+        run(apply_overrides(get_scenario(scenario).to_dict(), {"runtime.allocator": allocator}))
+
+    @staticmethod
+    def _repeats(seen):
+        return [i for i in range(1, len(seen)) if seen[i] == seen[i - 1]]
+
+    @pytest.mark.parametrize("allocator", ["incremental", "reference"])
+    @pytest.mark.parametrize("scenario", sorted(TABLE_SOLVES))
+    def test_table_solves_once_per_change_point(self, monkeypatch, scenario, allocator):
+        from repro.sim.flow import FlowTable
+
+        solved = self._record(monkeypatch, FlowTable, "flows_changed", lambda table: table._rows)
+        self._run(scenario, allocator)
+        assert self._repeats(solved) == []
+        assert len(solved) == self.TABLE_SOLVES[scenario]
 
     @pytest.mark.parametrize("allocator", ALLOCATORS)
-    @pytest.mark.parametrize("scenario", sorted(SOLVES))
-    def test_no_two_consecutive_solves_see_the_same_flows(self, monkeypatch, scenario, allocator):
-        from repro.scenarios.catalog import get_scenario
-        from repro.scenarios.run import run
-        from repro.scenarios.spec import apply_overrides
+    @pytest.mark.parametrize("scenario", sorted(PUBLISHES))
+    def test_one_publish_per_instant_and_no_two_see_the_same_flows(self, monkeypatch, scenario, allocator):
         from repro.sim.flow import FlowTransport
+        from repro.sim.flowpack import FlowPack
 
-        solved = []
-        reallocate = FlowTransport._reallocate
-
-        def recording(transport):
-            solved.append(frozenset(transport._flows))
-            reallocate(transport)
-
-        monkeypatch.setattr(FlowTransport, "_reallocate", recording)
-        run(apply_overrides(get_scenario(scenario).to_dict(), {"runtime.allocator": allocator}))
-        repeats = [i for i in range(1, len(solved)) if solved[i] == solved[i - 1]]
-        assert repeats == []
-        assert len(solved) == self.SOLVES[scenario]
+        published = self._record(monkeypatch, FlowTransport, "_publish", lambda transport: transport._flows)
+        packed = self._record(monkeypatch, FlowPack, "reallocate", lambda pack: pack._row_of_flow)
+        self._run(scenario, allocator)
+        assert self._repeats(published) == []
+        assert len(published) == self.PUBLISHES[scenario]
+        assert packed == (published if allocator == "vectorized" else [])
