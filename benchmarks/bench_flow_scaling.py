@@ -33,7 +33,7 @@ from repro.sim.control import PlannedCommunication
 from repro.sim.engine import SimulationEngine
 from repro.sim.flow import FlowTransport
 from repro.sim.machine import QuantumMachine
-from repro.sim.simulator import CommunicationSimulator
+from repro.sim.simulator import CommunicationSimulator, create_transport
 from repro.workloads.qft import qft_stream
 from repro.workloads.synthetic import permutation_stream
 
@@ -64,18 +64,15 @@ def _contention_run(allocator):
 
 
 def test_backend_dispatch_resolves_to_the_direct_flow_transport():
-    """The registry-selected fluid backend *is* the direct FlowTransport.
+    """The fluid backend ``create_transport`` builds *is* the direct FlowTransport.
 
-    The transport refactor (pluggable backends behind
-    :mod:`repro.sim.transport`) dispatches once per run and must hand back
-    the plain FlowTransport object with the allocator wired through — no
-    wrapper, no indirection on the per-event path.  The actual trace-off
-    hot-path timing gate is the >=5x speedup test below, which now runs
-    through this dispatch; a registry-layer slowdown would surface there as
-    a lost speedup margin.
+    ``create_transport`` picks the backend from ``BACKENDS`` once per run and
+    must hand back the plain FlowTransport object with the allocator wired
+    through — no wrapper, no indirection on the per-event path.  The actual
+    trace-off hot-path timing gate is the >=5x speedup test below, which now
+    runs through this dispatch; a dispatch-layer slowdown would surface there
+    as a lost speedup margin.
     """
-    from repro.sim.transport import create_transport
-
     machine = QuantumMachine(
         CONTENTION_GRID,
         num_qubits=CONTENTION_QUBITS,

@@ -7,22 +7,24 @@ intermediate router (queueing for its X or Y teleporter set alongside every
 other in-flight channel), and climbed through the endpoint queue purifiers
 until enough above-threshold pairs exist to teleport each logical operand.
 
-Both granularities are registered transport backends, so the same machine and
-instruction stream run under either — this example runs both and compares.
+Both granularities are transport backends named in
+``repro.sim.simulator.BACKENDS``, so the same machine and instruction stream
+run under either — this example runs both and compares.
 
 Run with:  python examples/detailed_channel_setup.py
 """
 
 from repro import QuantumMachine, ResourceAllocation
 from repro.core.logical import STEANE_LEVEL_1
-from repro.sim import CommunicationSimulator, backend_descriptions
+from repro.sim import CommunicationSimulator
+from repro.sim.simulator import BACKENDS
 from repro.workloads.qft import qft_stream
 
 
 def main() -> None:
-    print("Registered transport backends:")
-    for name, description in backend_descriptions().items():
-        print(f"  {name:9s} {description}")
+    print("Transport backends:")
+    for name in sorted(BACKENDS):
+        print(f"  {name:9s} {BACKENDS[name].description}")
     print()
 
     machine = QuantumMachine(

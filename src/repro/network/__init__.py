@@ -10,7 +10,7 @@ router's X/Y teleporter-set split (Figure 6) is simulated by
 from .geometry import Coordinate, manhattan_distance
 from .nodes import ResourceAllocation
 from .topology import MeshTopology
-from .fabrics import build_topology, list_topologies, register_topology
+from .fabrics import build_topology
 from .routing import DimensionOrder, Path, dimension_order_route
 from .layout import HomeBaseLayout, MachineLayout, MobileQubitLayout
 
@@ -25,7 +25,5 @@ __all__ = [
     "ResourceAllocation",
     "build_topology",
     "dimension_order_route",
-    "list_topologies",
     "manhattan_distance",
-    "register_topology",
 ]

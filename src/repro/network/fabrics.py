@@ -1,24 +1,17 @@
-"""Named fabric builders: line, ring, mesh and torus topologies.
+"""Named fabric builders: line, ring, mesh, torus and the hierarchical fabrics.
 
 The scenario engine describes machines declaratively, so topologies are
-constructed through a registry of named builders rather than by calling
+constructed by name through :data:`FABRICS` rather than by calling
 :class:`~repro.network.topology.MeshTopology` directly.  Every builder takes
 the same keyword surface — ``width``, ``height``, ``allocation``,
 ``cells_per_hop`` — and returns a configured topology; 1-D fabrics (line,
-ring) reject an explicit height other than 1.
-
-New fabrics register themselves with :func:`register_topology`, naming any
-keyword options they take beyond that surface::
-
-    @register_topology("my_fabric", options=("hosts_per_switch",))
-    def _build_my_fabric(width, height, *, allocation=None, cells_per_hop=600,
-                         hosts_per_switch=1):
-        ...
+ring) reject an explicit height other than 1.  A fabric's entry also names
+the keyword options its builder takes beyond that surface.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .bigfabric import DragonflyTopology, FatTreeTopology, LeafSpineTopology
@@ -28,50 +21,12 @@ from .topology import MeshTopology
 #: A builder maps (width, height, allocation, cells_per_hop) to a topology.
 TopologyBuilder = Callable[..., MeshTopology]
 
-_BUILDERS: Dict[str, TopologyBuilder] = {}
-#: The builder-specific keyword options each fabric accepts.
-_OPTIONS: Dict[str, Tuple[str, ...]] = {}
 
+class Fabric(NamedTuple):
+    """A fabric's builder and the options it takes beyond the shared surface."""
 
-def register_topology(
-    name: str, *, options: Tuple[str, ...] = ()
-) -> Callable[[TopologyBuilder], TopologyBuilder]:
-    """Class/function decorator adding a builder to the fabric registry.
-
-    ``options`` names the keyword options the builder takes beyond the
-    shared surface; anything else is rejected before the builder runs.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ConfigurationError("a topology builder needs a non-empty name")
-
-    def _register(builder: TopologyBuilder) -> TopologyBuilder:
-        if key in _BUILDERS:
-            raise ConfigurationError(f"topology builder {key!r} is already registered")
-        _BUILDERS[key] = builder
-        _OPTIONS[key] = tuple(options)
-        return builder
-
-    return _register
-
-
-def list_topologies() -> List[str]:
-    """Registered fabric names, sorted."""
-    return sorted(_BUILDERS)
-
-
-def _registered(kind: str) -> str:
-    key = (kind or "").strip().lower()
-    if key not in _BUILDERS:
-        raise ConfigurationError(
-            f"unknown topology kind {kind!r}; known: {list_topologies()}"
-        )
-    return key
-
-
-def topology_options(kind: str) -> Tuple[str, ...]:
-    """The builder-specific options a fabric accepts."""
-    return _OPTIONS[_registered(kind)]
+    build: TopologyBuilder
+    options: Tuple[str, ...] = ()
 
 
 def build_topology(
@@ -83,21 +38,26 @@ def build_topology(
     cells_per_hop: int = 600,
     **options: int,
 ) -> MeshTopology:
-    """Build a fabric by registry name.
+    """Build a fabric by its :data:`FABRICS` name.
 
     ``height`` defaults to ``width`` for 2-D fabrics and to 1 for 1-D ones.
     Extra keyword ``options`` (e.g. ``hosts_per_leaf`` for ``leaf_spine``)
-    pass through to the builder; one the fabric did not register (see
-    :func:`topology_options`) raises :class:`ConfigurationError`.
+    pass through to the builder; one the fabric does not take raises
+    :class:`ConfigurationError`.
     """
-    key = _registered(kind)
-    unknown = sorted(set(options) - set(_OPTIONS[key]))
+    key = (kind or "").strip().lower()
+    fabric = FABRICS.get(key)
+    if fabric is None:
+        raise ConfigurationError(
+            f"unknown topology kind {kind!r}; known: {sorted(FABRICS)}"
+        )
+    unknown = sorted(set(options) - set(fabric.options))
     if unknown:
         raise ConfigurationError(
             f"topology {key!r} does not take options {unknown}; "
-            f"accepted: {sorted(_OPTIONS[key]) or 'none'}"
+            f"accepted: {sorted(fabric.options) or 'none'}"
         )
-    return _BUILDERS[key](
+    return fabric.build(
         width, height, allocation=allocation, cells_per_hop=cells_per_hop, **options
     )
 
@@ -111,7 +71,6 @@ def _require_flat(kind: str, width: int, height: Optional[int]) -> None:
         raise ConfigurationError(f"a {kind} needs at least 2 nodes, got {width}")
 
 
-@register_topology("line")
 def _build_line(
     width: int,
     height: Optional[int] = None,
@@ -124,7 +83,6 @@ def _build_line(
     return MeshTopology(width, 1, allocation, cells_per_hop=cells_per_hop)
 
 
-@register_topology("ring")
 def _build_ring(
     width: int,
     height: Optional[int] = None,
@@ -139,7 +97,6 @@ def _build_ring(
     return MeshTopology(width, 1, allocation, cells_per_hop=cells_per_hop, wrap_x=True)
 
 
-@register_topology("mesh")
 def _build_mesh(
     width: int,
     height: Optional[int] = None,
@@ -151,7 +108,6 @@ def _build_mesh(
     return MeshTopology(width, height or width, allocation, cells_per_hop=cells_per_hop)
 
 
-@register_topology("torus")
 def _build_torus(
     width: int,
     height: Optional[int] = None,
@@ -175,7 +131,6 @@ def _build_torus(
     )
 
 
-@register_topology("fat_tree")
 def _build_fat_tree(
     width: int,
     height: Optional[int] = None,
@@ -191,7 +146,6 @@ def _build_fat_tree(
     return FatTreeTopology(width, allocation, cells_per_hop=cells_per_hop)
 
 
-@register_topology("leaf_spine", options=("hosts_per_leaf",))
 def _build_leaf_spine(
     width: int,
     height: Optional[int] = None,
@@ -210,7 +164,6 @@ def _build_leaf_spine(
     return LeafSpineTopology(width, spines, hosts, allocation, cells_per_hop=cells_per_hop)
 
 
-@register_topology("dragonfly", options=("hosts_per_router",))
 def _build_dragonfly(
     width: int,
     height: Optional[int] = None,
@@ -224,3 +177,15 @@ def _build_dragonfly(
     return DragonflyTopology(
         width, routers, hosts_per_router, allocation, cells_per_hop=cells_per_hop
     )
+
+
+#: The fabrics, by the name ``topology.kind`` selects.
+FABRICS: Dict[str, Fabric] = {
+    "line": Fabric(_build_line),
+    "ring": Fabric(_build_ring),
+    "mesh": Fabric(_build_mesh),
+    "torus": Fabric(_build_torus),
+    "fat_tree": Fabric(_build_fat_tree),
+    "leaf_spine": Fabric(_build_leaf_spine, ("hosts_per_leaf",)),
+    "dragonfly": Fabric(_build_dragonfly, ("hosts_per_router",)),
+}

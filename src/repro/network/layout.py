@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Type
 
 from ..errors import ConfigurationError
 from .geometry import Coordinate
@@ -171,19 +171,23 @@ class MobileQubitLayout(MachineLayout):
         return requests
 
 
+#: The layouts, by every spelling ``runtime.layout`` accepts.
+LAYOUTS: Dict[str, Type[MachineLayout]] = {
+    "home_base": HomeBaseLayout,
+    "homebase": HomeBaseLayout,
+    "mobile_qubit": MobileQubitLayout,
+    "mobile": MobileQubitLayout,
+}
+
+
 def build_layout(
     name: str, topology: MeshTopology, num_qubits: int
 ) -> MachineLayout:
-    """Construct a layout by name ("home_base" or "mobile_qubit")."""
+    """Construct a layout by one of its :data:`LAYOUTS` spellings."""
     key = name.strip().lower()
-    table = {
-        "home_base": HomeBaseLayout,
-        "homebase": HomeBaseLayout,
-        "mobile_qubit": MobileQubitLayout,
-        "mobile": MobileQubitLayout,
-    }
-    if key not in table:
+    cls = LAYOUTS.get(key)
+    if cls is None:
         raise ConfigurationError(
-            f"unknown layout {name!r}; expected one of {sorted(set(table))}"
+            f"unknown layout {name!r}; expected one of {sorted(LAYOUTS)}"
         )
-    return table[key](topology, num_qubits)
+    return cls(topology, num_qubits)

@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Callable, ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, overload
+from typing import Callable, ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, overload
 
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate
@@ -331,7 +331,7 @@ class LoadBalancer:
     keeps routing-policy runs diffable.
     """
 
-    #: Registry name; subclasses override.
+    #: The policy's name in route records; subclasses override.
     policy: ClassVar[str] = "abstract"
 
     def choose(
@@ -436,42 +436,27 @@ class AdaptiveBalancer(LoadBalancer):
         return hashed
 
 
-_BALANCERS: Dict[str, Callable[..., LoadBalancer]] = {}
-
-
-def register_balancer(cls: "type[LoadBalancer]") -> "type[LoadBalancer]":
-    """Class decorator adding a balancer to the policy registry."""
-    name = getattr(cls, "policy", None)
-    if not isinstance(name, str) or not name or name == LoadBalancer.policy:
-        raise ConfigurationError(f"load balancer {cls!r} needs a distinct 'policy'")
-    if name in _BALANCERS:
-        raise ConfigurationError(f"load-balancing policy {name!r} is already registered")
-    _BALANCERS[name] = cls
-    return cls
-
-
-for _cls in (EcmpBalancer, LeastLoadedBalancer, AdaptiveBalancer):
-    register_balancer(_cls)
-
-
-def list_balancers() -> List[str]:
-    """Registered load-balancing policy names, sorted."""
-    return sorted(_BALANCERS)
+#: The load balancers, by the name ``network.routing.policy`` selects.
+BALANCERS: Dict[str, Type[LoadBalancer]] = {
+    "ecmp": EcmpBalancer,
+    "least_loaded": LeastLoadedBalancer,
+    "adaptive": AdaptiveBalancer,
+}
 
 
 def create_balancer(policy: str, *, hysteresis: Optional[float] = None) -> LoadBalancer:
-    """Instantiate the balancer registered under ``policy``.
+    """Instantiate the balancer named ``policy``.
 
     ``hysteresis`` reaches only policies that take it (``adaptive``); passing
     it to the others is accepted and ignored, so one spec surface can sweep
     the policy axis without reshaping its parameters.
     """
     key = (policy or "").strip().lower()
-    factory = _BALANCERS.get(key)
-    if factory is None:
+    cls = BALANCERS.get(key)
+    if cls is None:
         raise ConfigurationError(
-            f"unknown load-balancing policy {policy!r}; known: {list_balancers()}"
+            f"unknown load-balancing policy {policy!r}; known: {sorted(BALANCERS)}"
         )
-    if factory is AdaptiveBalancer and hysteresis is not None:
+    if cls is AdaptiveBalancer and hysteresis is not None:
         return AdaptiveBalancer(hysteresis=hysteresis)
-    return factory()
+    return cls()

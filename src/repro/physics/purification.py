@@ -265,7 +265,8 @@ class BBPSSWProtocol(PurificationProtocol):
         return BellDiagonalState.werner(state.fidelity)
 
 
-_PROTOCOLS = {
+#: The purification protocols, by the name ``physics.protocol`` selects.
+PROTOCOLS = {
     "dejmps": DEJMPSProtocol,
     "bbpssw": BBPSSWProtocol,
 }
@@ -277,10 +278,10 @@ def get_protocol(
     *,
     noisy: bool = True,
 ) -> PurificationProtocol:
-    """Construct a purification protocol by name ("dejmps" or "bbpssw")."""
+    """Construct a purification protocol by its :data:`PROTOCOLS` name."""
     key = name.strip().lower()
-    if key not in _PROTOCOLS:
+    if key not in PROTOCOLS:
         raise ConfigurationError(
-            f"unknown purification protocol {name!r}; expected one of {sorted(_PROTOCOLS)}"
+            f"unknown purification protocol {name!r}; expected one of {sorted(PROTOCOLS)}"
         )
-    return _PROTOCOLS[key](params, noisy=noisy)
+    return PROTOCOLS[key](params, noisy=noisy)

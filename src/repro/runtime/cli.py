@@ -34,7 +34,7 @@ The command surface is noun-verb:
 ``lint``
     The determinism/contract static analysis pass.
 ``backends``
-    List the registered transport backends.
+    List the transport backends.
 
 Commands that print data accept one shared ``--format text|json`` option;
 ``json`` emits the machine-readable form of exactly what ``text`` shows.
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     backends = subparsers.add_parser(
-        "backends", help="list the registered transport backends"
+        "backends", help="list the transport backends"
     )
     _add_format_option(backends)
 
@@ -371,9 +371,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from ..sim.transport import backend_descriptions
+    from ..sim.simulator import BACKENDS
 
-    descriptions = backend_descriptions()
+    descriptions = {name: BACKENDS[name].description for name in sorted(BACKENDS)}
     if getattr(args, "format", "text") == "json":
         _emit_json(descriptions)
         return 0

@@ -1,10 +1,10 @@
 """Declarative scenario engine: specs, loading, catalog and execution.
 
 Scenarios turn experiments into data.  A :class:`ScenarioSpec` composes a
-topology (any registered fabric), a workload (any registered instruction
-stream), physics parameters and runtime options; the loader reads single
-scenarios, bundles and sweep grids from JSON/YAML with inheritance
-(``extends``); and :func:`run` executes a spec — batch mode through the
+topology (any fabric), a workload (any instruction stream), physics
+parameters and runtime options; the loader reads single scenarios, bundles
+and sweep grids from JSON/YAML with inheritance (``extends``); and
+:func:`run` executes a spec — batch mode through the
 communication simulator, service mode (a ``traffic`` section) through the
 open-loop service simulator — returning a typed :class:`RunResult`.
 :func:`run_record` is the flat-record form the sweep cache and CLI consume.

@@ -1,7 +1,7 @@
 """Building and running scenarios.
 
 The bridge from declarative spec to simulation: a spec builds a
-:class:`~repro.sim.machine.QuantumMachine` (through the topology registry)
+:class:`~repro.sim.machine.QuantumMachine` (through the fabric table)
 and either an instruction stream (batch mode) or an open-loop traffic stream
 (service mode, when the spec carries a ``traffic`` section), runs the
 appropriate simulator, and reduces the outcome to a :class:`RunResult`.

@@ -2,7 +2,7 @@
 
 A scenario composes four orthogonal sections into one runnable experiment:
 
-* ``topology`` — which fabric to build (any registered one) and its size;
+* ``topology`` — which fabric to build and its size;
 * ``workload`` — which instruction stream to run and its parameters;
 * ``physics`` — the (t, g, p) resource allocation, purification protocol and
   timing knobs;
@@ -23,38 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ScenarioError
-from ..network.fabrics import list_topologies, topology_options
-from ..network.routing import list_balancers
-from ..sim.flow import ALLOCATORS
-from ..workloads.registry import list_workloads, workload_params
+from ..network.fabrics import FABRICS
+from ..network.layout import LAYOUTS
+from ..network.routing import BALANCERS, DimensionOrder
+from ..physics.purification import PROTOCOLS
+from ..service.admission import ADMISSION_CONTROLLERS
+from ..service.schedulers import SCHEDULERS
+from ..sim.flow import ALLOCATORS, DEFAULT_ALLOCATOR
+from ..sim.simulator import BACKENDS
+from ..workloads.registry import WORKLOADS
 
-#: Layout aliases accepted by :func:`repro.network.layout.build_layout`,
-#: normalised to their canonical spelling so alias choice never changes a
-#: spec's hash (and therefore its cache slot).
-LAYOUT_ALIASES = {
-    "home_base": "home_base",
-    "homebase": "home_base",
-    "mobile_qubit": "mobile_qubit",
-    "mobile": "mobile_qubit",
-}
-#: Allocator names accepted by ``runtime.allocator``, declared once by the
-#: fluid transport.
-ALLOCATOR_NAMES = ALLOCATORS
-ROUTING_NAMES = ("xy", "yx")
-#: Transport backend names accepted by ``runtime.backend``.  Mirrors the
-#: registry in :mod:`repro.sim.transport`, kept literal here (a test pins the
-#: two in sync).
-BACKEND_NAMES = ("fluid", "detailed")
-#: Purification protocols accepted by ``physics.protocol``, mirrored from
-#: :mod:`repro.physics.purification` for the same reason (a test pins them).
-PROTOCOL_NAMES = ("bbpssw", "dejmps")
-#: Service-mode registries, mirrored literally from :mod:`repro.service` for
-#: the same reason as :data:`BACKEND_NAMES` (tests pin them in sync).
-ADMISSION_NAMES = ("always", "token_bucket", "queue_bound")
-SCHEDULER_NAMES = ("fifo", "priority", "fidelity")
 ARRIVAL_PROCESSES = ("poisson", "fixed", "mmpp")
 SIZE_DISTRIBUTIONS = ("constant", "pareto")
 #: Accepted ``physics.generator_bandwidth_scale`` values, ends included.  The
@@ -80,7 +61,7 @@ MAX_OFFERED_REQUESTS = 1e5
 #: (k^3/4 hosts and 5k^2/4 switches) and builds in 3 s, as many as a 256-wide
 #: mesh.  A 64x64 mesh has 16 times the tiles of the paper-scale 16x16 one.
 WIDTH_MAX = 64
-#: Largest ``topology.options`` value.  Every registered option counts the
+#: Largest ``topology.options`` value.  Every fabric option counts the
 #: hosts under one switch (``hosts_per_leaf``, ``hosts_per_router``), which
 #: multiply the nodes :data:`WIDTH_MAX` allows: at 16, a dragonfly of 64
 #: groups of 64 routers has 65,536 hosts and builds in 4 s.
@@ -129,11 +110,11 @@ class FieldDecl:
     """How one scenario field is validated.
 
     ``kind`` is ``int``, ``float`` or ``str``; a ``str`` field is a choice
-    among ``choices``, matched after stripping and lower-casing: a tuple, or
-    a registry's list function, read at validation time because registries
-    can grow.  A number must lie between ``low`` and ``high``, each end
-    closed unless marked open, and ``nullable`` also accepts ``None``.  The
-    field's name and default come from its section's dataclass.
+    among ``choices``, matched after stripping and lower-casing (a choice
+    that selects an implementation reads the names of that implementation's
+    table).  A number must lie between ``low`` and ``high``, each end closed
+    unless marked open, and ``nullable`` also accepts ``None``.  The field's
+    name and default come from its section's dataclass.
     """
 
     kind: type
@@ -142,7 +123,7 @@ class FieldDecl:
     low_open: bool = False
     high_open: bool = False
     nullable: bool = False
-    choices: Union[Tuple[str, ...], Callable[[], Sequence[str]]] = ()
+    choices: Tuple[str, ...] = ()
 
     def read(self, value: Any, name: str) -> Any:
         """``value`` validated and normalised; a ScenarioError names ``name``."""
@@ -152,10 +133,9 @@ class FieldDecl:
             if not isinstance(value, str):
                 raise ScenarioError(f"{name} must be a string, got {value!r}")
             value = value.strip().lower()
-            choices = self.choices() if callable(self.choices) else self.choices
-            if value not in choices:
+            if value not in self.choices:
                 raise ScenarioError(
-                    f"{name} must be one of {sorted(set(choices))}, got {value!r}"
+                    f"{name} must be one of {sorted(self.choices)}, got {value!r}"
                 )
             return value
         # A nullable float is a probability-like knob, and reads as one.
@@ -224,7 +204,7 @@ def _decode(
 
 
 TOPOLOGY_FIELDS = {
-    "kind": FieldDecl(str, choices=list_topologies),
+    "kind": FieldDecl(str, choices=tuple(FABRICS)),
     "width": FieldDecl(int, 1, WIDTH_MAX),
     "height": FieldDecl(int, 1, WIDTH_MAX, nullable=True),
     "cells_per_hop": FieldDecl(int, 1, CELLS_PER_HOP_MAX),
@@ -240,7 +220,7 @@ class TopologySpec:
     ``options`` carries fabric-specific structural knobs (e.g.
     ``hosts_per_leaf`` for ``leaf_spine``, ``hosts_per_router`` for
     ``dragonfly``) passed straight through to the builder; a name the
-    fabric did not register is rejected here.  An empty mapping is omitted
+    fabric does not take is rejected here.  An empty mapping is omitted
     from the dict form, so pre-existing specs keep their hashes and cache
     slots.
     """
@@ -256,7 +236,7 @@ class TopologySpec:
         values = _decode(cls, data, "topology", TOPOLOGY_FIELDS, "options")
         kind = values["kind"]
         options = values["options"] = _require_mapping(values["options"], "topology.options")
-        accepted = topology_options(kind)
+        accepted = FABRICS[kind].options
         unknown = sorted(set(options) - set(accepted))
         if unknown:
             raise ScenarioError(
@@ -269,10 +249,10 @@ class TopologySpec:
 
 
 WORKLOAD_FIELDS = {
-    "kind": FieldDecl(str, choices=list_workloads),
+    "kind": FieldDecl(str, choices=tuple(WORKLOADS)),
     "num_qubits": FieldDecl(int, 2, NUM_QUBITS_MAX),
 }
-#: The parameters of the registered workloads.  The stream is built before
+#: The parameters the workloads take.  The stream is built before
 #: ``runtime.max_events`` can act, so each count is bounded here.  A seed is
 #: any integer (None means 0), and ``split`` is the share of the qubits in the
 #: first register, strictly between 0 and 1.
@@ -299,7 +279,7 @@ class WorkloadSpec:
         values = _decode(cls, data, "workload", WORKLOAD_FIELDS, "params")
         kind = values["kind"]
         params = values["params"] = _require_mapping(values["params"], "workload.params")
-        accepted = workload_params(kind)
+        accepted = WORKLOADS[kind].params
         unknown = sorted(set(params) - set(accepted))
         if unknown:
             raise ScenarioError(
@@ -315,7 +295,7 @@ PHYSICS_FIELDS = {
     "teleporters": FieldDecl(int, 1, UNITS_PER_NODE_MAX),
     "generators": FieldDecl(int, 1, UNITS_PER_NODE_MAX),
     "purifiers": FieldDecl(int, 1, UNITS_PER_NODE_MAX),
-    "protocol": FieldDecl(str, choices=PROTOCOL_NAMES),
+    "protocol": FieldDecl(str, choices=tuple(PROTOCOLS)),
     "logical_gate_us": FieldDecl(float, 0.0, CLOCK_US_MAX),
     "generator_bandwidth_scale": FieldDecl(float, *GENERATOR_BANDWIDTH_SCALE_RANGE),
 }
@@ -477,11 +457,11 @@ TRAFFIC_FIELDS = {
     "duration_us": FieldDecl(float, 0.0, CLOCK_US_MAX, low_open=True),
     "seed": FieldDecl(int, 0),
     "max_inflight": FieldDecl(int, 1, SERVICE_LIMIT_MAX),
-    "admission": FieldDecl(str, choices=ADMISSION_NAMES),
+    "admission": FieldDecl(str, choices=tuple(ADMISSION_CONTROLLERS)),
     "admission_rate_per_ms": FieldDecl(float, 0.0, low_open=True),
     "admission_burst": FieldDecl(int, 1, SERVICE_LIMIT_MAX),
     "queue_limit": FieldDecl(int, 1, SERVICE_LIMIT_MAX),
-    "scheduler": FieldDecl(str, choices=SCHEDULER_NAMES),
+    "scheduler": FieldDecl(str, choices=tuple(SCHEDULERS)),
 }
 
 
@@ -531,7 +511,7 @@ class TrafficSpec:
 
 
 ROUTING_FIELDS = {
-    "policy": FieldDecl(str, choices=list_balancers),
+    "policy": FieldDecl(str, choices=tuple(BALANCERS)),
     "hysteresis": FieldDecl(float, 0.0),
 }
 
@@ -581,10 +561,10 @@ class NetworkSpec:
 
 
 RUNTIME_FIELDS = {
-    "layout": FieldDecl(str, choices=tuple(LAYOUT_ALIASES)),
-    "allocator": FieldDecl(str, choices=ALLOCATOR_NAMES),
-    "routing": FieldDecl(str, choices=ROUTING_NAMES),
-    "backend": FieldDecl(str, choices=BACKEND_NAMES),
+    "layout": FieldDecl(str, choices=tuple(LAYOUTS)),
+    "allocator": FieldDecl(str, choices=ALLOCATORS),
+    "routing": FieldDecl(str, choices=tuple(order.value for order in DimensionOrder)),
+    "backend": FieldDecl(str, choices=tuple(BACKENDS)),
     "max_events": FieldDecl(int, 1, nullable=True),
 }
 
@@ -594,7 +574,7 @@ class RuntimeSpec:
     """How the scenario executes: backend, layout, allocator, routing, limits."""
 
     layout: str = "home_base"
-    allocator: str = "incremental"
+    allocator: str = DEFAULT_ALLOCATOR
     routing: str = "xy"
     backend: str = "fluid"
     max_events: Optional[int] = None
@@ -602,7 +582,9 @@ class RuntimeSpec:
     @classmethod
     def from_dict(cls, data: Any) -> "RuntimeSpec":
         values = _decode(cls, data, "runtime", RUNTIME_FIELDS)
-        values["layout"] = LAYOUT_ALIASES[values["layout"]]
+        # Every spelling of a layout is stored as its name, so the spelling
+        # never changes the spec's hash (and therefore its cache slot).
+        values["layout"] = LAYOUTS[values["layout"]].name
         return cls(**values)
 
 

@@ -11,11 +11,11 @@ The pieces compose the classic open-loop queueing pipeline:
   distributions (constant, heavy-tail Pareto), every draw taken from the
   SHA-256 substream RNG service so a traffic spec reproduces bitwise across
   processes and machines;
-* :mod:`repro.service.admission` — pluggable :class:`AdmissionController`
-  registry (always-admit, token-bucket, queue-bound) gating arrivals;
-* :mod:`repro.service.schedulers` — pluggable :class:`RequestScheduler`
-  registry (FIFO, strict-priority, fidelity-target-aware) ordering admitted
-  requests onto the transport;
+* :mod:`repro.service.admission` — the :class:`AdmissionController`
+  policies (always-admit, token-bucket, queue-bound) gating arrivals;
+* :mod:`repro.service.schedulers` — the :class:`RequestScheduler`
+  disciplines (FIFO, strict-priority, fidelity-target-aware) ordering
+  admitted requests onto the transport;
 * :mod:`repro.service.metrics` — :class:`SteadyStateCollector`, a trace-bus
   probe reducing the request-lifecycle records to steady-state service
   metrics: offered vs. delivered load, completion-time p50/p99, per-tenant
@@ -31,23 +31,11 @@ and transports downward) and below :mod:`repro.scenarios` (which translates a
 the determinism lint contract: no ambient randomness, ever.
 """
 
-from .admission import (
-    AdmissionController,
-    admission_descriptions,
-    admission_names,
-    create_admission,
-    register_admission,
-)
+from .admission import AdmissionController, create_admission
 from .arrivals import ServiceRequest, generate_requests
 from .engine import ServiceSimulator, ServiceView
 from .metrics import SteadyStateCollector, TenantStats, percentile
-from .schedulers import (
-    RequestScheduler,
-    create_scheduler,
-    register_scheduler,
-    scheduler_descriptions,
-    scheduler_names,
-)
+from .schedulers import RequestScheduler, create_scheduler
 
 __all__ = [
     "AdmissionController",
@@ -57,14 +45,8 @@ __all__ = [
     "ServiceView",
     "SteadyStateCollector",
     "TenantStats",
-    "admission_descriptions",
-    "admission_names",
     "create_admission",
     "create_scheduler",
     "generate_requests",
     "percentile",
-    "register_admission",
-    "register_scheduler",
-    "scheduler_descriptions",
-    "scheduler_names",
 ]

@@ -13,16 +13,14 @@ reason.  Three policies ship with the repository:
 * ``queue_bound`` — drop-tail: reject arrivals that find the request queue
   already ``queue_limit`` deep.
 
-The registry mirrors :mod:`repro.sim.transport`'s backend registry so every
-layer above selects a policy by name, and
-:data:`repro.scenarios.spec.ADMISSION_NAMES` pins the names literally for
-spec validation (a test keeps the two in sync).
+:data:`ADMISSION_CONTROLLERS` names them: ``traffic.admission`` validates
+against it and :func:`create_admission` builds from it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Type
 
 from ..errors import ConfigurationError
 from .arrivals import ServiceRequest
@@ -30,11 +28,6 @@ from .arrivals import ServiceRequest
 
 class AdmissionController(ABC):
     """Decides, at arrival time, whether a request enters the service queue."""
-
-    #: Registry name; subclasses must override.
-    name: ClassVar[str] = "abstract"
-    #: One-line description shown by the CLI.
-    description: ClassVar[str] = ""
 
     @abstractmethod
     def admit(
@@ -46,9 +39,6 @@ class AdmissionController(ABC):
 class AlwaysAdmit(AdmissionController):
     """Admit every arrival (the open-loop baseline)."""
 
-    name = "always"
-    description = "admit every request; load shedding is the transport's problem"
-
     def admit(
         self, request: ServiceRequest, *, now_us: float, queue_depth: int
     ) -> Optional[str]:
@@ -57,9 +47,6 @@ class AlwaysAdmit(AdmissionController):
 
 class TokenBucket(AdmissionController):
     """Continuous-refill token bucket: sustained rate + bounded burst."""
-
-    name = "token_bucket"
-    description = "rate-limit admissions: rate_per_ms sustained, burst tokens deep"
 
     def __init__(self, *, rate_per_ms: float, burst: int) -> None:
         if rate_per_ms <= 0:
@@ -88,9 +75,6 @@ class TokenBucket(AdmissionController):
 class QueueBound(AdmissionController):
     """Drop-tail: reject arrivals to a queue already at its limit."""
 
-    name = "queue_bound"
-    description = "drop requests arriving to a queue already queue_limit deep"
-
     def __init__(self, *, queue_limit: int) -> None:
         if queue_limit < 1:
             raise ConfigurationError(f"queue limit must be >= 1, got {queue_limit}")
@@ -104,54 +88,28 @@ class QueueBound(AdmissionController):
         return None
 
 
-# -- registry ---------------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Type[AdmissionController]] = {}
-
-
-def register_admission(cls: Type[AdmissionController]) -> Type[AdmissionController]:
-    """Class decorator: make ``cls`` selectable by its ``name``."""
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name or name == AdmissionController.name:
-        raise ConfigurationError(f"admission controller {cls!r} needs a distinct 'name'")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(
-            f"admission controller name {name!r} is already registered to {existing!r}"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-register_admission(AlwaysAdmit)
-register_admission(TokenBucket)
-register_admission(QueueBound)
-
-
-def admission_names() -> Tuple[str, ...]:
-    """Registered admission controller names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def admission_descriptions() -> Dict[str, str]:
-    """``{name: one-line description}`` for every registered controller."""
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
+#: The admission controllers, by the name ``traffic.admission`` selects.
+ADMISSION_CONTROLLERS: Dict[str, Type[AdmissionController]] = {
+    "always": AlwaysAdmit,
+    "token_bucket": TokenBucket,
+    "queue_bound": QueueBound,
+}
 
 
 def create_admission(
     name: str, *, rate_per_ms: float = 10.0, burst: int = 8, queue_limit: int = 64
 ) -> AdmissionController:
-    """Instantiate the controller registered under ``name``.
+    """Instantiate the controller named ``name``.
 
     Policy parameters reach only the policies that declare them — the
     token-bucket rate/burst, the drop-tail queue limit — so adding a policy
     never widens every caller's signature.
     """
     key = (name or "").strip()
-    cls = _REGISTRY.get(key)
+    cls = ADMISSION_CONTROLLERS.get(key)
     if cls is None:
         raise ConfigurationError(
-            f"unknown admission controller {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown admission controller {name!r}; registered: {sorted(ADMISSION_CONTROLLERS)}"
         )
     if cls is TokenBucket:
         return TokenBucket(rate_per_ms=rate_per_ms, burst=burst)

@@ -27,9 +27,10 @@ from ..errors import ConfigurationError, SimulationError
 from ..network.layout import CommRequest
 from ..sim.control import PlannedCommunication
 from ..sim.engine import SimulationEngine
+from ..sim.flow import DEFAULT_ALLOCATOR
 from ..sim.machine import QuantumMachine
 from ..sim.results import fidelity_summary
-from ..sim.transport import create_transport
+from ..sim.simulator import create_transport
 from ..trace import (
     REQUEST_KINDS,
     RequestAdmitted,
@@ -107,8 +108,8 @@ class ServiceView:
 class ServiceSimulator:
     """Drives a transport backend with an open-loop request stream.
 
-    ``backend`` (``"fluid"`` or ``"detailed"``) and ``allocator``
-    (``"incremental"``, ``"vectorized"`` or ``"reference"``) select the
+    ``backend`` (a :data:`~repro.sim.simulator.BACKENDS` name) and
+    ``allocator`` (one of :data:`~repro.sim.flow.ALLOCATORS`) select the
     transport exactly as :class:`~repro.sim.simulator.CommunicationSimulator`
     does, so the same machine serves batch and service runs and the
     fluid-vs-detailed parity argument carries over to service mode.
@@ -118,7 +119,7 @@ class ServiceSimulator:
         self,
         machine: QuantumMachine,
         *,
-        allocator: str = "incremental",
+        allocator: str = DEFAULT_ALLOCATOR,
         backend: str = "fluid",
     ) -> None:
         self.machine = machine
@@ -268,7 +269,7 @@ class ServiceSimulator:
             pump()
 
         for request in requests:
-            engine.schedule_at(request.arrival_us, lambda r=request: on_arrival(r))
+            engine.post_at(request.arrival_us, lambda r=request: on_arrival(r))
         engine.run(max_events=max_events)
         live_events = engine.pending_events - engine.cancelled_pending
         if live_events:

@@ -14,9 +14,9 @@ in-flight slot frees up.  Three disciplines ship with the repository:
   requests last, FIFO within a class.
 
 All disciplines break ties on a monotone push sequence, never on hash order,
-so dispatch order is deterministic.  The registry mirrors
-:mod:`repro.sim.transport`'s and :data:`repro.scenarios.spec.SCHEDULER_NAMES`
-pins the names literally for spec validation (a test keeps the two in sync).
+so dispatch order is deterministic.  :data:`SCHEDULERS` names them:
+``traffic.scheduler`` validates against it and :func:`create_scheduler`
+builds from it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import ClassVar, Deque, Dict, List, Tuple, Type
+from typing import Deque, Dict, List, Tuple, Type
 
 from ..errors import ConfigurationError, SimulationError
 from .arrivals import ServiceRequest
@@ -32,11 +32,6 @@ from .arrivals import ServiceRequest
 
 class RequestScheduler(ABC):
     """An ordered queue of admitted requests awaiting dispatch."""
-
-    #: Registry name; subclasses must override.
-    name: ClassVar[str] = "abstract"
-    #: One-line description shown by the CLI.
-    description: ClassVar[str] = ""
 
     @abstractmethod
     def push(self, request: ServiceRequest) -> None:
@@ -53,9 +48,6 @@ class RequestScheduler(ABC):
 
 class FifoScheduler(RequestScheduler):
     """Dispatch in admission order."""
-
-    name = "fifo"
-    description = "dispatch admitted requests strictly in arrival order"
 
     def __init__(self) -> None:
         self._queue: Deque[ServiceRequest] = deque()
@@ -98,18 +90,12 @@ class _HeapScheduler(RequestScheduler):
 class PriorityScheduler(_HeapScheduler):
     """Strict priority by tenant rank (lower first), FIFO within a rank."""
 
-    name = "priority"
-    description = "strict priority by tenant rank (lower first), FIFO within"
-
     def _key(self, request: ServiceRequest) -> Tuple[float, ...]:
         return (float(request.priority),)
 
 
 class FidelityScheduler(_HeapScheduler):
     """Tightest fidelity class first; classless requests last."""
-
-    name = "fidelity"
-    description = "tightest target_fidelity class first; classless requests last"
 
     def _key(self, request: ServiceRequest) -> Tuple[float, ...]:
         if request.target_fidelity is None:
@@ -118,46 +104,20 @@ class FidelityScheduler(_HeapScheduler):
         return (0.0, -request.target_fidelity)
 
 
-# -- registry ---------------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Type[RequestScheduler]] = {}
-
-
-def register_scheduler(cls: Type[RequestScheduler]) -> Type[RequestScheduler]:
-    """Class decorator: make ``cls`` selectable by its ``name``."""
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name or name == RequestScheduler.name:
-        raise ConfigurationError(f"request scheduler {cls!r} needs a distinct 'name'")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(
-            f"request scheduler name {name!r} is already registered to {existing!r}"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-register_scheduler(FifoScheduler)
-register_scheduler(PriorityScheduler)
-register_scheduler(FidelityScheduler)
-
-
-def scheduler_names() -> Tuple[str, ...]:
-    """Registered scheduler names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def scheduler_descriptions() -> Dict[str, str]:
-    """``{name: one-line description}`` for every registered scheduler."""
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
+#: The request schedulers, by the name ``traffic.scheduler`` selects.
+SCHEDULERS: Dict[str, Type[RequestScheduler]] = {
+    "fifo": FifoScheduler,
+    "priority": PriorityScheduler,
+    "fidelity": FidelityScheduler,
+}
 
 
 def create_scheduler(name: str) -> RequestScheduler:
-    """Instantiate the scheduler registered under ``name``."""
+    """Instantiate the scheduler named ``name``."""
     key = (name or "").strip()
-    cls = _REGISTRY.get(key)
+    cls = SCHEDULERS.get(key)
     if cls is None:
         raise ConfigurationError(
-            f"unknown request scheduler {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown request scheduler {name!r}; registered: {sorted(SCHEDULERS)}"
         )
     return cls()

@@ -28,17 +28,10 @@ from .engine import Event, SimulationEngine
 from .resources import ResourcePool, ServiceCenter
 from .machine import QuantumMachine
 from .results import ChannelRecord, OperationRecord, SimulationResult
-from .simulator import CommunicationSimulator
+from .simulator import CommunicationSimulator, create_transport
 from .scheduler import InstructionScheduler
 from .qpurifier import QueuePurifierModel
-from .transport import (
-    TransportBackend,
-    backend_descriptions,
-    backend_names,
-    create_transport,
-    get_backend,
-    register_backend,
-)
+from .transport import TransportBackend
 
 __all__ = [
     "ChannelRecord",
@@ -53,9 +46,5 @@ __all__ = [
     "SimulationEngine",
     "SimulationResult",
     "TransportBackend",
-    "backend_descriptions",
-    "backend_names",
     "create_transport",
-    "get_backend",
-    "register_backend",
 ]

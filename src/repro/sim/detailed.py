@@ -41,7 +41,7 @@ from .machine import QuantumMachine
 from .qpurifier import QueuePurifier
 from .resources import ResourcePool, ServiceCenter
 from .teleporter import TeleporterNodeSim, swap_routing, teleporter_set
-from .transport import TransportBackend, register_backend
+from .transport import TransportBackend
 
 
 class _Swap(NamedTuple):
@@ -290,7 +290,6 @@ class _DetailedChannel:
         return sum(fidelities) / len(fidelities)
 
 
-@register_backend
 class DetailedTransport(TransportBackend):
     """Contention-aware per-EPR-pair backend over shared node hardware."""
 

@@ -16,14 +16,16 @@ sequence counter, so interleaving them keeps call order:
   gate, a detailed channel's last latency), and nothing cancels them, so
   they carry no handle.  :meth:`~SimulationEngine.post_at` does the same at
   an absolute time and a given priority: the fluid transport posts its
-  once-per-instant rate publish that way.
+  once-per-instant rate publish that way, and the service simulator its
+  request arrivals.
 * :meth:`SimulationEngine.schedule` and :meth:`~SimulationEngine.schedule_at`
   return an :class:`Event` handle, held in the fifth slot, that can cancel
-  the entry.  Only the fluid transport cancels, whatever its allocator: it
-  keeps one chained completion event and re-arms it when a publish moves
-  the earliest finish.  A cancelled entry stays in the heap until it is
-  popped or the heap is compacted; the handle reports it, which keeps the
-  heap within about twice its live events.
+  the entry.  The fluid transport's completion chain is the only caller in
+  the package that takes one, whatever its allocator: it keeps one chained
+  completion event and re-arms it when a publish moves the earliest
+  finish.  A cancelled entry stays in the heap until it is popped or the
+  heap is compacted; the handle reports it, which keeps the heap within
+  about twice its live events.
 
 A negative, infinite or NaN delay, or an absolute time before ``now`` or
 not finite, raises :class:`~repro.errors.SimulationError`: no run computes

@@ -91,7 +91,7 @@ from .control import PlannedCommunication
 from .engine import Event, SimulationEngine
 from .machine import RESOURCE_KINDS, Demand, QuantumMachine
 from .teleporter import teleporter_set
-from .transport import TransportBackend, register_backend
+from .transport import TransportBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flowpack import FlowPack
@@ -103,6 +103,8 @@ ResourceKey = Tuple
 #: The allocator names FlowTransport accepts: the one declaration, which
 #: ``runtime.allocator`` validates against and the verify CLI defaults to.
 ALLOCATORS = ("incremental", "reference", "vectorized")
+#: The allocator a run takes unless its spec or its caller names another.
+DEFAULT_ALLOCATOR = "incremental"
 
 #: Residual capacity below which a resource counts as saturated.
 _SATURATION_EPS = 1e-12
@@ -418,7 +420,6 @@ class FlowTable:
         return rates
 
 
-@register_backend
 class FlowTransport(TransportBackend):
     """Shares machine bandwidth among concurrent channel flows."""
 
@@ -427,14 +428,13 @@ class FlowTransport(TransportBackend):
         "Max-min fair fluid flows over teleporter/generator/purifier "
         "bandwidth; fast, scales to large grids and full sweeps."
     )
-    uses_allocator = True
 
     def __init__(
         self,
         engine: SimulationEngine,
         machine: QuantumMachine,
         *,
-        allocator: str = "incremental",
+        allocator: str = DEFAULT_ALLOCATOR,
     ) -> None:
         if allocator not in ALLOCATORS:
             raise SimulationError(

@@ -87,7 +87,7 @@ class SimulationResult:
     operations: List[OperationRecord] = field(default_factory=list)
     channels: List[ChannelRecord] = field(default_factory=list)
     resource_utilisation: Dict[str, float] = field(default_factory=dict)
-    #: Transport backend that serviced the run (registry name).
+    #: Transport backend that serviced the run (its ``BACKENDS`` name).
     backend: str = "fluid"
     #: Delivered-fidelity target on noise-tracked runs (None otherwise).
     target_fidelity: Optional[float] = None

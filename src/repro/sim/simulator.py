@@ -6,7 +6,8 @@ their dependencies resolve, the control unit translates each operation into
 planned communications via the machine's layout, and the selected transport
 backend services them under contention.  The scheduler/control/issue-retire
 loop is backend-agnostic — the fluid flow model and the detailed per-pair
-model plug in through :mod:`repro.sim.transport` — and the result is a
+model implement :class:`~repro.sim.transport.TransportBackend`, and
+:data:`BACKENDS` names them — and the result is a
 :class:`~repro.sim.results.SimulationResult` whose makespan is the paper's
 "runtime" metric (Figure 16).
 """
@@ -14,18 +15,49 @@ model plug in through :mod:`repro.sim.transport` — and the result is a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Type
 
-from ..errors import SimulationError
+from ..errors import ConfigurationError, SimulationError
 from ..trace import OperationIssued, OperationRetired, RunEnded, TraceBus
 from ..trace.records import machine_record
 from ..workloads.instructions import InstructionStream, TwoQubitOp
 from .control import ControlUnit, PlannedCommunication
+from .detailed import DetailedTransport
 from .engine import SimulationEngine
+from .flow import DEFAULT_ALLOCATOR, FlowTransport
 from .machine import QuantumMachine
 from .results import OperationRecord, SimulationResult
 from .scheduler import InstructionScheduler
-from .transport import create_transport
+from .transport import TransportBackend
+
+#: The transport backends, by the name ``runtime.backend`` selects.
+BACKENDS: Dict[str, Type[TransportBackend]] = {
+    "fluid": FlowTransport,
+    "detailed": DetailedTransport,
+}
+
+
+def create_transport(
+    name: str,
+    engine: SimulationEngine,
+    machine: QuantumMachine,
+    *,
+    allocator: str = DEFAULT_ALLOCATOR,
+) -> TransportBackend:
+    """Instantiate the backend named ``name``.
+
+    ``allocator`` reaches only the fluid backend, the one with a rate
+    allocator.
+    """
+    key = (name or "").strip()
+    cls = BACKENDS.get(key)
+    if cls is None:
+        raise ConfigurationError(
+            f"unknown transport backend {name!r}; registered: {sorted(BACKENDS)}"
+        )
+    if cls is FlowTransport:
+        return FlowTransport(engine, machine, allocator=allocator)
+    return cls(engine, machine)
 
 
 @dataclass
@@ -44,24 +76,27 @@ class _OpState:
 class CommunicationSimulator:
     """Runs instruction streams on a quantum machine and reports runtime.
 
-    ``backend`` selects the transport granularity by registry name:
-    ``"fluid"`` (the default) services communications as max-min fair flows,
-    ``"detailed"`` simulates every EPR pair through the shared node hardware.
-    ``allocator`` selects the fluid backend's rate allocator: the default
-    ``"incremental"`` fills over a persistent resource→flows index, summing
-    each resource's demand over its registered flows only,
+    ``backend`` selects the transport granularity by its :data:`BACKENDS`
+    name: ``"fluid"`` (the default) services communications as max-min fair
+    flows, ``"detailed"`` simulates every EPR pair through the shared node
+    hardware.  ``allocator`` (default
+    :data:`~repro.sim.flow.DEFAULT_ALLOCATOR`) selects the fluid backend's
+    rate allocator: ``"incremental"`` fills over a persistent resource→flows
+    index, summing each resource's demand over its registered flows only,
     ``"vectorized"`` runs the same filling as numpy kernels over flat
     arrays, and ``"reference"`` recomputes every rate from scratch (the
-    original, much slower behaviour kept as a correctness oracle).  All three
-    re-solve every rate whenever the set of live flows changes and produce
-    bitwise-identical rates.
+    original, much slower behaviour kept as a correctness oracle).  The
+    transport publishes rates once per simulated instant: ``incremental``
+    and ``reference`` solve at every change to the set of live flows,
+    ``vectorized`` only at the publish, and all three publish
+    bitwise-identical rates (see :mod:`repro.sim.flow`).
     """
 
     def __init__(
         self,
         machine: QuantumMachine,
         *,
-        allocator: str = "incremental",
+        allocator: str = DEFAULT_ALLOCATOR,
         backend: str = "fluid",
     ) -> None:
         self.machine = machine

@@ -15,18 +15,18 @@ backend's business.  Two implementations ship with the repository:
 
 :class:`TransportBackend` pins down the contract (open a channel for a
 planned communication, call back on completion, report channel records and
-per-class utilisation, emit channel open/close on the trace bus), and the
-registry below lets every layer above — scenario specs, the runner, the CLI,
-the verify harness — select a backend by name.
+per-class utilisation, emit channel open/close on the trace bus), and
+:data:`repro.sim.simulator.BACKENDS` names the backends every layer above —
+scenario specs, the runner, the CLI, the verify harness — selects by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError, InfeasibleError, SimulationError
+from ..errors import InfeasibleError, SimulationError
 from ..network.topology import LinkId
 from ..trace.records import ChannelClosed, ChannelFidelity, ChannelOpened, RouteChosen
 from .results import ChannelRecord
@@ -49,12 +49,10 @@ class TransportBackend(ABC):
     trace records — so traces from different backends stay diffable.
     """
 
-    #: Registry name; subclasses must override.
+    #: The backend's name in results; subclasses override.
     name: ClassVar[str] = "abstract"
     #: One-line description shown by ``python -m repro backends``.
     description: ClassVar[str] = ""
-    #: Whether the backend takes the max-min ``allocator`` option.
-    uses_allocator: ClassVar[bool] = False
 
     def __init__(self, engine: "SimulationEngine", machine: "QuantumMachine") -> None:
         self.engine = engine
@@ -239,70 +237,3 @@ class TransportBackend(ABC):
                         meets_target=delivered_fidelity >= target,
                     )
                 )
-
-
-# -- registry ---------------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Type[TransportBackend]] = {}
-
-
-def register_backend(cls: Type[TransportBackend]) -> Type[TransportBackend]:
-    """Class decorator: make ``cls`` selectable by its ``name``."""
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name or name == TransportBackend.name:
-        raise ConfigurationError(f"transport backend {cls!r} needs a distinct 'name'")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(
-            f"transport backend name {name!r} is already registered to {existing!r}"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-def _ensure_builtin_backends() -> None:
-    # The built-in backends live in sibling modules that import this one, so
-    # they register through an import cycle-free lazy hook.
-    from . import detailed, flow  # noqa: F401
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    _ensure_builtin_backends()
-    return tuple(sorted(_REGISTRY))
-
-
-def backend_descriptions() -> Dict[str, str]:
-    """``{name: one-line description}`` for every registered backend."""
-    _ensure_builtin_backends()
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
-
-
-def get_backend(name: str) -> Type[TransportBackend]:
-    """The backend class registered under ``name``."""
-    _ensure_builtin_backends()
-    key = (name or "").strip()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown transport backend {name!r}; registered: {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[key]
-
-
-def create_transport(
-    name: str,
-    engine: "SimulationEngine",
-    machine: "QuantumMachine",
-    *,
-    allocator: str = "incremental",
-) -> TransportBackend:
-    """Instantiate the backend registered under ``name``.
-
-    ``allocator`` reaches only backends that declare ``uses_allocator`` (the
-    fluid flow model's max-min implementation choice); granularities without
-    a rate allocator ignore it by construction rather than by convention.
-    """
-    cls = get_backend(name)
-    if cls.uses_allocator:
-        return cls(engine, machine, allocator=allocator)
-    return cls(engine, machine)

@@ -28,7 +28,6 @@ _EXPORTS = {
     "FIDELITY_ABS_TOL": "harness",
     "PARITY_NOISE": "harness",
     "ROUTING_MAKESPAN_TOL": "harness",
-    "ROUTING_POLICIES": "harness",
     "ScenarioVerdict": "harness",
     "TracedRun": "harness",
     "compare_backend_runs": "harness",

@@ -138,8 +138,8 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
         "--policies",
         default=None,
         metavar="P,Q",
-        help="comma-separated routing policies to replay (default: the "
-        "documented ROUTING_POLICIES)",
+        help="comma-separated routing policies to replay (default: every "
+        "load balancer)",
     )
 
 
@@ -231,10 +231,11 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_routing(args: argparse.Namespace) -> int:
-    from .harness import ROUTING_POLICIES, verify_routing
+    from ..network.routing import BALANCERS
+    from .harness import verify_routing
 
     policies = (
-        ROUTING_POLICIES
+        tuple(BALANCERS)
         if args.policies is None
         else tuple(p for p in args.policies.split(",") if p)
     )

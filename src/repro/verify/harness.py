@@ -36,14 +36,17 @@ run against the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ScenarioError
+from ..network.routing import BALANCERS
 from ..scenarios.run import RunResult
 from ..scenarios.run import run as run_spec
-from ..scenarios.spec import ALLOCATOR_NAMES, BACKEND_NAMES, ScenarioSpec
+from ..scenarios.spec import RuntimeSpec, ScenarioSpec
+from ..sim.flow import ALLOCATORS
+from ..sim.simulator import BACKENDS
 from ..trace import (
     CANONICAL_KINDS,
     ChannelClosed,
@@ -94,9 +97,6 @@ FIDELITY_ABS_TOL = 1e-6
 #: keeps every catalog scenario inside the purifying regime (purification
 #: level >= 1) where both backends exercise their full fidelity paths.
 PARITY_NOISE = {"base_fidelity": 0.999, "target_fidelity": 0.9999}
-
-#: The policy axis :func:`verify_routing` sweeps (every registered balancer).
-ROUTING_POLICIES = ("ecmp", "least_loaded", "adaptive")
 
 #: Allowed relative excess of the least-loaded makespan over the ECMP one.
 #: On congested workloads load-aware placement should win (and does, by a
@@ -151,20 +151,17 @@ def traced_run(
 ) -> TracedRun:
     """Run one scenario through :func:`repro.scenarios.run.run`, traced.
 
-    ``allocator`` and ``backend`` override the spec's runtime choices;
-    ``kinds`` limits which record kinds are kept (default: the differential
-    set — canonical plus flow-rate changes).
+    ``allocator`` and ``backend`` override the spec's runtime choices,
+    validated as the spec's own are; ``kinds`` limits which record kinds are
+    kept (default: the differential set — canonical plus flow-rate changes).
     """
     spec = _as_spec(spec)
-    runtime = spec.runtime
-    spec = replace(
-        spec,
-        runtime=replace(
-            runtime,
-            allocator=allocator or runtime.allocator,
-            backend=backend or runtime.backend,
-        ),
-    )
+    runtime = {
+        **asdict(spec.runtime),
+        "allocator": allocator or spec.runtime.allocator,
+        "backend": backend or spec.runtime.backend,
+    }
+    spec = replace(spec, runtime=RuntimeSpec.from_dict(runtime))
     bus = TraceBus(kinds=DIFFERENTIAL_KINDS if kinds is None else kinds)
     return TracedRun(spec=spec, result=run_spec(spec, trace=bus), records=bus.records)
 
@@ -213,11 +210,11 @@ def _replay(
     """Run ``spec`` once per value of ``axis`` and diff each run against the first.
 
     ``axis`` is ``"allocator"`` or ``"backend"``; ``values`` must name at
-    least two registered ones.  Returns the baseline run and every
+    least two known ones.  Returns the baseline run and every
     divergence ``compare`` reports.
     """
     values = tuple(values)
-    known = ALLOCATOR_NAMES if axis == "allocator" else BACKEND_NAMES
+    known = ALLOCATORS if axis == "allocator" else tuple(BACKENDS)
     if len(values) < 2:
         raise ScenarioError(
             f"differential verification needs at least two {axis}s, got {list(values)}"
@@ -318,7 +315,7 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
 def verify_scenario(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     *,
-    allocators: Sequence[str] = ALLOCATOR_NAMES,
+    allocators: Sequence[str] = ALLOCATORS,
 ) -> ScenarioVerdict:
     """Replay ``spec`` under every allocator and diff the dynamics."""
     spec = _as_spec(spec)
@@ -435,7 +432,7 @@ def _backend_comparison(spec: ScenarioSpec) -> Callable[..., List[Divergence]]:
 def verify_backends(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     *,
-    backends: Sequence[str] = BACKEND_NAMES,
+    backends: Sequence[str] = tuple(BACKENDS),
     makespan_ratio: float = BACKEND_MAKESPAN_RATIO,
     order_tolerance: float = BACKEND_ORDER_TOLERANCE,
 ) -> List[Divergence]:
@@ -542,7 +539,7 @@ def compare_fidelity_runs(
 def verify_fidelity(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     *,
-    backends: Sequence[str] = BACKEND_NAMES,
+    backends: Sequence[str] = tuple(BACKENDS),
     tolerance: float = FIDELITY_ABS_TOL,
     noise: Optional[Mapping[str, Any]] = None,
 ) -> List[Divergence]:
@@ -566,8 +563,8 @@ def verify_fidelity(
 def verify_routing(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     *,
-    policies: Sequence[str] = ROUTING_POLICIES,
-    backends: Sequence[str] = BACKEND_NAMES,
+    policies: Sequence[str] = tuple(BALANCERS),
+    backends: Sequence[str] = tuple(BACKENDS),
     makespan_tolerance: float = ROUTING_MAKESPAN_TOL,
     makespan_ratio: float = BACKEND_MAKESPAN_RATIO,
     order_tolerance: float = BACKEND_ORDER_TOLERANCE,

@@ -10,7 +10,7 @@ operations with the dependency structure the paper's scheduler respects.
 
 from .instructions import InstructionStream, TwoQubitOp
 from .qft import qft_stream
-from .registry import build_workload, list_workloads, register_workload, workload_params
+from .registry import build_workload
 from .modmult import modular_multiplication_stream
 from .modexp import modular_exponentiation_stream
 from .shor import shor_kernel_streams, shor_stream
@@ -26,15 +26,12 @@ __all__ = [
     "TwoQubitOp",
     "all_to_all_stream",
     "build_workload",
-    "list_workloads",
     "modular_exponentiation_stream",
     "modular_multiplication_stream",
     "nearest_neighbour_stream",
     "permutation_stream",
     "qft_stream",
     "random_stream",
-    "register_workload",
     "shor_kernel_streams",
     "shor_stream",
-    "workload_params",
 ]

@@ -1,22 +1,16 @@
 """Named workload builders, parameterizable from declarative specs.
 
 The scenario engine requests instruction streams by name with a parameter
-mapping, so every generator in this package is wrapped in a registry entry
-that documents which parameters it takes and validates them before calling
+mapping, so :data:`WORKLOADS` names every generator in this package with the
+parameters it takes, and :func:`build_workload` validates them before calling
 through.  Unknown workload names and unknown or malformed parameters raise
-:class:`~repro.errors.ConfigurationError` with the registry's vocabulary in
-the message, which is what makes scenario files debuggable.
-
-New workloads register themselves with :func:`register_workload`::
-
-    @register_workload("my_pattern", params=("rounds",))
-    def _build_my_pattern(num_qubits, *, rounds=1):
-        return InstructionStream...
+:class:`~repro.errors.ConfigurationError` with the table's vocabulary in the
+message, which is what makes scenario files debuggable.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError, ReproError
 from .instructions import InstructionStream
@@ -35,132 +29,60 @@ from .synthetic import (
 WorkloadBuilder = Callable[..., InstructionStream]
 
 
-class _WorkloadEntry:
-    """One registered workload: its builder plus the parameters it accepts."""
+class Workload(NamedTuple):
+    """A workload's builder and the optional parameters it takes beyond ``num_qubits``."""
 
-    def __init__(self, name: str, builder: WorkloadBuilder, params: Tuple[str, ...]) -> None:
-        self.name = name
-        self.builder = builder
-        self.params = params
+    build: WorkloadBuilder
+    params: Tuple[str, ...] = ()
 
 
-_REGISTRY: Dict[str, _WorkloadEntry] = {}
-
-
-def register_workload(
-    name: str, *, params: Tuple[str, ...] = ()
-) -> Callable[[WorkloadBuilder], WorkloadBuilder]:
-    """Decorator adding a builder to the workload registry.
-
-    ``params`` names the optional keyword parameters the builder accepts
-    beyond ``num_qubits``; anything else in a spec is rejected up front.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ConfigurationError("a workload builder needs a non-empty name")
-
-    def _register(builder: WorkloadBuilder) -> WorkloadBuilder:
-        if key in _REGISTRY:
-            raise ConfigurationError(f"workload builder {key!r} is already registered")
-        _REGISTRY[key] = _WorkloadEntry(key, builder, tuple(params))
-        return builder
-
-    return _register
-
-
-def list_workloads() -> List[str]:
-    """Registered workload names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def workload_params(kind: str) -> Tuple[str, ...]:
-    """The optional parameter names a workload accepts."""
-    return _entry(kind).params
-
-
-def _entry(kind: str) -> _WorkloadEntry:
-    key = (kind or "").strip().lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown workload kind {kind!r}; known: {list_workloads()}"
-        )
-    return _REGISTRY[key]
-
-
-def build_workload(
-    kind: str, num_qubits: int, params: Optional[Mapping[str, Any]] = None
-) -> InstructionStream:
-    """Build an instruction stream by registry name.
-
-    ``params`` holds the workload's optional keyword parameters (e.g.
-    ``{"rounds": 3}`` for ``nearest_neighbour``); unknown keys are rejected
-    before the builder runs.
-    """
-    entry = _entry(kind)
-    params = dict(params or {})
-    unknown = sorted(set(params) - set(entry.params))
-    if unknown:
-        raise ConfigurationError(
-            f"workload {entry.name!r} does not take parameters {unknown}; "
-            f"accepted: {sorted(entry.params) or 'none'}"
-        )
-    try:
-        return entry.builder(num_qubits, **params)
-    except ReproError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"workload {entry.name!r} rejected parameters {params}: {exc}"
-        ) from exc
-
-
-@register_workload("qft")
-def _build_qft(num_qubits: int) -> InstructionStream:
-    """Quantum Fourier Transform: all-to-all with the QFT dependency chain."""
-    return qft_stream(num_qubits)
-
-
-@register_workload("all_to_all")
-def _build_all_to_all(num_qubits: int) -> InstructionStream:
-    """Every unordered pair once (the QFT's pair set, no QFT ordering)."""
-    return all_to_all_stream(num_qubits)
-
-
-@register_workload("nearest_neighbour", params=("rounds",))
-def _build_nearest_neighbour(num_qubits: int, *, rounds: int = 1) -> InstructionStream:
-    """Brick-wall nearest-neighbour rounds."""
-    return nearest_neighbour_stream(num_qubits, rounds=rounds)
-
-
-@register_workload("permutation", params=("seed",))
-def _build_permutation(num_qubits: int, *, seed: int = 0) -> InstructionStream:
-    """A random perfect matching (maximum concurrent contention)."""
-    return permutation_stream(num_qubits, seed=seed)
-
-
-@register_workload("random", params=("num_operations", "seed"))
-def _build_random(
+def _random(
     num_qubits: int, *, num_operations: Optional[int] = None, seed: int = 0
 ) -> InstructionStream:
     """Uniform random pairs; defaults to one operation per qubit."""
     return random_stream(num_qubits, num_operations or num_qubits, seed=seed)
 
 
-@register_workload("modmult", params=("split",))
-def _build_modmult(num_qubits: int, *, split: float = 0.5) -> InstructionStream:
-    """Bipartite modular multiplication."""
-    return modular_multiplication_stream(num_qubits, split=split)
+#: The workloads, by the name ``workload.kind`` selects.
+WORKLOADS: Dict[str, Workload] = {
+    "qft": Workload(qft_stream),
+    "all_to_all": Workload(all_to_all_stream),
+    "nearest_neighbour": Workload(nearest_neighbour_stream, ("rounds",)),
+    "permutation": Workload(permutation_stream, ("seed",)),
+    "random": Workload(_random, ("num_operations", "seed")),
+    "modmult": Workload(modular_multiplication_stream, ("split",)),
+    "modexp": Workload(modular_exponentiation_stream, ("steps", "split")),
+    "shor": Workload(shor_stream, ("modexp_steps",)),
+}
 
 
-@register_workload("modexp", params=("steps", "split"))
-def _build_modexp(
-    num_qubits: int, *, steps: int = 2, split: float = 0.5
+def build_workload(
+    kind: str, num_qubits: int, params: Optional[Mapping[str, Any]] = None
 ) -> InstructionStream:
-    """Modular exponentiation: alternating squaring and multiplication."""
-    return modular_exponentiation_stream(num_qubits, steps=steps, split=split)
+    """Build an instruction stream by its :data:`WORKLOADS` name.
 
-
-@register_workload("shor", params=("modexp_steps",))
-def _build_shor(num_qubits: int, *, modexp_steps: int = 1) -> InstructionStream:
-    """Shor's three communication kernels concatenated."""
-    return shor_stream(num_qubits, modexp_steps=modexp_steps)
+    ``params`` holds the workload's optional keyword parameters (e.g.
+    ``{"rounds": 3}`` for ``nearest_neighbour``); unknown keys are rejected
+    before the builder runs.
+    """
+    key = (kind or "").strip().lower()
+    workload = WORKLOADS.get(key)
+    if workload is None:
+        raise ConfigurationError(
+            f"unknown workload kind {kind!r}; known: {sorted(WORKLOADS)}"
+        )
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(workload.params))
+    if unknown:
+        raise ConfigurationError(
+            f"workload {key!r} does not take parameters {unknown}; "
+            f"accepted: {sorted(workload.params) or 'none'}"
+        )
+    try:
+        return workload.build(num_qubits, **params)
+    except ReproError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"workload {key!r} rejected parameters {params}: {exc}"
+        ) from exc

@@ -1,38 +1,25 @@
-"""Tests for the fabric registry and wrap-around topologies."""
+"""Tests for the fabric table and wrap-around topologies."""
 
 import networkx as nx
 import pytest
 from nx_oracle import nx_graph
 
 from repro.errors import ConfigurationError
-from repro.network import fabrics
-from repro.network.fabrics import (
-    build_topology,
-    list_topologies,
-    register_topology,
-    topology_options,
-)
+from repro.network.fabrics import FABRICS, Fabric, build_topology
 from repro.network.geometry import Coordinate
 from repro.network.routing import dimension_order_route
 from repro.network.topology import LinkId
 
 
 class TestRegistry:
-    def test_builtin_fabrics_registered(self):
-        assert {"line", "ring", "mesh", "torus"} <= set(list_topologies())
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown topology kind"):
             build_topology("klein_bottle", 4)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_topology("mesh")(lambda *a, **k: None)
-
     def test_options_are_declared_at_registration(self):
-        assert topology_options("leaf_spine") == ("hosts_per_leaf",)
-        assert topology_options("dragonfly") == ("hosts_per_router",)
-        assert topology_options("mesh") == ()
+        assert FABRICS["leaf_spine"].options == ("hosts_per_leaf",)
+        assert FABRICS["dragonfly"].options == ("hosts_per_router",)
+        assert FABRICS["mesh"].options == ()
         with pytest.raises(ConfigurationError, match=r"does not take options \['hosts_per_leaf'\]"):
             build_topology("mesh", 4, hosts_per_leaf=2)
 
@@ -40,7 +27,7 @@ class TestRegistry:
         def _broken(width, height=None, *, allocation=None, cells_per_hop=600):
             raise TypeError("builder bug")
 
-        monkeypatch.setitem(fabrics._BUILDERS, "mesh", _broken)
+        monkeypatch.setitem(FABRICS, "mesh", Fabric(_broken))
         with pytest.raises(TypeError, match="builder bug"):
             build_topology("mesh", 4)
 

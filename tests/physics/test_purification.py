@@ -1,14 +1,11 @@
 """Tests for the DEJMPS and BBPSSW purification protocols."""
 
-import re
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.physics.parameters import ErrorRates, IonTrapParameters
 from repro.physics.purification import BBPSSWProtocol, DEJMPSProtocol, get_protocol
 from repro.physics.states import BellDiagonalState
-from repro.scenarios.spec import PROTOCOL_NAMES
 
 NOISELESS = IonTrapParameters(
     errors=ErrorRates(one_qubit_gate=0.0, two_qubit_gate=0.0, move_cell=0.0, measure=0.0),
@@ -33,13 +30,6 @@ class TestFactory:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
-            get_protocol("nested")
-
-    def test_registry_matches_spec_protocol_names(self):
-        # physics.protocol validates against a literal copy of this registry.
-        for name in PROTOCOL_NAMES:
-            get_protocol(name)
-        with pytest.raises(ConfigurationError, match=re.escape(str(sorted(PROTOCOL_NAMES)))):
             get_protocol("nested")
 
 

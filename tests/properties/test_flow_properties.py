@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.network.geometry import Coordinate
 from repro.network.layout import CommRequest
 from repro.network.nodes import ResourceAllocation
+from repro.network.routing import BALANCERS
 from repro.sim.control import PlannedCommunication
 from repro.sim.engine import SimulationEngine
 from repro.sim.flow import ALLOCATORS, FlowTransport
@@ -174,8 +175,6 @@ FABRIC_CONFIGS = (
       "topology_options": {"hosts_per_leaf": 2}}, 6),
 )
 
-ROUTING_POLICIES = ("ecmp", "least_loaded", "adaptive")
-
 #: (host-index pair, start-delay) triples; indices reduced mod host count.
 fabric_channel_specs = st.lists(
     st.tuples(
@@ -209,7 +208,7 @@ def _run_fabric_transport(config, policy, specs, allocator, trace=None):
 class TestFabricAllocatorParity:
     @given(
         st.sampled_from(FABRIC_CONFIGS),
-        st.sampled_from(ROUTING_POLICIES),
+        st.sampled_from(tuple(BALANCERS)),
         fabric_channel_specs,
     )
     @settings(max_examples=30, deadline=None)

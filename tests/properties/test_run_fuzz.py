@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.errors import ReproError, ScenarioError
-from repro.network.fabrics import list_topologies, topology_options
+from repro.network.fabrics import FABRICS
+from repro.network.routing import BALANCERS
 from repro.scenarios import (
     NoiseSpec,
     PhysicsSpec,
@@ -46,15 +47,11 @@ from repro.scenarios import (
     list_scenarios,
 )
 from repro.scenarios.spec import (
-    ADMISSION_NAMES,
-    ALLOCATOR_NAMES,
     ARRIVAL_PROCESSES,
-    BACKEND_NAMES,
     MAX_OFFERED_REQUESTS,
     NOISE_FIELDS,
     PHYSICS_FIELDS,
     ROUTING_FIELDS,
-    SCHEDULER_NAMES,
     SIZE_DISTRIBUTIONS,
     TENANT_FIELDS,
     TOPOLOGY_FIELDS,
@@ -63,7 +60,11 @@ from repro.scenarios.spec import (
     WORKLOAD_FIELDS,
     WORKLOAD_PARAM_FIELDS,
 )
-from repro.workloads.registry import list_workloads, workload_params
+from repro.service.admission import ADMISSION_CONTROLLERS
+from repro.service.schedulers import SCHEDULERS
+from repro.sim.flow import ALLOCATORS
+from repro.sim.simulator import BACKENDS
+from repro.workloads.registry import WORKLOADS
 
 #: Events one fuzzed run may dispatch before it must stop and say so.
 MAX_EVENTS = 50_000
@@ -112,9 +113,9 @@ def in_range(draws):
 
 
 #: The fabric that takes each ``topology.options`` name.
-OPTION_FABRICS = {name: kind for kind in list_topologies() for name in topology_options(kind)}
+OPTION_FABRICS = {name: kind for kind in sorted(FABRICS) for name in FABRICS[kind].options}
 #: The workload that takes each ``workload.params`` name.
-PARAM_WORKLOADS = {name: kind for kind in list_workloads() for name in workload_params(kind)}
+PARAM_WORKLOADS = {name: kind for kind in sorted(WORKLOADS) for name in WORKLOADS[kind].params}
 PARAMS = "workload.params."
 
 #: Every numeric field of the batch sections; ``runtime.max_events`` stays
@@ -140,15 +141,15 @@ def traffic_draws(tenants):
 
 overrides = st.fixed_dictionaries(
     {
-        "topology.kind": st.sampled_from(list_topologies()),
+        "topology.kind": st.sampled_from(sorted(FABRICS)),
         "runtime.layout": st.sampled_from(["home_base", "mobile_qubit"]),
-        "runtime.allocator": st.sampled_from(ALLOCATOR_NAMES),
-        "runtime.backend": st.sampled_from(BACKEND_NAMES),
+        "runtime.allocator": st.sampled_from(ALLOCATORS),
+        "runtime.backend": st.sampled_from(tuple(BACKENDS)),
         "runtime.max_events": st.just(MAX_EVENTS),
     }
 )
 
-routing_policies = st.sampled_from([None, "ecmp", "least_loaded", "adaptive"])
+routing_policies = st.sampled_from([None, *BALANCERS])
 
 SERVICE_SCENARIOS = [name for name in list_scenarios() if get_scenario(name).traffic is not None]
 
@@ -171,8 +172,8 @@ def traffic_changes(draw, tenants):
     duration = draw(st.sampled_from(draws["traffic.duration_us"][0]))
     changes = {
         "traffic.duration_us": duration,
-        "traffic.admission": draw(st.sampled_from(ADMISSION_NAMES)),
-        "traffic.scheduler": draw(st.sampled_from(SCHEDULER_NAMES)),
+        "traffic.admission": draw(st.sampled_from(tuple(ADMISSION_CONTROLLERS))),
+        "traffic.scheduler": draw(st.sampled_from(tuple(SCHEDULERS))),
     }
     offered = draw(st.sampled_from(BOUND_FRACTIONS)) * MAX_OFFERED_REQUESTS / len(tenants)
     for name in tenants:
@@ -238,8 +239,8 @@ def test_every_valid_spec_runs_or_fails_fast(base, changes, numeric, noise, poli
 
 @given(
     data=st.data(),
-    backend=st.sampled_from(BACKEND_NAMES),
-    allocator=st.sampled_from(ALLOCATOR_NAMES),
+    backend=st.sampled_from(tuple(BACKENDS)),
+    allocator=st.sampled_from(ALLOCATORS),
 )
 @settings(max_examples=15, deadline=None)
 def test_every_valid_traffic_spec_runs_or_fails_fast(data, backend, allocator):

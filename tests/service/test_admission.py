@@ -1,20 +1,10 @@
-"""Admission controllers: registry contract and per-policy invariants."""
+"""Admission controllers: the table's contract and per-policy invariants."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.geometry import Coordinate
-from repro.scenarios.spec import ADMISSION_NAMES
-from repro.service.admission import (
-    AdmissionController,
-    AlwaysAdmit,
-    QueueBound,
-    TokenBucket,
-    admission_descriptions,
-    admission_names,
-    create_admission,
-    register_admission,
-)
+from repro.service.admission import AlwaysAdmit, QueueBound, TokenBucket, create_admission
 from repro.service.arrivals import ServiceRequest
 
 
@@ -30,19 +20,6 @@ def _request(request_id=0, arrival_us=0.0):
 
 
 class TestRegistry:
-    def test_builtin_controllers_are_registered(self):
-        assert admission_names() == ("always", "queue_bound", "token_bucket")
-
-    def test_registry_matches_spec_admission_names(self):
-        # The scenario schema keeps a literal copy so validating a spec never
-        # imports the service stack; this pins the two in sync.
-        assert set(admission_names()) == set(ADMISSION_NAMES)
-
-    def test_descriptions_are_one_liners(self):
-        for name, description in admission_descriptions().items():
-            assert description, f"admission controller {name} has no description"
-            assert "\n" not in description
-
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown admission controller"):
             create_admission("bogus")
@@ -56,14 +33,6 @@ class TestRegistry:
         assert isinstance(bound, QueueBound)
         assert bound.queue_limit == 5
         assert isinstance(create_admission("always"), AlwaysAdmit)
-
-    def test_register_rejects_anonymous_controller(self):
-        class Nameless(AdmissionController):
-            def admit(self, request, *, now_us, queue_depth):
-                return None
-
-        with pytest.raises(ConfigurationError, match="distinct 'name'"):
-            register_admission(Nameless)
 
 
 class TestAlwaysAdmit:

@@ -1,20 +1,16 @@
-"""Request schedulers: registry contract and dispatch-order disciplines."""
+"""Request schedulers: the table's contract and dispatch-order disciplines."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.geometry import Coordinate
-from repro.scenarios.spec import SCHEDULER_NAMES
 from repro.service.arrivals import ServiceRequest
 from repro.service.schedulers import (
+    SCHEDULERS,
     FidelityScheduler,
     FifoScheduler,
     PriorityScheduler,
-    RequestScheduler,
     create_scheduler,
-    register_scheduler,
-    scheduler_descriptions,
-    scheduler_names,
 )
 
 
@@ -39,19 +35,6 @@ def _drain(scheduler):
 
 
 class TestRegistry:
-    def test_builtin_schedulers_are_registered(self):
-        assert scheduler_names() == ("fidelity", "fifo", "priority")
-
-    def test_registry_matches_spec_scheduler_names(self):
-        # The scenario schema keeps a literal copy so validating a spec never
-        # imports the service stack; this pins the two in sync.
-        assert set(scheduler_names()) == set(SCHEDULER_NAMES)
-
-    def test_descriptions_are_one_liners(self):
-        for name, description in scheduler_descriptions().items():
-            assert description, f"scheduler {name} has no description"
-            assert "\n" not in description
-
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown request scheduler"):
             create_scheduler("bogus")
@@ -60,20 +43,6 @@ class TestRegistry:
         assert isinstance(create_scheduler("fifo"), FifoScheduler)
         assert isinstance(create_scheduler("priority"), PriorityScheduler)
         assert isinstance(create_scheduler("fidelity"), FidelityScheduler)
-
-    def test_register_rejects_anonymous_scheduler(self):
-        class Nameless(RequestScheduler):
-            def push(self, request):
-                pass
-
-            def pop(self):
-                raise SimulationError("empty")
-
-            def __len__(self):
-                return 0
-
-        with pytest.raises(ConfigurationError, match="distinct 'name'"):
-            register_scheduler(Nameless)
 
 
 class TestDisciplines:
@@ -106,7 +75,7 @@ class TestDisciplines:
         assert _drain(scheduler) == [0, 1, 2, 3]
 
     def test_pop_on_empty_raises(self):
-        for name in scheduler_names():
+        for name in SCHEDULERS:
             with pytest.raises(SimulationError, match="empty request queue"):
                 create_scheduler(name).pop()
 

@@ -1,4 +1,4 @@
-"""Transport backend contract: registry, parity, contention, provenance.
+"""Transport backend contract: the table, parity, contention, provenance.
 
 The detailed backend's outputs on every catalog scenario are pinned bitwise
 in ``detailed_pins.json``.  After a change that is *meant* to alter them,
@@ -20,19 +20,11 @@ from repro.network.nodes import ResourceAllocation
 from repro.runtime.cli import main
 from repro.scenarios import ScenarioSpec, get_scenario, list_scenarios, run, run_record
 from repro.scenarios.run import build_machine, build_stream
-from repro.scenarios.spec import BACKEND_NAMES
-from repro.sim import (
-    CommunicationSimulator,
-    QuantumMachine,
-    SimulationEngine,
-    backend_descriptions,
-    backend_names,
-    create_transport,
-    get_backend,
-)
+from repro.sim import CommunicationSimulator, QuantumMachine, SimulationEngine, create_transport
 from repro.sim.control import PlannedCommunication
 from repro.sim.detailed import DetailedTransport
 from repro.sim.flow import FlowTransport
+from repro.sim.simulator import BACKENDS
 from repro.verify.harness import BACKEND_MAKESPAN_RATIO
 
 DETAILED_PINS = Path(__file__).with_name("detailed_pins.json")
@@ -83,22 +75,14 @@ def _detailed_pin(result):
 
 
 class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        assert backend_names() == ("detailed", "fluid")
-
-    def test_registry_matches_spec_backend_names(self):
-        # The scenario schema keeps a literal copy so validating a spec never
-        # imports the simulation stack; this pins the two in sync.
-        assert set(backend_names()) == set(BACKEND_NAMES)
-
     def test_descriptions_are_one_liners(self):
-        for name, description in backend_descriptions().items():
-            assert description, f"backend {name} has no description"
-            assert "\n" not in description
+        for name, backend in BACKENDS.items():
+            assert backend.description, f"backend {name} has no description"
+            assert "\n" not in backend.description
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ConfigurationError, match="unknown transport backend"):
-            get_backend("bogus")
+            create_transport("bogus", SimulationEngine(), QuantumMachine(3))
 
     def test_create_transport_dispatches(self):
         machine = QuantumMachine(3)

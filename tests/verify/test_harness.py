@@ -37,6 +37,14 @@ class TestTracedRun:
         run = traced_run(get_scenario("smoke"), allocator="reference")
         assert run.allocator == "reference"
 
+    def test_overrides_are_validated_as_spec_fields(self):
+        run = traced_run(get_scenario("smoke"), allocator="Vectorized", backend=" FLUID")
+        assert (run.spec.runtime.allocator, run.spec.runtime.backend) == ("vectorized", "fluid")
+        assert (run.allocator, run.backend) == ("vectorized", "fluid")
+        for field in ("allocator", "backend"):
+            with pytest.raises(ScenarioError, match=f"runtime.{field} must be one of"):
+                traced_run(get_scenario("smoke"), **{field: "bogus"})
+
     def test_accepts_plain_mapping(self):
         spec = get_scenario("smoke")
         run = traced_run(spec.to_dict(), kinds=CANONICAL_KINDS)
